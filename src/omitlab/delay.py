@@ -4,19 +4,19 @@ tau_g = d arg(t_p) / d omega_p, evaluated at fixed drive frequency so the
 derivative is with respect to Delta. Two independent methods are provided:
 an exact derivative of the closed-form response (default) and a central
 finite difference with one Richardson step; they cross-validate each other.
-A positive tau_g is slow light, negative is fast light.
+A positive tau_g is slow light, negative is fast light. Both methods run
+batched, flagging the cells where the delay is undefined.
 """
 
 import warnings
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NearZeroTransmission, NumericalError, StepTooLarge
-from .model import effective_params
+from .errors import ConfigError, NearZeroTransmission, StepTooLarge
 from .response import _pieces, probe_response
-from .steadystate import solve_steady
-from .util import parallel_map
+from .steadystate import effective_grid
+from .util import flag_cells, with_python_scalars
 
 # |t_p| below this leaves the phase (and its derivative) undefined
 _TP_FLOOR = 1e-14
@@ -70,14 +70,6 @@ def _tp_and_derivative(ep, delta):
     return t_p, dt_p
 
 
-def tau_g_analytic(ep, delta):
-    """Vectorized analytic group delay; nan where |t_p| is below the floor."""
-    t_p, dt_p = _tp_and_derivative(ep, delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.imag(dt_p / t_p)
-    return np.where(np.abs(t_p) < _TP_FLOOR, np.nan, tau)
-
-
 @dataclass(frozen=True)
 class DelayResult:
     """Group delay at one point.
@@ -95,15 +87,9 @@ class DelayResult:
 
 
 def _classify(tau):
-    if tau > _NEUTRAL_THRESH:
-        return "slow"
-    if tau < -_NEUTRAL_THRESH:
-        return "fast"
-    return "neutral"
-
-
-def _phase_at(ep, delta, a0):
-    return float(probe_response(ep, float(delta), a0=a0).phase)
+    """Per element of tau: slow, fast or neutral; "" where tau is nan."""
+    return np.select([tau > _NEUTRAL_THRESH, tau < -_NEUTRAL_THRESH, np.isnan(tau)],
+                     ["slow", "fast", ""], "neutral")
 
 
 def _local_unwrap(center, value):
@@ -113,11 +99,46 @@ def _local_unwrap(center, value):
     return value - k * two_pi
 
 
-def _fd_slope(ep, delta, a0, h):
-    pc = _phase_at(ep, delta, a0)
-    pp = _local_unwrap(pc, _phase_at(ep, delta + h, a0))
-    pm = _local_unwrap(pc, _phase_at(ep, delta - h, a0))
+def _fd_slope(ep, delta, h):
+    pc = probe_response(ep, delta).phase
+    pp = _local_unwrap(pc, probe_response(ep, delta + h).phase)
+    pm = _local_unwrap(pc, probe_response(ep, delta - h).phase)
     return (pp - pm) / (2.0 * h)
+
+
+def _delays(ep, delta, method="analytic", h=None, flags=""):
+    """Group delay over the broadcast of ep and delta.
+
+    Returns a DelayResult with array fields and the per-cell flags: on top
+    of the incoming flags, NearZeroTransmission where |t_p| < 1e-14 and
+    StepTooLarge where the Richardson pair disagrees beyond 1e-4 relative.
+    A flagged cell has tau_g nan and classification "".
+    """
+    if method not in ("analytic", "fd", "central-difference"):
+        raise ConfigError(f"unknown group-delay method {method!r}")
+    t_p, dt_p = _tp_and_derivative(ep, delta)
+    tp_mag = np.abs(t_p)
+    flags = flag_cells(flags, tp_mag < _TP_FLOOR, NearZeroTransmission)
+    step = None
+    if method == "analytic":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.imag(dt_p / t_p)
+    else:
+        method, step = "central-difference", float(1e-6 * ep.omega_m if h is None else h)
+        if step <= 0:
+            raise ConfigError(f"finite-difference step must be > 0, got {step!r}")
+        d1 = _fd_slope(ep, delta, step)
+        d2 = _fd_slope(ep, delta, step / 2.0)
+        tau = (4.0 * d2 - d1) / 3.0
+        flags = flag_cells(flags, np.abs(d1 - d2) > _RICHARDSON_RTOL * np.maximum(
+            np.abs(tau), _NEUTRAL_THRESH), StepTooLarge)
+    tau = np.where(flags == "", tau, np.nan)
+    return DelayResult(tau, method, step, _classify(tau), tp_mag), flags
+
+
+def tau_g_analytic(ep, delta):
+    """Vectorized analytic group delay; nan where |t_p| is below the floor."""
+    return _delays(ep, delta)[0].tau_g
 
 
 def group_delay(ep, a0, delta, method="analytic", h=None):
@@ -127,87 +148,67 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     centered stencil with branch-consistent phases at steps h and h/2 and one
     Richardson extrapolation (default h = 1e-6 * omega_m). Raises
     NearZeroTransmission when |t_p| < 1e-14 and StepTooLarge when the
-    Richardson pair disagrees beyond 1e-4 relative.
+    Richardson pair disagrees beyond 1e-4 relative. a0 sets only the phase
+    of the a_minus sideband, so it does not enter t_p or tau_g.
     """
     delta = float(delta)
-    t_p, dt_p = _tp_and_derivative(ep, delta)
-    tp_mag = float(abs(t_p))
-    if tp_mag < _TP_FLOOR:
+    # a 1-element array keeps the point on the vector ufunc path of the maps
+    res, flags = _delays(ep, np.array([delta]), method, h)
+    if flags[0] == "NearZeroTransmission":
         raise NearZeroTransmission(
-            f"|t_p| = {tp_mag:.3e} at delta = {delta!r}: phase undefined")
-
-    if method == "analytic":
-        # 0-d array division keeps the result bit-identical to the
-        # vectorized tau_g_analytic path
-        tau = float(np.imag(np.asarray(dt_p) / np.asarray(t_p)))
-        return DelayResult(tau, "analytic", None, _classify(tau), tp_mag)
-
-    if method not in ("fd", "central-difference"):
-        raise ConfigError(f"unknown group-delay method {method!r}")
-    if h is None:
-        h = 1e-6 * ep.omega_m
-    h = float(h)
-    if h <= 0:
-        raise ConfigError(f"finite-difference step must be > 0, got {h!r}")
-    d1 = _fd_slope(ep, delta, a0, h)
-    d2 = _fd_slope(ep, delta, a0, h / 2.0)
-    tau = (4.0 * d2 - d1) / 3.0
-    if abs(d1 - d2) > _RICHARDSON_RTOL * max(abs(tau), _NEUTRAL_THRESH):
-        raise StepTooLarge(
-            f"Richardson pair disagrees by {abs(d1 - d2):.3e} at "
-            f"delta = {delta!r} (h = {h!r})")
-    return DelayResult(float(tau), "central-difference", h, _classify(tau), tp_mag)
+            f"|t_p| = {res.t_p_magnitude[0]:.3e} at delta = {delta!r}: phase undefined")
+    if flags[0]:
+        raise StepTooLarge(f"Richardson pair disagrees beyond {_RICHARDSON_RTOL:g} "
+                           f"relative at delta = {delta!r} (h = {res.step!r})")
+    return with_python_scalars(
+        DelayResult, tau_g=res.tau_g[0], method=res.method, step=res.step,
+        classification=res.classification[0], t_p_magnitude=res.t_p_magnitude[0])
 
 
 @dataclass(frozen=True)
 class DelayMap:
     """Group delay over a (P, L) grid at fixed detuning.
 
-    cells[i][j] is the DelayResult for (P_grid[i], L_grid[j]) or None if that
-    cell failed; flags[i][j] carries the failure name ("" on success). tau_g
-    is the matching matrix in seconds with nan at failed cells.
+    Index [i, j] is (P_grid[i], L_grid[j]). flags[i][j] names the error of
+    a failed cell ("" on success); there tau_g [s] is nan and classification
+    "". cells[i][j] is the cell's DelayResult, or None if it failed.
     """
 
     P_grid: object
     L_grid: object
     delta: float
-    cells: object
     flags: object
     tau_g: object
+    classification: object
+    t_p_magnitude: object
+    method: str
+    step: object
+
+    @property
+    def cells(self):
+        rows = zip(self.flags, self.tau_g, self.classification, self.t_p_magnitude)
+        return [[None if f else DelayResult(float(t), self.method, self.step,
+                                            str(c), float(m))
+                 for f, t, c, m in zip(*row)] for row in rows]
 
 
-def delay_map(cfg, P_grid, L_grid, delta, method="analytic", threads=None):
+def delay_map(cfg, P_grid, L_grid, delta, method="analytic"):
     """Evaluate the group delay on a (P, L) grid at one detuning.
 
-    L values are rounded to the nearest integer quantum number. The steady
-    state is recomputed per cell; per-cell numerical failures are recorded in
-    the flags matrix and do not abort the map.
+    L values are rounded to the nearest integer quantum number. One batched
+    steady-state solve covers the grid; per-cell numerical failures are
+    recorded in the flags matrix and do not abort the map.
     """
     P_grid = np.asarray(P_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
     if P_grid.size == 0 or L_grid.size == 0:
         raise ConfigError("delay_map grids must be nonempty")
     delta = float(delta)
-
-    def one_row(P):
-        row, frow = [], []
-        for Lval in L_grid:
-            try:
-                c = dc_replace(cfg, P=float(P), L=int(round(float(Lval))))
-                ss = solve_steady(c)
-                ep = effective_params(c, ss)
-                res = group_delay(ep, ss.a0, delta, method=method)
-                row.append(res)
-                frow.append("")
-            except NumericalError as e:
-                row.append(None)
-                frow.append(type(e).__name__)
-        return row, frow
-
-    rows = parallel_map(one_row, P_grid, threads=threads)
-    cells = [r for r, _ in rows]
-    flags = [f for _, f in rows]
-    tau = np.array([[c.tau_g if c is not None else np.nan for c in r]
-                    for r in cells])
+    ep, flags = effective_grid(cfg, P=P_grid[:, None], L=L_grid[None, :])
+    res, flags = _delays(ep, np.full((P_grid.size, L_grid.size), delta),
+                         method, flags=flags)
     return DelayMap(P_grid=P_grid, L_grid=L_grid, delta=delta,
-                    cells=cells, flags=flags, tau_g=tau)
+                    flags=flags.tolist(), tau_g=res.tau_g,
+                    classification=res.classification,
+                    t_p_magnitude=res.t_p_magnitude, method=res.method,
+                    step=res.step)

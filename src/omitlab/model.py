@@ -7,6 +7,7 @@ cavity length, decay and damping rates. ``derive_constants`` turns those into
 the quantities the response formulas actually consume (moment of inertia,
 optorotational couplings g_j, drive amplitudes), and ``effective_params``
 folds in a steady state to produce the effective coupling rates G_j = g_j|a0|.
+Both broadcast over the arrays of a ``config_grid``.
 
 All frequencies are angular (rad/s) internally. The JSON loader accepts
 {"value": x, "unit": "rad/s" | "Hz" | "units_of_omega_m"} wrappers for the
@@ -16,10 +17,13 @@ frequency-valued fields and converts at the boundary.
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dc_replace
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import ConfigError
-from .util import fingerprint_dict
+from .util import fingerprint_dict, with_python_scalars
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
@@ -52,7 +56,7 @@ class SelfConsistent:
 
 
 def _check_finite(name, x):
-    if not math.isfinite(x):
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
         raise ConfigError(f"{name} must be finite, got {x!r}")
 
 
@@ -168,26 +172,43 @@ class DerivedConstants:
 
 
 def derive_constants(cfg):
-    """DerivedConstants from a validated PhysicalConfig.
+    """DerivedConstants from a validated PhysicalConfig or a config_grid.
 
     I = m R^2 / 2, g_j = (c L / cav_len) sqrt(hbar / (I omega_phi_j)),
     gamma_j = omega_phi_j / Q_j, eps_c = sqrt(2 kappa P / (hbar omega_c)).
     """
     I = 0.5 * cfg.m * cfg.R ** 2
     pref = C_LIGHT * cfg.L / cfg.cav_len
-    g1 = pref * math.sqrt(HBAR / (I * cfg.omega_phi1))
-    g2 = pref * math.sqrt(HBAR / (I * cfg.omega_phi2))
+    g1 = pref * np.sqrt(HBAR / (I * cfg.omega_phi1))
+    g2 = pref * np.sqrt(HBAR / (I * cfg.omega_phi2))
     omega_c = 2.0 * math.pi * C_LIGHT / cfg.lambda_c
-    eps_c = math.sqrt(2.0 * cfg.kappa * cfg.P / (HBAR * omega_c))
-    return DerivedConstants(
-        I=I, g1=g1, g2=g2, g_alpha1=-g1, g_alpha2=+g2,
+    eps_c = np.sqrt(2.0 * cfg.kappa * cfg.P / (HBAR * omega_c))
+    return with_python_scalars(
+        DerivedConstants, I=I, g1=g1, g2=g2, g_alpha1=-g1, g_alpha2=+g2,
         gamma1=cfg.omega_phi1 / cfg.Q1, gamma2=cfg.omega_phi2 / cfg.Q2,
         omega_c=omega_c, eps_c=eps_c, P_p=cfg.P_p, kappa=cfg.kappa)
 
 
+def config_grid(cfg, **axes):
+    """cfg with the named numeric fields replaced by arrays that broadcast
+    against each other. Each value is validated once through PhysicalConfig,
+    so an invalid one raises ConfigError; L values are rounded to the
+    nearest integer quantum number."""
+    grid = dict(vars(cfg))
+    for name, values in axes.items():
+        values = np.asarray(values, dtype=float)
+        if name == "L":
+            values = np.round(values)
+        for v in values.ravel():
+            dc_replace(cfg, **{name: int(v) if name == "L" else float(v)})
+        grid[name] = values
+    return SimpleNamespace(**grid)
+
+
 @dataclass(frozen=True)
 class EffectiveParams:
-    """The parameter set the linear-response formulas consume."""
+    """The parameter set the linear-response formulas consume (arrays over
+    a config_grid)."""
 
     kappa: float
     delta_prime: float
@@ -203,9 +224,9 @@ class EffectiveParams:
         for name in ("kappa", "delta_prime", "G1", "G2", "omega_phi1",
                      "omega_phi2", "gamma1", "gamma2", "omega_m"):
             _check_finite(name, getattr(self, name))
-        if self.kappa <= 0:
+        if np.any(self.kappa <= 0):
             raise ConfigError(f"kappa must be > 0, got {self.kappa!r}")
-        if self.G1 < 0 or self.G2 < 0:
+        if np.any(self.G1 < 0) or np.any(self.G2 < 0):
             raise ConfigError("G1, G2 must be >= 0")
 
 
@@ -218,10 +239,15 @@ def effective_params(cfg, ss):
     fp = config_fingerprint(cfg)
     if getattr(ss, "config_fingerprint", None) != fp:
         raise ConfigError("steady state was not produced from this configuration")
-    dc = derive_constants(cfg)
-    mag = abs(ss.a0)
-    return EffectiveParams(
-        kappa=cfg.kappa, delta_prime=ss.delta_prime,
+    return fold_steady_state(cfg, derive_constants(cfg), ss.delta_prime, ss.a0)
+
+
+def fold_steady_state(cfg, dc, delta_prime, a0):
+    """EffectiveParams from the steady state (delta_prime, a0) of cfg, a
+    PhysicalConfig or a config_grid, with dc = derive_constants(cfg)."""
+    mag = np.abs(a0)
+    return with_python_scalars(
+        EffectiveParams, kappa=cfg.kappa, delta_prime=delta_prime,
         G1=dc.g1 * mag, G2=dc.g2 * mag,
         omega_phi1=cfg.omega_phi1, omega_phi2=cfg.omega_phi2,
         gamma1=dc.gamma1, gamma2=dc.gamma2, omega_m=cfg.omega_m)
@@ -361,12 +387,6 @@ def config_to_json(cfg, notes=None):
 
 def config_fingerprint(cfg):
     """Stable hash of the resolved SI values; unit spellings do not matter."""
-    flat = {
-        "lambda_c": cfg.lambda_c, "P": cfg.P, "P_p": cfg.P_p, "L": cfg.L,
-        "m": cfg.m, "R": cfg.R, "cav_len": cfg.cav_len, "kappa": cfg.kappa,
-        "omega_phi1": cfg.omega_phi1, "omega_phi2": cfg.omega_phi2,
-        "Q1": cfg.Q1, "Q2": cfg.Q2, "omega_m": cfg.omega_m,
-        "detuning_mode": cfg.detuning_mode.mode,
-        "detuning_value": cfg.detuning_mode.value,
-    }
-    return fingerprint_dict(flat)
+    mode = cfg.detuning_mode
+    return fingerprint_dict({**vars(cfg), "detuning_mode": mode.mode,
+                             "detuning_value": mode.value})

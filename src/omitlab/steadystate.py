@@ -11,6 +11,9 @@ With chi = g1^2/omega_phi1 + g2^2/omega_phi2 the cubic reads
     n * [kappa^2 + (Delta_0 - chi*n)^2] = eps_c^2,
 
 and every real root gives Delta' = Delta_0 - chi*n, a0 = eps_c/(kappa + i Delta').
+
+Both solvers broadcast over a ``config_grid`` and flag failed cells; the
+scalar entry points run them on one configuration and raise the flag.
 """
 
 import warnings
@@ -18,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import ConfigError, NumericalError, RootRefinementError
-from .model import config_fingerprint, derive_constants
+from .model import (config_fingerprint, config_grid, derive_constants,
+                    fold_steady_state)
+from .util import flag_cells, with_python_scalars
 
 # Newton polish of the cubic roots: hard iteration cap and relative residual target
 _POLISH_MAX_ITER = 50
@@ -53,53 +59,120 @@ class SteadyState:
         return abs(self.a0) ** 2
 
 
-def _make_state(cfg, dc, delta_prime, n_branches, branch_index):
-    a0 = dc.eps_c / (cfg.kappa + 1j * delta_prime)
-    n = abs(a0) ** 2
-    residual = abs(a0 * (cfg.kappa + 1j * delta_prime) - dc.eps_c)
-    if residual > 1e-10 * max(dc.eps_c, cfg.kappa):
-        raise NumericalError(
-            f"steady-state residual {residual:.3e} exceeds tolerance at "
-            f"delta_prime={delta_prime!r}")
-    return SteadyState(
-        a0=a0,
-        phi10=dc.g_alpha1 * n / cfg.omega_phi1,
-        phi20=dc.g_alpha2 * n / cfg.omega_phi2,
-        lz1=0.0, lz2=0.0,
-        delta_prime=float(delta_prime),
-        n_branches=n_branches, branch_index=branch_index,
-        config_fingerprint=config_fingerprint(cfg))
+@dataclass(frozen=True)
+class Branches:
+    """Steady states over a configuration grid. delta_prime and a0 have a
+    leading branch axis: the real branches in ascending photon number, then
+    nan. count is the number of real branches and flags the error name of
+    each failed cell ("" elsewhere)."""
+
+    delta_prime: object
+    a0: object
+    count: object
+    flags: object
+
+
+def residual(cfg, dc, delta_prime, a0):
+    """|a0 (kappa + i Delta') - eps_c|, the miss of the steady-state equation."""
+    return np.abs(a0 * (cfg.kappa + 1j * delta_prime) - dc.eps_c)
+
+
+def _branches(cfg, dc, delta_prime, flags):
+    """Branches with a0 = eps_c / (kappa + i Delta'), flagging a cell where
+    the residual exceeds 1e-10 max(eps_c, kappa)."""
+    with np.errstate(invalid="ignore"):  # nan on the missing branches
+        a0 = dc.eps_c / (cfg.kappa + 1j * delta_prime)
+        miss = residual(cfg, dc, delta_prime, a0)
+    bad = np.any(miss > 1e-10 * np.maximum(dc.eps_c, cfg.kappa), axis=0)
+    return Branches(delta_prime, a0, np.isfinite(delta_prime).sum(axis=0),
+                    flag_cells(flags, bad, NumericalError))
+
+
+def fixed_branches(cfg, dc, delta_prime):
+    """Branches at a prescribed effective detuning: one per cell."""
+    shape = (1,) + np.broadcast(cfg.kappa, dc.eps_c).shape
+    return _branches(cfg, dc, np.full(shape, float(delta_prime)), "")
+
+
+def _polish(n, active, kappa, delta0, chi, eps2):
+    """Newton iterations on the cubic residual where active, at most
+    _POLISH_MAX_ITER; returns n and where it meets the residual target."""
+    target = _POLISH_RTOL * eps2
+    for _ in range(_POLISH_MAX_ITER):
+        det = delta0 - chi * n
+        f = n * (kappa * kappa + det * det) - eps2
+        fp = kappa * kappa + det * det - 2.0 * chi * n * det
+        active = active & (np.abs(f) > target) & (fp != 0)
+        if not active.any():
+            break
+        n = np.where(active, n - f / np.where(active, fp, 1.0), n)
+    det = delta0 - chi * n
+    return n, np.abs(n * (kappa * kappa + det * det) - eps2) <= target
+
+
+def self_consistent_branches(cfg, dc, delta0):
+    """Branches at a prescribed bare detuning: every real root of the cubic.
+
+    All cubics are solved at once as the eigenvalues of their stacked
+    companion matrices, then polished by Newton's method. Three branches
+    (bistability) anywhere on the grid are surfaced with one warning.
+    """
+    kappa, chi, eps2 = np.broadcast_arrays(
+        cfg.kappa, dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2,
+        dc.eps_c ** 2)
+    # without drive n = 0; without back-action (L = 0) the cubic is linear
+    cubic = (eps2 != 0.0) & (chi != 0.0)
+    coeffs = (chi * chi, -2.0 * delta0 * chi, kappa * kappa + delta0 * delta0, -eps2)
+    lead = np.where(cubic, coeffs[0], 1.0)
+    companion = np.zeros(kappa.shape + (3, 3))
+    for k in range(3):
+        companion[..., 0, k] = np.where(cubic, -coeffs[k + 1] / lead, 0.0)
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    raw = np.moveaxis(np.linalg.eigvals(companion), -1, 0)
+
+    scale = eps2 / (kappa * kappa)
+    real = np.abs(raw.imag) <= 1e-7 * np.maximum(np.abs(raw), scale)
+    keep = cubic & real & ~(raw.real < -1e-18 * scale)
+    n, polished = _polish(np.maximum(raw.real, 0.0), keep, kappa, delta0, chi, eps2)
+    stalled = np.any(keep & ~polished, axis=0)
+    # polish can re-converge two nearly-degenerate roots onto one another
+    for k in range(1, 3):
+        for j in range(k):
+            tol = 1e-9 * np.maximum(np.maximum(np.abs(n[k]), np.abs(n[j])), scale)
+            keep[k] &= ~(keep[j] & (np.abs(n[k] - n[j]) <= tol))
+    n = np.sort(np.where(keep, n, np.nan), axis=0)
+    n[0] = np.where(cubic, n[0],
+                    np.where(eps2 == 0.0, 0.0, eps2 / (kappa * kappa + delta0 * delta0)))
+
+    count = np.where(cubic, keep.sum(axis=0), 1)
+    if np.any((count == 3) & ~stalled):
+        warnings.warn("bistable point: three steady-state branches", stacklevel=3)
+    flags = flag_cells("", stalled, RootRefinementError)
+    return _branches(cfg, dc, delta0 - chi * n, flag_cells(flags, count == 0, NumericalError))
+
+
+def _states(cfg, dc, br, where):
+    """SteadyState list of one configuration; raises the error its flag names."""
+    flag = br.flags.item()
+    if flag:
+        what = ("root polish stalled" if flag == "RootRefinementError" else
+                "residual exceeds tolerance" if br.count else "no physical root found")
+        raise getattr(errors, flag)(f"steady state at {where}: {what}")
+    fp = config_fingerprint(cfg)
+    n = np.abs(br.a0) ** 2
+    return [with_python_scalars(
+        SteadyState, a0=br.a0[k], phi10=dc.g_alpha1 * n[k] / cfg.omega_phi1,
+        phi20=dc.g_alpha2 * n[k] / cfg.omega_phi2, lz1=0.0, lz2=0.0,
+        delta_prime=br.delta_prime[k], n_branches=br.count, branch_index=k,
+        config_fingerprint=fp) for k in range(br.count)]
 
 
 def steady_state_fixed(cfg, dc, delta_prime):
     """Steady state at a prescribed effective detuning."""
     if not np.isfinite(delta_prime):
         raise ConfigError(f"delta_prime must be finite, got {delta_prime!r}")
-    return _make_state(cfg, dc, float(delta_prime), n_branches=1, branch_index=0)
-
-
-def _cubic_residual(n, kappa, delta0, chi, eps2):
-    det = delta0 - chi * n
-    return n * (kappa * kappa + det * det) - eps2
-
-
-def _polish_root(n, kappa, delta0, chi, eps2):
-    """Newton iterations on the cubic residual, at most _POLISH_MAX_ITER."""
-    target = _POLISH_RTOL * eps2
-    for _ in range(_POLISH_MAX_ITER):
-        det = delta0 - chi * n
-        f = n * (kappa * kappa + det * det) - eps2
-        if abs(f) <= target:
-            return n
-        fp = kappa * kappa + det * det - 2.0 * chi * n * det
-        if fp == 0:
-            break
-        n = n - f / fp
-    det = delta0 - chi * n
-    if abs(n * (kappa * kappa + det * det) - eps2) <= target:
-        return n
-    raise RootRefinementError(
-        f"root polish stalled at n={n!r} (residual target {target:.3e})")
+    return _states(cfg, dc, fixed_branches(cfg, dc, delta_prime),
+                   f"delta_prime={delta_prime!r}")[0]
 
 
 def steady_state_self_consistent(cfg, dc, delta0):
@@ -112,42 +185,24 @@ def steady_state_self_consistent(cfg, dc, delta0):
     if not np.isfinite(delta0):
         raise ConfigError(f"delta0 must be finite, got {delta0!r}")
     delta0 = float(delta0)
-    kappa = cfg.kappa
-    chi = dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2
-    eps2 = dc.eps_c ** 2
+    return _states(cfg, dc, self_consistent_branches(cfg, dc, delta0),
+                   f"delta0={delta0!r}")
 
-    if eps2 == 0.0:
-        roots = [0.0]
-    elif chi == 0.0:
-        # cubic degenerates to a linear equation (no back-action at L = 0)
-        roots = [eps2 / (kappa * kappa + delta0 * delta0)]
-    else:
-        coeffs = [chi * chi, -2.0 * delta0 * chi, kappa * kappa + delta0 * delta0, -eps2]
-        raw = np.roots(coeffs)
-        scale = eps2 / (kappa * kappa)
-        real = [z.real for z in raw if abs(z.imag) <= 1e-7 * max(abs(z), scale)]
-        roots = []
-        for n in real:
-            if n < -1e-18 * scale:
-                continue
-            n = max(n, 0.0)
-            n = _polish_root(n, kappa, delta0, chi, eps2)
-            # polish can re-converge two nearly-degenerate roots onto one another
-            if all(abs(n - m) > 1e-9 * max(abs(n), abs(m), scale) for m in roots):
-                roots.append(n)
-        roots.sort()
-        if not roots:
-            raise NumericalError(
-                f"no physical steady-state root found at delta0={delta0!r}")
 
-    if len(roots) == 3:
-        warnings.warn("bistable point: three steady-state branches", stacklevel=2)
-
-    states = []
-    for k, n in enumerate(roots):
-        dp = delta0 - chi * n
-        states.append(_make_state(cfg, dc, dp, n_branches=len(roots), branch_index=k))
-    return states
+def _solve(cfg, dc, branch):
+    """Branches in cfg's detuning mode; ConfigError unless every cell that
+    did not fail has the requested branch."""
+    mode = cfg.detuning_mode
+    if mode.mode == "fixed_effective":
+        if branch != 0:
+            raise ConfigError("fixed effective detuning has a single branch (0)")
+        return fixed_branches(cfg, dc, mode.value)
+    br = self_consistent_branches(cfg, dc, mode.value)
+    missing = (br.flags == "") & ~((0 <= branch) & (branch < br.count))
+    if np.any(missing):
+        raise ConfigError(f"branch {branch} out of range: {br.count[missing][0]} "
+                          f"branch(es) at this drive")
+    return br
 
 
 def solve_steady(cfg, branch=0, dc=None):
@@ -159,13 +214,19 @@ def solve_steady(cfg, branch=0, dc=None):
     """
     if dc is None:
         dc = derive_constants(cfg)
-    mode = cfg.detuning_mode
-    if mode.mode == "fixed_effective":
-        if branch != 0:
-            raise ConfigError("fixed effective detuning has a single branch (0)")
-        return steady_state_fixed(cfg, dc, mode.value)
-    states = steady_state_self_consistent(cfg, dc, mode.value)
-    if not 0 <= branch < len(states):
-        raise ConfigError(
-            f"branch {branch} out of range: {len(states)} branch(es) at this drive")
-    return states[branch]
+    br = _solve(cfg, dc, branch)
+    return _states(cfg, dc, br, repr(cfg.detuning_mode))[branch]
+
+
+def effective_grid(cfg, branch=0, **axes):
+    """EffectiveParams and per-cell flags over config_grid(cfg, **axes),
+    from one batched steady-state solve; branch as in solve_steady. A failed
+    cell keeps its error name in flags and placeholder parameters (a0 = 0)."""
+    c = config_grid(cfg, **axes)
+    dc = derive_constants(c)
+    br = _solve(c, dc, branch)
+    ok = br.flags == ""
+    k = min(branch, len(br.delta_prime) - 1)  # a placeholder if every cell failed
+    ep = fold_steady_state(c, dc, np.where(ok, br.delta_prime[k], 0.0),
+                           np.where(ok, br.a0[k], 0.0))
+    return ep, br.flags

@@ -7,17 +7,17 @@ resonance: at Q = 1.2e5 the transparency windows are gamma-narrow and a
 uniform grid would step right over them.
 """
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks, peak_widths
 
-from .delay import _TP_FLOOR, tau_g_analytic, unwrap_phase
-from .errors import ConfigError, NumericalError
+from .delay import _TP_FLOOR, _delays, tau_g_analytic, unwrap_phase
+from .errors import ConfigError
 from .model import config_fingerprint, effective_params
 from .response import probe_response
-from .steadystate import solve_steady
-from .util import parallel_map, render_csv
+from .steadystate import effective_grid, solve_steady
+from .util import render_csv
 
 _DIP_PROMINENCE = 1e-3
 _AXIS_NAMES = ("P", "L", "kappa", "Q1", "Q2", "Delta")
@@ -82,15 +82,9 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
     tau = tau_g_analytic(ep, grid)
     phase = unwrap_phase(np.angle(pr.t_p))
 
-    flags = []
-    tp_small = np.abs(pr.t_p) < _TP_FLOOR
-    for i in range(grid.size):
-        parts = []
-        if pr.degenerate[i]:
-            parts.append("degenerate_denominator")
-        if tp_small[i]:
-            parts.append("near_zero_transmission")
-        flags.append(";".join(parts))
+    flags = [";".join(filter(None, parts)) for parts in zip(
+        np.where(pr.degenerate, "degenerate_denominator", "").tolist(),
+        np.where(np.abs(pr.t_p) < _TP_FLOOR, "near_zero_transmission", "").tolist())]
 
     return SpectrumSeries(
         delta_grid=grid, omega_m=ep.omega_m,
@@ -174,22 +168,15 @@ class Map2D:
     config_fingerprint: str
 
 
-def _apply_axis(cfg, name, value):
-    if name == "L":
-        return dc_replace(cfg, L=int(round(float(value))))
-    return dc_replace(cfg, **{name: float(value)})
-
-
-def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0,
-             threads=None):
+def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
     """Observable over a 2-D parameter grid.
 
     axis1/axis2 are (name, grid) pairs with names among P, L, kappa, Q1, Q2,
     Delta; the Delta axis feeds the response detuning directly instead of the
     configuration. observable is "nu_p" or "tau_g", evaluated at the Delta
     axis values or at the fixed delta argument. L grids are rounded to
-    integer quantum numbers. Per-cell numerical failures are flagged, not
-    raised.
+    integer quantum numbers. The whole grid is one batched evaluation;
+    per-cell numerical failures are flagged, not raised.
     """
     (n1, g1), (n2, g2) = axis1, axis2
     for n in (n1, n2):
@@ -206,38 +193,19 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0,
     if "Delta" not in (n1, n2) and delta is None:
         raise ConfigError("a fixed delta is required when no axis is Delta")
 
-    def eval_cell(c, dlt):
-        ss = solve_steady(c, branch=branch)
-        ep = effective_params(c, ss)
-        if observable == "nu_p":
-            return float(probe_response(ep, float(dlt), a0=ss.a0).nu_p)
-        return float(tau_g_analytic(ep, float(dlt)))
-
-    def one_row(v1):
-        vals = np.empty(g2.size)
-        frow = []
-        for j, v2 in enumerate(g2):
-            try:
-                c = cfg
-                dlt = delta
-                for name, val in ((n1, v1), (n2, v2)):
-                    if name == "Delta":
-                        dlt = val
-                    else:
-                        c = _apply_axis(c, name, val)
-                vals[j] = eval_cell(c, dlt)
-                frow.append("")
-            except NumericalError as e:
-                vals[j] = np.nan
-                frow.append(type(e).__name__)
-        return vals, frow
-
-    rows = parallel_map(one_row, g1, threads=threads)
-    values = np.vstack([v for v, _ in rows])
-    flags = [f for _, f in rows]
+    axes = {n1: g1[:, None], n2: g2[None, :]}
+    dlt = axes.pop("Delta") if "Delta" in axes else float(delta)
+    dlt = np.broadcast_to(dlt, (g1.size, g2.size))
+    ep, flags = effective_grid(cfg, branch, **axes)
+    if observable == "nu_p":
+        flags = np.broadcast_to(flags, dlt.shape)
+        values = np.where(flags == "", probe_response(ep, dlt).nu_p, np.nan)
+    else:
+        res, flags = _delays(ep, dlt, flags=flags)
+        values = res.tau_g
     return Map2D(axis1_name=n1, axis1_grid=g1, axis2_name=n2, axis2_grid=g2,
                  observable=observable, delta=delta, values=values,
-                 flags=flags, config_fingerprint=config_fingerprint(cfg))
+                 flags=flags.tolist(), config_fingerprint=config_fingerprint(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -249,37 +217,26 @@ MAP_HEADER = ("axis1", "axis2", "value", "flag")
 DELAY_MAP_HEADER = ("P_mW", "L", "tau_g_us", "classification", "flag")
 
 
+def _rows(*columns):
+    """Rows of Python scalars from equal-length columns."""
+    return list(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+
+
 def spectrum_csv(series):
-    rows = []
-    for i in range(len(series.delta_grid)):
-        rows.append((
-            float(series.delta_grid[i] / series.omega_m),
-            float(series.nu_p[i]), float(series.u_p[i]),
-            float(series.phase_unwrapped[i]),
-            float(series.tau_g[i] * 1e6),
-            series.flags[i]))
-    return render_csv(SPECTRUM_HEADER, rows)
+    grid = np.asarray(series.delta_grid, dtype=float)
+    return render_csv(SPECTRUM_HEADER, _rows(
+        grid / series.omega_m, series.nu_p, series.u_p, series.phase_unwrapped,
+        np.asarray(series.tau_g) * 1e6, series.flags))
 
 
 def map_csv(m):
-    rows = []
-    for i, v1 in enumerate(m.axis1_grid):
-        for j, v2 in enumerate(m.axis2_grid):
-            rows.append((float(v1), float(v2), float(m.values[i, j]),
-                         m.flags[i][j]))
-    return render_csv(MAP_HEADER, rows)
+    g1, g2 = np.meshgrid(np.asarray(m.axis1_grid, dtype=float),
+                         np.asarray(m.axis2_grid, dtype=float), indexing="ij")
+    return render_csv(MAP_HEADER, _rows(g1, g2, m.values, m.flags))
 
 
 def delay_map_csv(dm):
-    rows = []
-    for i, P in enumerate(dm.P_grid):
-        for j, Lval in enumerate(dm.L_grid):
-            cell = dm.cells[i][j]
-            if cell is None:
-                rows.append((float(P * 1e3), int(round(float(Lval))),
-                             float("nan"), "", dm.flags[i][j]))
-            else:
-                rows.append((float(P * 1e3), int(round(float(Lval))),
-                             float(cell.tau_g * 1e6), cell.classification,
-                             dm.flags[i][j]))
-    return render_csv(DELAY_MAP_HEADER, rows)
+    P_mW, L = np.meshgrid(dm.P_grid * 1e3, np.round(dm.L_grid).astype(int),
+                          indexing="ij")
+    return render_csv(DELAY_MAP_HEADER, _rows(
+        P_mW, L, dm.tau_g * 1e6, dm.classification, dm.flags))

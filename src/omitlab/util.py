@@ -1,41 +1,24 @@
-"""Small shared helpers: atomic file output, deterministic parallel map,
-canonical config hashing and CSV rendering."""
+"""Small shared helpers: per-cell flag masks, Python scalars out of batched
+results, atomic file output, config hashing and CSV rendering."""
 
 import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError
-
-THREADS_ENV = "OMITLAB_THREADS"
+import numpy as np
 
 
-def resolve_threads(threads=None):
-    """Thread count from the argument, the OMITLAB_THREADS env var, or cpu count."""
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
+def flag_cells(flags, mask, error):
+    """Per-cell flags: the name of the exception class error in the cells of
+    mask that flags ("" = none yet, broadcast against mask) leaves empty."""
+    return np.where((flags == "") & mask, error.__name__, flags)
 
 
-def parallel_map(fn, items, threads=None):
-    """Map fn over items, results in input order regardless of execution order."""
-    items = list(items)
-    threads = resolve_threads(threads)
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def with_python_scalars(cls, **values):
+    """cls(**values), with 0-d numpy values passed as Python scalars."""
+    return cls(**{k: v.item() if isinstance(v, (np.generic, np.ndarray)) and v.ndim == 0
+                  else v for k, v in values.items()})
 
 
 def atomic_write(path, text):
@@ -64,35 +47,13 @@ def render_csv(header, rows):
     """CSV text with a mandatory header; floats via fmt_float, rest via str."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, float):
-                cells.append(fmt_float(c))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
+        lines.append(",".join(fmt_float(c) if isinstance(c, float) else str(c)
+                              for c in row))
     return "\n".join(lines) + "\n"
 
 
-def canonical_json(obj):
-    """Deterministic JSON: sorted keys, no whitespace, repr'd floats."""
-
-    def default(o):
-        raise TypeError(f"not canonicalizable: {o!r}")
-
-    def walk(o):
-        if isinstance(o, dict):
-            return {str(k): walk(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [walk(v) for v in o]
-        if isinstance(o, float):
-            # json.dumps uses repr for floats already (shortest round-trip)
-            return o
-        return o
-
-    return json.dumps(walk(obj), sort_keys=True, separators=(",", ":"), default=default)
-
-
 def fingerprint_dict(d):
-    """sha256 hex digest of the canonical JSON form of d."""
-    return hashlib.sha256(canonical_json(d).encode("utf-8")).hexdigest()
+    """sha256 hex digest of d as JSON with sorted keys, no whitespace and
+    floats in their shortest round-trip form."""
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

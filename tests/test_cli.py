@@ -43,7 +43,6 @@ def test_defaults_to_file(tmp_path):
     assert manifest["outputs"] == ["cfg.json"]
     assert manifest["config_fingerprint"] == config_fingerprint(default_config())
     assert manifest["seed"] == 42
-    assert manifest["threads"] >= 1
 
 
 def test_steady_table(capsys):
@@ -236,11 +235,26 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 2
 
 
+def test_readme_config_example(tmp_path):
+    """The README's example config, copied verbatim, drives `steady`."""
+    readme = _read(Path(__file__).resolve().parents[1] / "README.md")
+    section = readme.split("## Configuration files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert main(["steady", "--config", str(path)]) == 0
+    assert config_from_json(block).omega_m == pytest.approx(default_config().omega_m,
+                                                          rel=1e-15)
+
+
 def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMITLAB_THREADS", "2")
+    """There is no thread pool: --threads is a usage error, OMITLAB_THREADS
+    is ignored, and the manifest records no thread count."""
     out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--points", "101", "--threads", "2", "--out", str(out)])
+    assert exc.value.code == 1
+    monkeypatch.setenv("OMITLAB_THREADS", "zero")
     assert main(["spectrum", "--points", "101", "--out", str(out)]) == 0
     manifest = json.loads(_read(tmp_path / "s.manifest.json"))
-    assert manifest["threads"] == 2
-    monkeypatch.setenv("OMITLAB_THREADS", "zero")
-    assert main(["spectrum", "--points", "101", "--out", str(out)]) == 1
+    assert "threads" not in manifest

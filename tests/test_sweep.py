@@ -1,14 +1,16 @@
 """Detuning grids, spectra, dip detection, 2-D maps and CSV rendering."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from omitlab import (ConfigError, SpectrumSeries, default_config,
-                     default_delta_grid, delay_map, delay_map_csv, find_dips,
-                     map_csv, probe_response, spectrum_csv, spectrum_sweep,
-                     sweep_2d)
+from omitlab import (ConfigError, NumericalError, SelfConsistent,
+                     SpectrumSeries, default_config, default_delta_grid,
+                     delay_map, delay_map_csv, effective_params, find_dips,
+                     group_delay, map_csv, probe_response, solve_steady,
+                     spectrum_csv, spectrum_sweep, sweep_2d, tau_g_analytic)
 from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER
 
 
@@ -129,12 +131,91 @@ def test_sweep2d_validation(cfg):
         sweep_2d(cfg, ("P", np.array([])), ("Delta", d))
 
 
-def test_sweep2d_threads_agree(cfg):
-    axes = (("Q1", np.array([1e4, 1e5])), ("Delta",
-            np.array([0.9, 1.1]) * cfg.omega_m))
-    one = sweep_2d(cfg, *axes, threads=1)
-    four = sweep_2d(cfg, *axes, threads=4)
-    np.testing.assert_array_equal(one.values, four.values)
+def _scalar_route(cfg, axis1, axis2, observable, delta=None, branch=0):
+    """values and flags of sweep_2d, one cell at a time through the scalar
+    API: replace -> solve_steady -> effective_params -> probe_response /
+    tau_g_analytic, with the flag of a raising group_delay."""
+    (n1, g1), (n2, g2) = axis1, axis2
+    values = np.empty((len(g1), len(g2)))
+    flags = []
+    for i, v1 in enumerate(g1):
+        flags.append([])
+        for j, v2 in enumerate(g2):
+            c, dlt = cfg, delta
+            for name, v in ((n1, v1), (n2, v2)):
+                if name == "Delta":
+                    dlt = v
+                else:
+                    c = replace(c, **{name: int(round(v)) if name == "L" else v})
+            ss = solve_steady(c, branch=branch)
+            ep = effective_params(c, ss)
+            flag = ""
+            if observable == "nu_p":
+                values[i, j] = probe_response(ep, dlt, a0=ss.a0).nu_p
+            else:
+                try:
+                    group_delay(ep, ss.a0, dlt)
+                except NumericalError as e:
+                    flag = type(e).__name__
+                values[i, j] = np.nan if flag else tau_g_analytic(ep, dlt)
+            flags[-1].append(flag)
+    return values, flags
+
+
+def _transmission_zero(cfg, delta):
+    """(P, Q1) where t_p vanishes at detuning delta, with Q2 = 180: a Newton
+    hunt through the scalar route, at broad damping so the zero is isolated."""
+    def tp(p, q):
+        c = replace(cfg, P=p * 1e-4, Q1=220.0 * q, Q2=180.0)
+        return complex(probe_response(effective_params(c, solve_steady(c)), delta).t_p)
+
+    x = np.array([1.486, 1.0])
+    for _ in range(60):
+        f0 = tp(*x)
+        if abs(f0) < 3e-16:
+            break
+        h = 1e-9
+        fp = (tp(x[0] + h, x[1]) - tp(x[0] - h, x[1])) / (2 * h)
+        fq = (tp(x[0], x[1] + h) - tp(x[0], x[1] - h)) / (2 * h)
+        J = np.array([[fp.real, fq.real], [fp.imag, fq.imag]])
+        x = x - np.linalg.solve(J, [f0.real, f0.imag])
+    assert abs(tp(*x)) < 1e-14, "zero hunt did not converge"
+    return x[0] * 1e-4, 220.0 * x[1]
+
+
+def test_sweep2d_matches_scalar_route(cfg):
+    om = cfg.omega_m
+    cases = [
+        (cfg, ("Q1", np.array([1e4, 1e5])), ("Delta", np.array([0.9, 1.1]) * om),
+         "nu_p", None, 0),
+        (cfg, ("P", np.array([1e-6, 1e-3, 2e-3])),
+         ("kappa", np.array([0.5, 1.0, 1.5]) * cfg.kappa), "tau_g", 1.1 * om, 0),
+    ]
+    # self-consistent (P, L): branch 0 across the edge of the bistable
+    # region, the top branch inside it
+    sc = replace(cfg, detuning_mode=SelfConsistent(2.0 * om))
+    cases += [
+        (sc, ("P", np.array([2e-3, 4e-3, 6e-3])), ("L", np.array([60.0, 100.0, 140.0])),
+         "tau_g", 1.1 * om, 0),
+        (sc, ("P", np.array([5e-3, 6e-3])), ("L", np.array([120.0, 140.0])),
+         "tau_g", 1.1 * om, 2),
+    ]
+    # a cell at an exact zero of t_p, where tau_g is undefined
+    P0, Q10 = _transmission_zero(cfg, 1.101 * om)
+    cases.append((replace(cfg, Q1=Q10, Q2=180.0), ("P", np.array([1e-4, P0])),
+                  ("Delta", np.array([1.0, 1.101]) * om), "tau_g", None, 0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bistable points
+        for c, ax1, ax2, obs, delta, branch in cases:
+            m = sweep_2d(c, ax1, ax2, observable=obs, delta=delta, branch=branch)
+            values, flags = _scalar_route(c, ax1, ax2, obs, delta, branch)
+            assert m.flags == flags
+            np.testing.assert_allclose(m.values, values, rtol=1e-12, atol=0)
+        with pytest.raises(ConfigError, match="branch"):
+            sweep_2d(sc, *cases[2][1:3], observable="tau_g", delta=1.1 * om, branch=2)
+    assert m.flags == [["", ""], ["", "NearZeroTransmission"]]
+    assert np.isnan(m.values[1, 1])
 
 
 # ---------------------------------------------------------------------------
