@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BlowUp, ConfigError, IllConditionedFit, StepFailure
 from .model import derive_constants, effective_params
@@ -30,6 +29,14 @@ _THRESH_A0 = 1e-6
 _THRESH_APLUS = 1e-3
 _THRESH_AMINUS = 1e-2
 _THRESH_LINEARITY = 1e-3
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: the oracle is
+    the only part of the package that needs scipy, whose import takes longer
+    than any other subcommand's whole run."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ uniform grid would step right over them.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .delay import _TP_FLOOR, _delays, tau_g_analytic, unwrap_phase
 from .errors import ConfigError
@@ -121,6 +120,72 @@ def _parabolic_refine(x, y, i):
     return x[i] + xv, c - b * b / (4.0 * a)
 
 
+def _local_maxima(x):
+    """Midpoints of the local maxima of x: runs of equal samples with a lower
+    sample on each side (so no run at either edge, and no NaN)."""
+    if x.size < 3:
+        return np.array([], dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x[starts]
+    r = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    return (starts[r] + starts[r + 1] - 1) // 2
+
+
+def _walk(x, i, step, level):
+    """x[i], x[i + step], ... up to the sample before the first one that is
+    not <= level (NaN included), or to the end of x. The window grows
+    geometrically, so the cost follows the length of the walk, not of x."""
+    run = x[i:] if step > 0 else x[i::-1]
+    w = 256
+    while True:
+        seg = run[:w]
+        stop = ~(seg <= level)
+        if stop.any():
+            return seg[:np.argmax(stop)]
+        if seg.size == run.size:
+            return seg
+        w *= 16
+
+
+def _crossing(walk, base, height):
+    """(k, frac): walk[k] is the first sample not above height, or the base if
+    none is before it, and frac the linear interpolation towards walk[k-1]
+    when walk[k] is below height."""
+    below = ~(height < walk[:base + 1])
+    below[-1] = True
+    k = int(np.argmax(below))
+    if walk[k] < height:
+        return k, (height - walk[k]) / (walk[k - 1] - walk[k])
+    return k, 0.0
+
+
+def _peaks(x):
+    """Peaks of x with prominence >= _DIP_PROMINENCE and their half-prominence
+    crossings, as ``scipy.signal.find_peaks(x, prominence=_DIP_PROMINENCE)``
+    then ``peak_widths(x, peaks, rel_height=0.5)`` compute them.
+
+    Returns the arrays (peaks, prominences, left_bases, right_bases, left_ips,
+    right_ips); the bases are the lowest samples between a peak and the
+    nearest higher sample (or NaN, or the edge) on each side, the closest to
+    the peak on ties, and the crossings are fractional sample indices.
+    """
+    rows = []
+    for p in _local_maxima(x):
+        left, right = _walk(x, p, -1, x[p]), _walk(x, p, 1, x[p])
+        lb, rb = int(np.argmin(left)), int(np.argmin(right))
+        prominence = x[p] - max(left[lb], right[rb])
+        if not prominence >= _DIP_PROMINENCE:
+            continue
+        with np.errstate(invalid="ignore"):  # an infinite peak has height nan
+            height = x[p] - prominence * 0.5
+            kl, fl = _crossing(left, lb, height)
+            kr, fr = _crossing(right, rb, height)
+        rows.append((p, prominence, p - lb, p + rb, (p - kl) + fl, (p + kr) - fr))
+    cols = list(zip(*rows)) or [()] * 6
+    kinds = (np.intp, float, np.intp, np.intp, float, float)
+    return tuple(np.array(c, dtype=t) for c, t in zip(cols, kinds))
+
+
 def find_dips(series):
     """Transparency dips of a spectrum.
 
@@ -132,7 +197,7 @@ def find_dips(series):
     """
     x = np.asarray(series.delta_grid, dtype=float)
     y = np.asarray(series.nu_p, dtype=float)
-    idx, _ = find_peaks(-y, prominence=_DIP_PROMINENCE)
+    idx, _, _, _, left_ips, right_ips = _peaks(-y)
     if idx.size == 0:
         return DipReport(np.array([]), np.array([]), np.array([]), 0)
 
@@ -145,7 +210,6 @@ def find_dips(series):
         positions.append(xv)
         depths.append(yv)
 
-    w, _, left_ips, right_ips = peak_widths(-y, idx, rel_height=0.5)
     samples = np.arange(x.size, dtype=float)
     widths = np.interp(right_ips, samples, x) - np.interp(left_ips, samples, x)
 
@@ -218,8 +282,9 @@ DELAY_MAP_HEADER = ("P_mW", "L", "tau_g_us", "classification", "flag")
 
 
 def _rows(*columns):
-    """Rows of Python scalars from equal-length columns."""
-    return list(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+    """Rows of cell strings from equal-length columns, formatted a column at a
+    time with str: floats in their shortest round-trip form."""
+    return list(zip(*(map(str, np.asarray(c).ravel().tolist()) for c in columns)))
 
 
 def spectrum_csv(series):

@@ -38,18 +38,9 @@ def atomic_write(path, text):
         raise
 
 
-def fmt_float(x):
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
-
-
 def render_csv(header, rows):
-    """CSV text with a mandatory header; floats via fmt_float, rest via str."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(c) if isinstance(c, float) else str(c)
-                              for c in row))
-    return "\n".join(lines) + "\n"
+    """CSV text with a mandatory header; rows are sequences of cell strings."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def fingerprint_dict(d):

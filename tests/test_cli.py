@@ -235,6 +235,41 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 2
 
 
+def _scipy_modules_after(argvs, cwd):
+    """Exit codes of omitlab.cli.main on each argv in turn, in a fresh
+    interpreter given the checkout's src, and the scipy modules it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from omitlab.cli import main\n"
+        f"codes = [main(a) for a in {argvs!r}]\n"
+        "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps([codes, mods]))\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, cwd=cwd)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_only_the_oracle_imports_scipy(tmp_path):
+    """Every subcommand but oracle runs on numpy alone; oracle imports
+    scipy.integrate on its first integration and never scipy.signal."""
+    codes, mods = _scipy_modules_after(
+        [["defaults"], ["steady"], ["spectrum", "--svg", "--out", "s.csv"],
+         ["dips"], ["delay", "--delta", "1.1"],
+         ["delay-map", "--svg", "--out", "dm.csv"],
+         ["map2d", "--axis1", "L", "--grid1", "0:200:3", "--axis2", "Delta",
+          "--grid2", "0.9:1.1:5", "--out", "m.csv"]], tmp_path)
+    assert codes == [0] * 7
+    assert mods == []
+    codes, mods = _scipy_modules_after(
+        [["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0"]], tmp_path)
+    assert codes == [2]  # the demodulation fails after the integration
+    assert "scipy.integrate" in mods
+    assert not any(m.startswith("scipy.signal") for m in mods)
+
+
 def test_readme_config_example(tmp_path):
     """The README's example config, copied verbatim, drives `steady`."""
     readme = _read(Path(__file__).resolve().parents[1] / "README.md")

@@ -114,6 +114,41 @@ def test_bistable_point_against_bisection():
         assert abs(_cubic(s.n, cfg.kappa, delta0, chi, eps2)) <= 1e-11 * eps2
 
 
+def test_saddle_node_edge_reports_merged_roots_once():
+    """At the upper edge of the bistable band in delta0 the two upper roots
+    of the cubic merge. The eigenvalue solve returns them as a nearly real
+    complex pair, which the polish brings onto one number: one branch, not
+    two copies."""
+    cfg = replace(default_config(), P=5e-3)
+    dc = derive_constants(cfg)
+    kappa = cfg.kappa
+    chi = dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2
+    eps2 = dc.eps_c ** 2
+    # A double root n* with u = delta0 - chi n* has zero slope,
+    # kappa^2 + 3 u^2 - 2 delta0 u = 0, and zero residual,
+    # n* (kappa^2 + u^2) = eps2; eliminating delta0 and n* leaves
+    # u^4 + 2 kappa^2 u^2 - 2 chi eps2 u + kappa^4 = 0, whose smaller
+    # positive root is the edge at the larger delta0.
+    us = np.roots([1.0, 0.0, 2.0 * kappa ** 2, -2.0 * chi * eps2, kappa ** 4])
+    u = min(r.real for r in us if abs(r.imag) <= 1e-9 * abs(r))
+    delta0 = (kappa ** 2 + 3.0 * u ** 2) / (2.0 * u)
+    n_double = (delta0 - u) / chi
+
+    ns = [s.n for s in steady_state_self_consistent(cfg, dc, delta0)]
+    assert len(ns) == 2
+    assert ns[1] - ns[0] > 1e-9 * ns[1]
+    # the simple root: np.roots on the same coefficients, then one Newton
+    # step in float
+    roots = np.roots([chi * chi, -2.0 * delta0 * chi, kappa ** 2 + delta0 ** 2, -eps2])
+    n = min(roots, key=lambda r: abs(r.real)).real
+    det = delta0 - chi * n
+    n -= _cubic(n, kappa, delta0, chi, eps2) / (kappa ** 2 + det ** 2 - 2.0 * chi * n * det)
+    assert ns[0] == pytest.approx(n, rel=1e-12)
+    # the mean of the pair is well conditioned (their sum is 2 delta0/chi -
+    # ns[0]) and already meets the residual target, so no Newton step moves it
+    assert ns[1] == pytest.approx(n_double, rel=1e-12)
+
+
 def test_single_branch_at_weak_drive():
     cfg = replace(default_config(), P=1e-6)
     dc = derive_constants(cfg)

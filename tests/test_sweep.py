@@ -1,5 +1,6 @@
 """Detuning grids, spectra, dip detection, 2-D maps and CSV rendering."""
 
+import time
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from omitlab import (ConfigError, NumericalError, SelfConsistent,
                      delay_map, delay_map_csv, effective_params, find_dips,
                      group_delay, map_csv, probe_response, solve_steady,
                      spectrum_csv, spectrum_sweep, sweep_2d, tau_g_analytic)
-from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER
+from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER, _peaks
 
 
 def test_default_grid_spans_and_refines(ep):
@@ -93,6 +94,69 @@ def test_dip_refinement_is_subgrid():
     # parabola vertex recovered far below the 0.01 grid spacing
     assert rep.positions[0] == pytest.approx(true_pos, abs=1e-6)
     assert rep.depths[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def _scipy_peaks(x):
+    """The reference route find_dips used to take, through scipy.signal."""
+    from scipy.signal import find_peaks, peak_widths
+    idx, props = find_peaks(x, prominence=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-width peaks on plateau data
+        _, _, left_ips, right_ips = peak_widths(x, idx, rel_height=0.5)
+    return (idx, props["prominences"], props["left_bases"], props["right_bases"],
+            left_ips, right_ips)
+
+
+def _dip_inputs():
+    """-nu_p of seeded spectra over wide P, kappa, Q1, Q2 and L on 101- and
+    500-point user grids (refined near the mirrors) and the default grid;
+    seeded random walks rounded into plateaus; arrays of length 0 to 3."""
+    rng = np.random.default_rng(20231)
+    base = default_config()
+    for k in range(24):
+        cfg = replace(base, P=base.P * 10 ** rng.uniform(-1.5, 1.0),
+                      kappa=base.kappa * 10 ** rng.uniform(-0.5, 0.5),
+                      Q1=10 ** rng.uniform(3.0, 6.0), Q2=10 ** rng.uniform(3.0, 6.0),
+                      L=int(rng.integers(0, 201)))
+        points = (None, 101, 500)[k % 3]
+        grid = None if points is None else np.linspace(0.5, 1.5, points) * base.omega_m
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # phase undersampled on coarse grids
+            yield -spectrum_sweep(cfg, grid).nu_p
+    for k in range(300):
+        walk = np.cumsum(rng.normal(size=int(rng.integers(4, 400))))
+        yield np.round(walk * rng.uniform(0.5, 50.0)) * 1e-3
+    for n in range(4):
+        yield np.zeros(n)
+        yield np.arange(n, dtype=float)
+        yield np.array([0.0, 1.0, 0.0])[:n]
+
+
+def test_dip_finder_matches_scipy_signal():
+    """Peaks, prominences, bases and interpolated half-prominence crossings
+    equal scipy.signal.find_peaks(prominence=1e-3) + peak_widths(rel_height
+    =0.5) bit for bit."""
+    found = 0
+    for x in _dip_inputs():
+        ours, ref = _peaks(x), _scipy_peaks(x)
+        for a, b in zip(ours, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        found += ref[0].size
+    assert found > 1000
+
+
+def test_dip_finder_cost_on_noise():
+    """About 1400 candidate minima on a 4161-point noisy spectrum: the walks
+    from each candidate stop at the first higher sample, so the call stays
+    far below the second that scipy.signal took to import."""
+    x = np.linspace(0.5, 1.5, 4161)
+    z = np.zeros_like(x)
+    nu = np.random.default_rng(5).normal(scale=1e-2, size=x.size)
+    series = SpectrumSeries(x, 1.0, nu, z, z, z, [""] * x.size, "fp")
+    t0 = time.perf_counter()
+    rep = find_dips(series)
+    assert time.perf_counter() - t0 < 0.5
+    assert rep.count > 1000
 
 
 def test_sweep2d_delta_axis_matches_pointwise(cfg, ep, ss):
