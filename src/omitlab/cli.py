@@ -48,31 +48,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file (defaults to the reference point)")
+# config fields that a flag of the same name (with "-" for "_") overrides
+_OVERRIDES = (("P", float, "coupling power [W]"),
+              ("P_p", float, "probe power [W]"),
+              ("cav_len", float, "cavity length [m]"),
+              ("kappa", float, "cavity decay rate [rad/s]"),
+              ("Q1", float, "quality factor of mirror 1"),
+              ("Q2", float, "quality factor of mirror 2"),
+              ("omega_phi1", float, "mirror 1 frequency [rad/s]"),
+              ("omega_phi2", float, "mirror 2 frequency [rad/s]"),
+              ("L", int, "orbital angular momentum number"))
+
+
+def _add_output(p):
     p.add_argument("--out", help="output file path")
-    p.add_argument("--svg", action="store_true", help="also write an SVG plot")
     p.add_argument("--seed", type=int, default=42,
                    help="value recorded in the manifest only; every computation "
                         "is deterministic, so nothing is seeded")
-    p.add_argument("--branch", type=int, default=0,
-                   help="steady-state branch in self-consistent mode")
-    for name, help_ in (
-            ("--P", "coupling power [W]"),
-            ("--P-p", "probe power [W]"),
-            ("--cav-len", "cavity length [m]"),
-            ("--kappa", "cavity decay rate [rad/s]"),
-            ("--Q1", "quality factor of mirror 1"),
-            ("--Q2", "quality factor of mirror 2"),
-            ("--omega-phi1", "mirror 1 frequency [rad/s]"),
-            ("--omega-phi2", "mirror 2 frequency [rad/s]")):
-        p.add_argument(name, type=float, default=None, help=help_ + " (overrides config)")
-    p.add_argument("--L", type=int, default=None,
-                   help="orbital angular momentum number (overrides config)")
+
+
+def _add_common(p, svg=False, branch=False):
+    """--out, --seed, --config and the parameter overrides; --svg and
+    --branch only for the subcommands that read them."""
+    _add_output(p)
+    p.add_argument("--config", help="JSON config file (defaults to the reference point)")
+    for field, type_, help_ in _OVERRIDES:
+        p.add_argument("--" + field.replace("_", "-"), type=type_, default=None,
+                       help=help_ + " (overrides config)")
     p.add_argument("--delta-prime", type=float, default=None,
                    help="fixed effective detuning [units of omega_m] (overrides config)")
     p.add_argument("--delta0", type=float, default=None,
                    help="bare detuning [units of omega_m], self-consistent mode")
+    if svg:
+        p.add_argument("--svg", action="store_true", help="also write an SVG plot")
+    if branch:
+        p.add_argument("--branch", type=int, default=0,
+                       help="steady-state branch in self-consistent mode")
 
 
 def _resolve_config(args):
@@ -84,15 +95,7 @@ def _resolve_config(args):
             raise ConfigError(f"cannot read config {args.config!r}: {e}")
     else:
         cfg = default_config()
-    over = {}
-    for flag, field in (("P", "P"), ("P_p", "P_p"), ("L", "L"),
-                        ("cav_len", "cav_len"), ("kappa", "kappa"),
-                        ("Q1", "Q1"), ("Q2", "Q2"),
-                        ("omega_phi1", "omega_phi1"),
-                        ("omega_phi2", "omega_phi2")):
-        v = getattr(args, flag)
-        if v is not None:
-            over[field] = v
+    over = {f: getattr(args, f) for f, _, _ in _OVERRIDES if getattr(args, f) is not None}
     if over:
         cfg = dc_replace(cfg, **over)
     if args.delta_prime is not None and args.delta0 is not None:
@@ -244,7 +247,7 @@ def _cmd_delay_map(args):
     P_grid = np.linspace(args.p_start, args.p_stop, args.p_points) * 1e-3
     L_grid = np.linspace(args.l_start, args.l_stop, args.l_points)
     dm = delay_map(cfg, P_grid, L_grid, args.delta * cfg.omega_m,
-                   method=args.method)
+                   method=args.method, branch=args.branch)
     out = args.out or "delay_map.csv"
     atomic_write(out, delay_map_csv(dm))
     outputs = [out]
@@ -338,7 +341,7 @@ def build_parser():
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("defaults", help="print the reference config as JSON")
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_defaults)
 
     sp = sub.add_parser("steady", help="steady-state branch table")
@@ -348,7 +351,7 @@ def build_parser():
     for name, func, help_ in (("spectrum", _cmd_spectrum, "response spectrum CSV"),
                               ("dips", _cmd_dips, "transparency dip report")):
         sp = sub.add_parser(name, help=help_)
-        _add_common(sp)
+        _add_common(sp, svg=name == "spectrum", branch=True)
         sp.add_argument("--delta-min", type=float, default=0.5,
                         help="grid start [units of omega_m]")
         sp.add_argument("--delta-max", type=float, default=1.5,
@@ -357,7 +360,7 @@ def build_parser():
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("delay", help="group delay at one detuning")
-    _add_common(sp)
+    _add_common(sp, branch=True)
     sp.add_argument("--delta", type=float, required=True,
                     help="detuning [units of omega_m]")
     sp.add_argument("--method", choices=("analytic", "fd"), default="analytic")
@@ -366,7 +369,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_delay)
 
     sp = sub.add_parser("delay-map", help="group delay over a (P, L) grid")
-    _add_common(sp)
+    _add_common(sp, svg=True, branch=True)
     sp.add_argument("--p-start", type=float, default=0.000125, help="P grid start [mW]")
     sp.add_argument("--p-stop", type=float, default=0.005, help="P grid stop [mW]")
     sp.add_argument("--p-points", type=int, default=40)
@@ -379,7 +382,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_delay_map)
 
     sp = sub.add_parser("map2d", help="observable over two parameter axes")
-    _add_common(sp)
+    _add_common(sp, svg=True, branch=True)
     sp.add_argument("--axis1", required=True,
                     choices=("P", "L", "kappa", "Q1", "Q2", "Delta"))
     sp.add_argument("--grid1", required=True, help="start:stop:points "

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NearZeroTransmission, StepTooLarge
-from .response import _pieces, probe_response
+from . import errors
+from .errors import ConfigError
+from .response import probe_response
 from .steadystate import effective_grid
-from .util import flag_cells, with_python_scalars
+from .util import flag_cells, scalar_in_scalar_out
 
 # |t_p| below this leaves the phase (and its derivative) undefined
 _TP_FLOOR = 1e-14
@@ -42,32 +43,6 @@ def unwrap_phase(phases):
         warnings.warn("phase grid undersampled: a successive difference "
                       "exceeds 0.95*pi after unwrapping", stacklevel=2)
     return out
-
-
-def _tp_and_derivative(ep, delta):
-    """t_p and dt_p/dDelta from exact differentiation of the closed form."""
-    # 1-element arrays keep scalar input on the vector ufunc path
-    scalar = np.ndim(delta) == 0
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    A, Ap, L1, L2, B, d = _pieces(ep, delta)
-    N = A * L1 * L2 + 1j * B
-
-    dL1 = -2.0 * delta - 1j * ep.gamma1
-    dL2 = -2.0 * delta - 1j * ep.gamma2
-    dA = -1j
-    dAp = -1j
-    dB = ep.G1 ** 2 * ep.omega_phi1 * dL2 + ep.G2 ** 2 * ep.omega_phi2 * dL1
-    dN = dA * L1 * L2 + A * (dL1 * L2 + L1 * dL2) + 1j * dB
-    dd = (dA * Ap + A * dAp) * L1 * L2 + A * Ap * (dL1 * L2 + L1 * dL2) \
-        - 2.0 * ep.delta_prime * dB
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        da_plus = (dN * d - N * dd) / (d * d)
-        t_p = 1.0 - 2.0 * ep.kappa * N / d
-    dt_p = -2.0 * ep.kappa * da_plus
-    if scalar:
-        return complex(t_p[0]), complex(dt_p[0])
-    return t_p, dt_p
 
 
 @dataclass(frozen=True)
@@ -100,45 +75,48 @@ def _local_unwrap(center, value):
 
 
 def _fd_slope(ep, delta, h):
-    pc = probe_response(ep, delta).phase
-    pp = _local_unwrap(pc, probe_response(ep, delta + h).phase)
-    pm = _local_unwrap(pc, probe_response(ep, delta - h).phase)
-    return (pp - pm) / (2.0 * h)
+    pc, pp, pm = probe_response(ep, np.stack([delta, delta + h, delta - h])).phase
+    return (_local_unwrap(pc, pp) - _local_unwrap(pc, pm)) / (2.0 * h)
 
 
+@scalar_in_scalar_out
 def _delays(ep, delta, method="analytic", h=None, flags=""):
-    """Group delay over the broadcast of ep and delta.
+    """The ProbeResponse, the DelayResult and the per-cell flags over the
+    broadcast of ep and delta, from one pass of the closed-form kernel.
 
-    Returns a DelayResult with array fields and the per-cell flags: on top
-    of the incoming flags, NearZeroTransmission where |t_p| < 1e-14 and
+    On top of the incoming flags: DegenerateDenominator where the kernel
+    marks d degenerate, NearZeroTransmission where |t_p| < 1e-14 and
     StepTooLarge where the Richardson pair disagrees beyond 1e-4 relative.
     A flagged cell has tau_g nan and classification "".
     """
     if method not in ("analytic", "fd", "central-difference"):
         raise ConfigError(f"unknown group-delay method {method!r}")
-    t_p, dt_p = _tp_and_derivative(ep, delta)
-    tp_mag = np.abs(t_p)
-    flags = flag_cells(flags, tp_mag < _TP_FLOOR, NearZeroTransmission)
+    pr = probe_response(ep, delta)
+    tp_mag = np.abs(pr.t_p)
+    flags = flag_cells(flags, pr.degenerate, errors.DegenerateDenominator)
+    flags = flag_cells(flags, tp_mag < _TP_FLOOR, errors.NearZeroTransmission)
     step = None
     if method == "analytic":
         with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.imag(dt_p / t_p)
+            tau = np.imag(-pr.deps_T / pr.t_p)
     else:
         method, step = "central-difference", float(1e-6 * ep.omega_m if h is None else h)
         if step <= 0:
             raise ConfigError(f"finite-difference step must be > 0, got {step!r}")
+        delta = np.broadcast_to(delta, tp_mag.shape)  # the stencil stacks on axis 0
         d1 = _fd_slope(ep, delta, step)
         d2 = _fd_slope(ep, delta, step / 2.0)
         tau = (4.0 * d2 - d1) / 3.0
         flags = flag_cells(flags, np.abs(d1 - d2) > _RICHARDSON_RTOL * np.maximum(
-            np.abs(tau), _NEUTRAL_THRESH), StepTooLarge)
+            np.abs(tau), _NEUTRAL_THRESH), errors.StepTooLarge)
     tau = np.where(flags == "", tau, np.nan)
-    return DelayResult(tau, method, step, _classify(tau), tp_mag), flags
+    return pr, DelayResult(tau, method, step, _classify(tau), tp_mag), flags
 
 
 def tau_g_analytic(ep, delta):
-    """Vectorized analytic group delay; nan where |t_p| is below the floor."""
-    return _delays(ep, delta)[0].tau_g
+    """Analytic group delay at delta (scalar or array); nan where the cell
+    is flagged (degenerate d, or |t_p| below the floor)."""
+    return _delays(ep, delta)[1].tau_g
 
 
 def group_delay(ep, a0, delta, method="analytic", h=None):
@@ -147,22 +125,18 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     method "analytic" differentiates the closed form exactly; "fd" uses the
     centered stencil with branch-consistent phases at steps h and h/2 and one
     Richardson extrapolation (default h = 1e-6 * omega_m). Raises
-    NearZeroTransmission when |t_p| < 1e-14 and StepTooLarge when the
-    Richardson pair disagrees beyond 1e-4 relative. a0 sets only the phase
-    of the a_minus sideband, so it does not enter t_p or tau_g.
+    DegenerateDenominator where d is degenerate, NearZeroTransmission when
+    |t_p| < 1e-14 and StepTooLarge when the Richardson pair disagrees beyond
+    1e-4 relative. a0 sets only the phase of the a_minus sideband, so it
+    does not enter t_p or tau_g.
     """
     delta = float(delta)
-    # a 1-element array keeps the point on the vector ufunc path of the maps
-    res, flags = _delays(ep, np.array([delta]), method, h)
-    if flags[0] == "NearZeroTransmission":
-        raise NearZeroTransmission(
-            f"|t_p| = {res.t_p_magnitude[0]:.3e} at delta = {delta!r}: phase undefined")
-    if flags[0]:
-        raise StepTooLarge(f"Richardson pair disagrees beyond {_RICHARDSON_RTOL:g} "
-                           f"relative at delta = {delta!r} (h = {res.step!r})")
-    return with_python_scalars(
-        DelayResult, tau_g=res.tau_g[0], method=res.method, step=res.step,
-        classification=res.classification[0], t_p_magnitude=res.t_p_magnitude[0])
+    _, res, flag = _delays(ep, delta, method, h)
+    if flag:
+        error = getattr(errors, flag)
+        raise error(f"at delta = {delta!r} (|t_p| = {res.t_p_magnitude:.3e}, "
+                    f"h = {res.step!r}): {error.__doc__}")
+    return res
 
 
 @dataclass(frozen=True)
@@ -192,21 +166,22 @@ class DelayMap:
                  for f, t, c, m in zip(*row)] for row in rows]
 
 
-def delay_map(cfg, P_grid, L_grid, delta, method="analytic"):
+def delay_map(cfg, P_grid, L_grid, delta, method="analytic", branch=0):
     """Evaluate the group delay on a (P, L) grid at one detuning.
 
-    L values are rounded to the nearest integer quantum number. One batched
-    steady-state solve covers the grid; per-cell numerical failures are
-    recorded in the flags matrix and do not abort the map.
+    L values are rounded to the nearest integer quantum number; branch
+    selects the steady state as in solve_steady. One batched steady-state
+    solve covers the grid; per-cell numerical failures are recorded in the
+    flags matrix and do not abort the map.
     """
     P_grid = np.asarray(P_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
     if P_grid.size == 0 or L_grid.size == 0:
         raise ConfigError("delay_map grids must be nonempty")
     delta = float(delta)
-    ep, flags = effective_grid(cfg, P=P_grid[:, None], L=L_grid[None, :])
-    res, flags = _delays(ep, np.full((P_grid.size, L_grid.size), delta),
-                         method, flags=flags)
+    ep, flags = effective_grid(cfg, branch, P=P_grid[:, None], L=L_grid[None, :])
+    _, res, flags = _delays(ep, np.full((P_grid.size, L_grid.size), delta),
+                            method, flags=flags)
     return DelayMap(P_grid=P_grid, L_grid=L_grid, delta=delta,
                     flags=flags.tolist(), tau_g=res.tau_g,
                     classification=res.classification,

@@ -13,7 +13,9 @@ B = G1^2 omega_phi1 L2 + G2^2 omega_phi2 L1 and
 d = A A' L1 L2 - 2 Delta' B.
 
 The output-field quantities follow from input-output theory:
-eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T.
+eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T. ``probe_response``
+returns them with the exact Delta-derivative of eps_T, in one batched pass
+that every spectrum, map and group delay goes through.
 
 ``sideband_linear_solve`` re-derives a_plus and a_minus by assembling and
 solving the raw 10x10 linear system of e^{-+i Delta t} coefficients with a
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystem
+from .util import scalar_in_scalar_out
 
 # relative threshold below which d(delta) counts as degenerate
 _DEGENERATE_RTOL = 1e-30
@@ -33,9 +36,7 @@ _DEGENERATE_RTOL = 1e-30
 
 def lambda_j(delta, omega_phi, gamma):
     """Mechanical response denominator omega_phi^2 - delta^2 - i gamma delta."""
-    delta = np.asarray(delta, dtype=float)
-    out = omega_phi ** 2 - delta ** 2 - 1j * gamma * delta
-    return complex(out) if out.ndim == 0 else out
+    return omega_phi ** 2 - delta ** 2 - 1j * gamma * delta
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,15 @@ class SidebandAmplitudes:
 
     degenerate marks points where |d| fell below the threshold relative to
     |A A' L1 L2|; values are still returned (possibly inf/nan), never silently
-    patched.
+    patched. da_plus is d a_plus / d Delta, differentiated exactly (None from
+    the linear solve).
     """
 
     a_plus: object
     a_minus: object
     d_delta: object
     degenerate: object
+    da_plus: object = None
 
 
 def _pieces(ep, delta):
@@ -75,26 +78,29 @@ def _phase_factor(a0):
     return a0 * a0 / mag2
 
 
+@scalar_in_scalar_out
 def sideband_amplitudes(ep, delta, a0=None):
-    """Closed-form a_plus, a_minus at detuning delta (scalar or array).
+    """Closed-form a_plus, a_minus and d a_plus / d Delta at detuning delta
+    (scalar or array): the one kernel behind every response and delay.
 
     a0 only sets the phase factor a0^2/|a0|^2 of a_minus; omit it and the
     factor defaults to 1 (a_plus is unaffected either way).
     """
-    # scalars run through 1-element arrays so the arithmetic follows the
-    # same ufunc path as vector input (identical bits, and 0/0 yields
-    # nan/inf instead of raising)
-    scalar = np.ndim(delta) == 0
-    darr = np.atleast_1d(np.asarray(delta, dtype=float))
-    A, Ap, L1, L2, B, d = _pieces(ep, darr)
+    A, Ap, L1, L2, B, d = _pieces(ep, delta)
+    N = A * L1 * L2 + 1j * B
+    dA = dAp = -1j
+    dL1 = -2.0 * delta - 1j * ep.gamma1
+    dL2 = -2.0 * delta - 1j * ep.gamma2
+    dB = ep.G1 ** 2 * ep.omega_phi1 * dL2 + ep.G2 ** 2 * ep.omega_phi2 * dL1
+    dN = dA * L1 * L2 + A * (dL1 * L2 + L1 * dL2) + 1j * dB
+    dd = (dA * Ap + A * dAp) * L1 * L2 + A * Ap * (dL1 * L2 + L1 * dL2) \
+        - 2.0 * ep.delta_prime * dB
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_plus = (A * L1 * L2 + 1j * B) / d
+        a_plus = N / d
         a_minus = _phase_factor(a0) * 1j * np.conj(B) / np.conj(d)
+        da_plus = (dN * d - N * dd) / (d * d)
     degenerate = np.abs(d) <= _DEGENERATE_RTOL * np.abs(A * Ap * L1 * L2)
-    if scalar:
-        return SidebandAmplitudes(complex(a_plus[0]), complex(a_minus[0]),
-                                  complex(d[0]), bool(degenerate[0]))
-    return SidebandAmplitudes(a_plus, a_minus, d, degenerate)
+    return SidebandAmplitudes(a_plus, a_minus, d, degenerate, da_plus)
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,8 @@ class ProbeResponse:
     """Output-field quantities at the probe frequency.
 
     nu_p + i u_p = 2 kappa a_plus exactly; t_p = 1 - eps_T = -eps_out_plus;
-    phase is the principal-value argument of t_p.
+    phase is the principal-value argument of t_p; deps_T is the exact
+    derivative of eps_T with respect to Delta.
     """
 
     eps_T: object
@@ -113,20 +120,20 @@ class ProbeResponse:
     t_p: object
     phase: object
     degenerate: object
+    deps_T: object
 
 
+@scalar_in_scalar_out
 def probe_response(ep, delta, a0=None):
     """ProbeResponse at detuning delta (scalar or array)."""
     sb = sideband_amplitudes(ep, delta, a0=a0)
     eps_T = 2.0 * ep.kappa * sb.a_plus
     t_p = 1.0 - eps_T
-    phase = np.angle(t_p)
-    if np.ndim(eps_T) == 0:
-        phase = float(phase)
     return ProbeResponse(
-        eps_T=eps_T, nu_p=np.real(eps_T), u_p=np.imag(eps_T),
+        eps_T=eps_T, nu_p=eps_T.real, u_p=eps_T.imag,
         eps_out_plus=eps_T - 1.0, eps_out_minus=2.0 * ep.kappa * sb.a_minus,
-        t_p=t_p, phase=phase, degenerate=sb.degenerate)
+        t_p=t_p, phase=np.angle(t_p), degenerate=sb.degenerate,
+        deps_T=2.0 * ep.kappa * sb.da_plus)
 
 
 def eps_out_zero(kappa, a0, eps_c):
@@ -202,8 +209,7 @@ def sideband_linear_solve(ep, a0, delta):
     except np.linalg.LinAlgError as e:
         raise SingularSystem(f"sideband system singular at delta={delta!r}: {e}")
 
-    _, Ap_, L1, L2, _, d = _pieces(ep, delta)
-    degenerate = bool(abs(d) <= _DEGENERATE_RTOL * abs(
-        (kappa - 1j * (dp + delta)) * Ap_ * L1 * L2))
+    A, Ap, L1, L2, _, d = _pieces(ep, delta)
+    degenerate = bool(abs(d) <= _DEGENERATE_RTOL * abs(A * Ap * L1 * L2))
     return SidebandAmplitudes(complex(x[4]), complex(np.conj(x[9])),
                               complex(d), degenerate)

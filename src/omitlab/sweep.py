@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import _TP_FLOOR, _delays, tau_g_analytic, unwrap_phase
+from .delay import _delays, unwrap_phase
 from .errors import ConfigError
 from .model import config_fingerprint, effective_params
-from .response import probe_response
 from .steadystate import effective_grid, solve_steady
 from .util import render_csv
 
@@ -77,19 +76,14 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
     else:
         grid = _refine_grid(np.sort(np.asarray(delta_grid, dtype=float)), ep)
 
-    pr = probe_response(ep, grid, a0=ss.a0)
-    tau = tau_g_analytic(ep, grid)
-    phase = unwrap_phase(np.angle(pr.t_p))
-
-    flags = [";".join(filter(None, parts)) for parts in zip(
-        np.where(pr.degenerate, "degenerate_denominator", "").tolist(),
-        np.where(np.abs(pr.t_p) < _TP_FLOOR, "near_zero_transmission", "").tolist())]
-
+    pr, res, flags = _delays(ep, grid)
     return SpectrumSeries(
-        delta_grid=grid, omega_m=ep.omega_m,
-        nu_p=np.asarray(pr.nu_p, dtype=float),
-        u_p=np.asarray(pr.u_p, dtype=float),
-        phase_unwrapped=phase, tau_g=tau, flags=flags,
+        delta_grid=grid, omega_m=ep.omega_m, nu_p=pr.nu_p, u_p=pr.u_p,
+        phase_unwrapped=unwrap_phase(pr.phase), tau_g=res.tau_g,
+        flags=np.select([flags == "DegenerateDenominator",
+                         flags == "NearZeroTransmission"],
+                        ["degenerate_denominator", "near_zero_transmission"],
+                        "").tolist(),
         config_fingerprint=config_fingerprint(cfg))
 
 
@@ -261,12 +255,9 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
     dlt = axes.pop("Delta") if "Delta" in axes else float(delta)
     dlt = np.broadcast_to(dlt, (g1.size, g2.size))
     ep, flags = effective_grid(cfg, branch, **axes)
-    if observable == "nu_p":
-        flags = np.broadcast_to(flags, dlt.shape)
-        values = np.where(flags == "", probe_response(ep, dlt).nu_p, np.nan)
-    else:
-        res, flags = _delays(ep, dlt, flags=flags)
-        values = res.tau_g
+    pr, res, flags = _delays(ep, dlt, flags=flags)
+    values = np.where(flags == "", pr.nu_p if observable == "nu_p" else res.tau_g,
+                      np.nan)
     return Map2D(axis1_name=n1, axis1_grid=g1, axis2_name=n2, axis2_grid=g2,
                  observable=observable, delta=delta, values=values,
                  flags=flags.tolist(), config_fingerprint=config_fingerprint(cfg))

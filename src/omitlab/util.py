@@ -1,6 +1,8 @@
 """Small shared helpers: per-cell flag masks, Python scalars out of batched
 results, atomic file output, config hashing and CSV rendering."""
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -19,6 +21,27 @@ def with_python_scalars(cls, **values):
     """cls(**values), with 0-d numpy values passed as Python scalars."""
     return cls(**{k: v.item() if isinstance(v, (np.generic, np.ndarray)) and v.ndim == 0
                   else v for k, v in values.items()})
+
+
+def scalar_in_scalar_out(func):
+    """func(ep, x, ...) with x as a float array. A scalar x runs as a
+    1-element array, on the ufunc path of array input (identical bits, and
+    0/0 gives nan instead of raising), and each array in the result (an
+    array, or a tuple or dataclass of them) comes back as a Python scalar."""
+    def unbox(v):
+        if isinstance(v, np.ndarray):
+            return v.item()
+        if isinstance(v, tuple):
+            return tuple(map(unbox, v))
+        if dataclasses.is_dataclass(v):
+            return type(v)(**{k: unbox(f) for k, f in vars(v).items()})
+        return v
+
+    @functools.wraps(func)
+    def run(ep, x, *args, **kwargs):
+        out = func(ep, np.atleast_1d(np.asarray(x, dtype=float)), *args, **kwargs)
+        return out if np.ndim(x) else unbox(out)
+    return run
 
 
 def atomic_write(path, text):

@@ -183,10 +183,33 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert manifest["config"]["P"] == 0.004
 
 
-def test_branch_and_detuning_flags(capsys):
-    assert main(["steady", "--delta0", "2.0", "--P", "0.005"]) == 0
+def test_branch_and_detuning_flags(tmp_path, capsys):
+    with pytest.warns(UserWarning, match="bistable"):
+        assert main(["steady", "--delta0", "2.0", "--P", "0.005"]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1 + 3  # header plus three branches
+    # delay-map honours --branch: on the top branch at 1.9 mW, L = 100 the
+    # delay is fast (branch 0 gives +0.104 us, slow), cell for cell as map2d
+    grid = ["--delta0", "1.0", "--branch", "2"]
+    dm, m = tmp_path / "dm.csv", tmp_path / "m.csv"
+    with pytest.warns(UserWarning, match="bistable"):
+        assert main(["delay-map", *grid, "--p-start", "1.9", "--p-stop", "2.1",
+                     "--p-points", "2", "--l-start", "99", "--l-stop", "100",
+                     "--l-points", "2", "--out", str(dm)]) == 0
+        assert main(["map2d", *grid, "--axis1", "P", "--grid1", "0.0019:0.0021:2",
+                     "--axis2", "L", "--grid2", "99:100:2", "--observable", "tau_g",
+                     "--delta", "1.1", "--out", str(m)]) == 0
+    _, dm_rows = _rows(_read(dm))
+    _, m_rows = _rows(_read(m))
+    assert [r[4] for r in dm_rows] == [r[3] for r in m_rows] == [""] * 4
+    for a, b in zip(dm_rows, m_rows):
+        assert float(a[2]) * 1e-6 == pytest.approx(float(b[2]), rel=1e-14)
+    P_mW, L, tau_us, kind, _ = dm_rows[1]
+    assert (P_mW, L, kind) == ("1.9", "100", "fast")
+    assert float(tau_us) == pytest.approx(-0.172, abs=1e-3)
+    # the default grid reaches powers with a single branch
+    assert main(["delay-map", *grid, "--p-points", "2", "--l-points", "2",
+                 "--out", str(dm)]) == 1
 
 
 def test_exit_code_config_error(capsys):
@@ -202,12 +225,18 @@ def test_exit_code_numerical_error(capsys):
 
 
 def test_usage_error_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        main(["delay"])  # --delta is required
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 1
+    # --delta is required; then options a subcommand does not read: defaults
+    # takes only --out and --seed, steady prints every branch, oracle always
+    # uses branch 0, and only spectrum, delay-map and map2d draw an SVG
+    for argv in (["delay"], ["nonsense"],
+                 ["defaults", "--P", "5e-3"], ["defaults", "--branch", "3"],
+                 ["defaults", "--svg"], ["defaults", "--config", "c.json"],
+                 ["steady", "--svg"], ["steady", "--branch", "1"],
+                 ["dips", "--svg"], ["delay", "--delta", "1.0", "--svg"],
+                 ["oracle", "--svg"], ["oracle", "--branch", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omitlab import (ConfigError, DelayResult, EffectiveParams,
-                     NearZeroTransmission, NumericalError, StepTooLarge,
-                     default_config, delay_map, effective_params, group_delay,
-                     probe_response, solve_steady, tau_g_analytic, unwrap_phase)
-from omitlab.delay import _tp_and_derivative
+from omitlab import (ConfigError, DegenerateDenominator, DelayResult,
+                     EffectiveParams, NearZeroTransmission, NumericalError,
+                     StepTooLarge, default_config, delay_map, effective_params,
+                     group_delay, probe_response, solve_steady, spectrum_sweep,
+                     sweep_2d, tau_g_analytic, unwrap_phase)
 
 OMEGA_M = default_config().omega_m
 
@@ -173,7 +173,8 @@ def test_analytic_derivative_against_bicomplex_step(ep):
     h = 1e-20 * OMEGA_M
     for x in (0.62, 0.9, 1.0, 1.09, 1.1, 1.33):
         delta = x * OMEGA_M
-        t_p, dt_p = _tp_and_derivative(ep, delta)
+        pr = probe_response(ep, delta)
+        t_p, dt_p = pr.t_p, -pr.deps_T
         bc = _tp_bicomplex(ep, _BC(delta, h))
         assert bc.re == pytest.approx(t_p, rel=1e-14)
         assert bc.im / h == pytest.approx(dt_p, rel=1e-12)
@@ -270,6 +271,7 @@ def test_delay_map_sign_change_along_oam():
 def test_delay_map_captures_cell_failures(monkeypatch):
     cfg = default_config()
     import omitlab.delay as dmod
+    import omitlab.response as rmod
 
     # with the floor raised to 0.9 the driven cell (P = 1e-6 W, L = 100,
     # |t_p| = 0.633) fails; the three bare cells (|t_p| ~ 1) do not
@@ -283,14 +285,35 @@ def test_delay_map_captures_cell_failures(monkeypatch):
         assert np.isfinite(dm.tau_g[i][j])
         assert dm.cells[i][j].tau_g == dm.tau_g[i][j]
 
+    # with the floor back and the degeneracy threshold raised to 2 the bare
+    # cells (|d| = |A A' L1 L2|) count as degenerate and the driven one
+    # (|d| = 4.8 |A A' L1 L2|) does not, in both maps and for either
+    # observable; the spectrum keeps its lowercase flag
+    monkeypatch.undo()
+    monkeypatch.setattr(rmod, "_DEGENERATE_RTOL", 2.0)
+    want = [["DegenerateDenominator"] * 2, ["DegenerateDenominator", ""]]
+    maps = [dmod.delay_map(cfg, [0.0, 1e-6], [0, 100], 1.1 * cfg.omega_m)]
+    maps += [sweep_2d(cfg, ("P", [0.0, 1e-6]), ("L", [0.0, 100.0]), observable=obs,
+                      delta=1.1 * cfg.omega_m) for obs in ("nu_p", "tau_g")]
+    for m, values in zip(maps, (maps[0].tau_g, maps[1].values, maps[2].values)):
+        assert m.flags == want
+        assert np.isnan(values[0]).all() and np.isnan(values[1, 0])
+        assert np.isfinite(values[1, 1])
+    with pytest.raises(DegenerateDenominator):
+        group_delay(_bare_ep(), 0.0, OMEGA_M)
+    series = spectrum_sweep(replace(cfg, P=0.0), np.linspace(0.9, 1.1, 5) * OMEGA_M)
+    assert set(series.flags) == {"degenerate_denominator"}
+    assert np.isnan(series.tau_g).all()
+
 
 def test_delay_map_rejects_empty_grid():
     with pytest.raises(ConfigError):
         delay_map(default_config(), [], [0], OMEGA_M)
 
 
-def test_delay_map_matches_group_delay():
-    """Every cell against the scalar group_delay, flags included."""
+def test_delay_map_matches_group_delay(references):
+    """Every cell against the scalar group_delay, flags included, and the
+    analytic cells against the finite difference at a fine step."""
     cfg = default_config()
     P = np.linspace(1e-7, 2e-6, 5)
     L = np.linspace(0, 200, 5)
@@ -302,9 +325,9 @@ def test_delay_map_matches_group_delay():
             for j, Lj in enumerate(L):
                 c = replace(cfg, P=float(Pi), L=int(round(Lj)))
                 ss = solve_steady(c)
+                ep = effective_params(c, ss)
                 try:
-                    ref = group_delay(effective_params(c, ss), ss.a0, delta,
-                                      method=method)
+                    ref = group_delay(ep, ss.a0, delta, method=method)
                 except NumericalError as e:
                     assert dm.flags[i][j] == type(e).__name__
                     assert dm.cells[i][j] is None and np.isnan(dm.tau_g[i, j])
@@ -317,5 +340,7 @@ def test_delay_map_matches_group_delay():
                 assert (cell.classification, cell.method, cell.step) == \
                     (ref.classification, ref.method, ref.step)
                 assert cell.t_p_magnitude == pytest.approx(ref.t_p_magnitude, rel=1e-12)
+                if method == "analytic":
+                    references(ep, ss.a0, delta, tau_g=cell.tau_g)
     # the default fd step is too coarse at this resonance for part of the grid
     assert seen == {"StepTooLarge"}

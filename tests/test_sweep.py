@@ -195,10 +195,12 @@ def test_sweep2d_validation(cfg):
         sweep_2d(cfg, ("P", np.array([])), ("Delta", d))
 
 
-def _scalar_route(cfg, axis1, axis2, observable, delta=None, branch=0):
+def _scalar_route(cfg, axis1, axis2, observable, delta, branch, references):
     """values and flags of sweep_2d, one cell at a time through the scalar
     API: replace -> solve_steady -> effective_params -> probe_response /
-    tau_g_analytic, with the flag of a raising group_delay."""
+    tau_g_analytic, with the flag of a raising group_delay (nan where
+    flagged) for either observable; each unflagged value is also checked
+    with references against the linear solve or the finite difference."""
     (n1, g1), (n2, g2) = axis1, axis2
     values = np.empty((len(g1), len(g2)))
     flags = []
@@ -214,14 +216,15 @@ def _scalar_route(cfg, axis1, axis2, observable, delta=None, branch=0):
             ss = solve_steady(c, branch=branch)
             ep = effective_params(c, ss)
             flag = ""
-            if observable == "nu_p":
-                values[i, j] = probe_response(ep, dlt, a0=ss.a0).nu_p
-            else:
-                try:
-                    group_delay(ep, ss.a0, dlt)
-                except NumericalError as e:
-                    flag = type(e).__name__
-                values[i, j] = np.nan if flag else tau_g_analytic(ep, dlt)
+            try:
+                group_delay(ep, ss.a0, dlt)
+            except NumericalError as e:
+                flag = type(e).__name__
+            values[i, j] = np.nan if flag else (
+                probe_response(ep, dlt, a0=ss.a0).nu_p if observable == "nu_p"
+                else tau_g_analytic(ep, dlt))
+            if not flag:
+                references(ep, ss.a0, dlt, **{observable: values[i, j]})
             flags[-1].append(flag)
     return values, flags
 
@@ -247,7 +250,7 @@ def _transmission_zero(cfg, delta):
     return x[0] * 1e-4, 220.0 * x[1]
 
 
-def test_sweep2d_matches_scalar_route(cfg):
+def test_sweep2d_matches_scalar_route(cfg, references):
     om = cfg.omega_m
     cases = [
         (cfg, ("Q1", np.array([1e4, 1e5])), ("Delta", np.array([0.9, 1.1]) * om),
@@ -264,16 +267,18 @@ def test_sweep2d_matches_scalar_route(cfg):
         (sc, ("P", np.array([5e-3, 6e-3])), ("L", np.array([120.0, 140.0])),
          "tau_g", 1.1 * om, 2),
     ]
-    # a cell at an exact zero of t_p, where tau_g is undefined
+    # a cell at an exact zero of t_p, where tau_g is undefined; a nu_p map
+    # flags it too
     P0, Q10 = _transmission_zero(cfg, 1.101 * om)
-    cases.append((replace(cfg, Q1=Q10, Q2=180.0), ("P", np.array([1e-4, P0])),
-                  ("Delta", np.array([1.0, 1.101]) * om), "tau_g", None, 0))
+    cases += [(replace(cfg, Q1=Q10, Q2=180.0), ("P", np.array([1e-4, P0])),
+               ("Delta", np.array([1.0, 1.101]) * om), obs, None, 0)
+              for obs in ("nu_p", "tau_g")]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # bistable points
         for c, ax1, ax2, obs, delta, branch in cases:
             m = sweep_2d(c, ax1, ax2, observable=obs, delta=delta, branch=branch)
-            values, flags = _scalar_route(c, ax1, ax2, obs, delta, branch)
+            values, flags = _scalar_route(c, ax1, ax2, obs, delta, branch, references)
             assert m.flags == flags
             np.testing.assert_allclose(m.values, values, rtol=1e-12, atol=0)
         with pytest.raises(ConfigError, match="branch"):
@@ -285,8 +290,12 @@ def test_sweep2d_matches_scalar_route(cfg):
 # ---------------------------------------------------------------------------
 # CSV
 
-def test_spectrum_csv_schema_and_determinism(cfg):
+def test_spectrum_csv_schema_and_determinism(cfg, ep, ss, references):
     series = spectrum_sweep(cfg, np.linspace(0.8, 1.2, 51) * cfg.omega_m)
+    # every row, the refined ones across both windows included, against the
+    # linear solve and the finite difference
+    for row in zip(series.delta_grid, series.nu_p, series.u_p, series.tau_g):
+        references(ep, ss.a0, *row)
     text = spectrum_csv(series)
     lines = text.splitlines()
     assert lines[0] == ",".join(SPECTRUM_HEADER)
