@@ -17,10 +17,11 @@ eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T. ``probe_response``
 returns them with the exact Delta-derivative of eps_T, in one batched pass
 that every spectrum, map and group delay goes through.
 
-``sideband_linear_solve`` re-derives a_plus and a_minus by assembling and
-solving the raw 10x10 linear system of e^{-+i Delta t} coefficients with a
-dense solver; it shares no algebra with the closed form and serves as an
-independent check of it.
+``sideband_linear_solve`` re-derives a_plus and a_minus from the 6x6 drift
+matrix K of the linearized equations in (phi1, lz1, phi2, lz2, a, a*), one
+batched dense solve over all points; it shares no algebra with the closed
+form and serves as an independent check of it. The eigenvalues lambda of K
+are the roots Delta = i lambda of d.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystem
-from .util import scalar_in_scalar_out
+from .util import scalar_in_scalar_out, with_python_scalars
 
 # relative threshold below which d(delta) counts as degenerate
 _DEGENERATE_RTOL = 1e-30
@@ -45,37 +46,30 @@ class SidebandAmplitudes:
 
     degenerate marks points where |d| fell below the threshold relative to
     |A A' L1 L2|; values are still returned (possibly inf/nan), never silently
-    patched. da_plus is d a_plus / d Delta, differentiated exactly (None from
-    the linear solve).
+    patched. da_plus is d a_plus / d Delta, differentiated exactly. The
+    linear solve fills a_plus and a_minus only (the rest is None).
     """
 
     a_plus: object
     a_minus: object
-    d_delta: object
-    degenerate: object
+    d_delta: object = None
+    degenerate: object = None
     da_plus: object = None
 
 
-def _pieces(ep, delta):
-    delta = np.asarray(delta, dtype=float)
-    A = ep.kappa - 1j * (ep.delta_prime + delta)
-    Ap = ep.kappa + 1j * (ep.delta_prime - delta)
-    L1 = lambda_j(delta, ep.omega_phi1, ep.gamma1)
-    L2 = lambda_j(delta, ep.omega_phi2, ep.gamma2)
-    B = ep.G1 ** 2 * ep.omega_phi1 * L2 + ep.G2 ** 2 * ep.omega_phi2 * L1
-    d = A * Ap * L1 * L2 - 2.0 * ep.delta_prime * B
-    return A, Ap, L1, L2, B, d
-
-
 def _phase_factor(a0):
-    """a0^2/|a0|^2, defined as 1 at a0 = 0 (a_minus vanishes there anyway)."""
+    """a0^2/|a0|^2 over an array a0, 1 where a0 = 0 (a_minus vanishes there
+    anyway), formed part by part as Python's complex arithmetic forms it
+    (float_power is libm pow, as ** on a float): the bits of a scalar a0."""
     if a0 is None:
         return 1.0
-    a0 = complex(a0)
-    mag2 = a0.real ** 2 + a0.imag ** 2
-    if mag2 == 0.0:
-        return 1.0
-    return a0 * a0 / mag2
+    a0 = np.asarray(a0, dtype=complex)
+    x, y = a0.real, a0.imag
+    mag2 = np.float_power(x, 2) + np.float_power(y, 2)
+    out = np.ones(a0.shape, dtype=complex)
+    np.divide(x * x - y * y, mag2, out=out.real, where=mag2 != 0.0)
+    np.divide(x * y + y * x, mag2, out=out.imag, where=mag2 != 0.0)
+    return out
 
 
 @scalar_in_scalar_out
@@ -86,7 +80,12 @@ def sideband_amplitudes(ep, delta, a0=None):
     a0 only sets the phase factor a0^2/|a0|^2 of a_minus; omit it and the
     factor defaults to 1 (a_plus is unaffected either way).
     """
-    A, Ap, L1, L2, B, d = _pieces(ep, delta)
+    A = ep.kappa - 1j * (ep.delta_prime + delta)
+    Ap = ep.kappa + 1j * (ep.delta_prime - delta)
+    L1 = lambda_j(delta, ep.omega_phi1, ep.gamma1)
+    L2 = lambda_j(delta, ep.omega_phi2, ep.gamma2)
+    B = ep.G1 ** 2 * ep.omega_phi1 * L2 + ep.G2 ** 2 * ep.omega_phi2 * L1
+    d = A * Ap * L1 * L2 - 2.0 * ep.delta_prime * B
     N = A * L1 * L2 + 1j * B
     dA = dAp = -1j
     dL1 = -2.0 * delta - 1j * ep.gamma1
@@ -141,75 +140,50 @@ def eps_out_zero(kappa, a0, eps_c):
     return 2.0 * kappa * a0 - eps_c
 
 
-def sideband_linear_solve(ep, a0, delta):
-    """a_plus, a_minus from the raw 10x10 sideband system (scalar delta).
+def _drift_matrix(ep, a0):
+    """Drift matrix K, d(dx)/dt = K dx, of the mean-value equations the
+    oracle integrates, linearized about the steady state a0 in dx = (phi1,
+    lz1, phi2, lz2, a, a*), over the broadcast of ep and a0: (..., 6, 6).
 
-    Unknowns: [phi1+, phi2+, lz1+, lz2+, a+, phi1-*, phi2-*, lz1-*, lz2-*, a-*].
-    The plus block collects e^{-i Delta t} coefficients of the linearized
-    equations; the minus block is the complex conjugate of the e^{+i Delta t}
-    coefficients. Both mirror blocks couple to the same intensity beat
-    S = a0* a+ + a0 a-*. Requires ep and a0 consistent (G_j = g_j |a0|).
+        phi_j' = omega_phi_j lz_j,
+        lz_j' = -omega_phi_j phi_j - gamma_j lz_j -+ g_j |a|^2,
+        a' = -(kappa + i (Delta_0 + g1 phi1 - g2 phi2)) a + drives,
+
+    with g_j a0 = G_j a0/|a0| (and G_j = 0 at a0 = 0). A mode e^{lambda t}
+    grows where Re lambda > 0.
     """
-    delta = float(delta)
-    kappa, dp = ep.kappa, ep.delta_prime
-    om1, om2 = ep.omega_phi1, ep.omega_phi2
-    g1m, g2m = ep.gamma1, ep.gamma2
-    a0 = complex(a0)
-    mag = abs(a0)
-    if mag > 0:
-        g1a0 = ep.G1 * (a0 / mag)   # g1 * a0
-        g2a0 = ep.G2 * (a0 / mag)
-    else:
-        g1a0 = g2a0 = 0.0 + 0.0j
+    a0 = np.asarray(a0, dtype=complex)
+    u = np.divide(a0, np.abs(a0), out=np.ones_like(a0), where=a0 != 0)
+    g1a0, g2a0 = ep.G1 * u, ep.G2 * u
+    entries = {
+        (0, 1): ep.omega_phi1, (1, 0): -ep.omega_phi1, (1, 1): -ep.gamma1,
+        (1, 4): -np.conj(g1a0), (1, 5): -g1a0,
+        (2, 3): ep.omega_phi2, (3, 2): -ep.omega_phi2, (3, 3): -ep.gamma2,
+        (3, 4): np.conj(g2a0), (3, 5): g2a0,
+        (4, 0): -1j * g1a0, (4, 2): 1j * g2a0,
+        (4, 4): -(ep.kappa + 1j * ep.delta_prime),
+        (5, 0): 1j * np.conj(g1a0), (5, 2): -1j * np.conj(g2a0),
+        (5, 5): -(ep.kappa - 1j * ep.delta_prime),
+    }
+    K = np.zeros(np.broadcast(*entries.values()).shape + (6, 6), dtype=complex)
+    for (i, j), value in entries.items():
+        K[..., i, j] = value
+    return K
 
-    M = np.zeros((10, 10), dtype=complex)
-    b = np.zeros(10, dtype=complex)
-    miD = -1j * delta
 
-    # plus block: mirror kinematics, mirror dynamics, cavity
-    M[0, 0] = miD
-    M[0, 2] = -om1
-    M[1, 1] = miD
-    M[1, 3] = -om2
-    # g_alpha1 = -g1: rhs term is -g1 * S, moved to the LHS as +g1 * S
-    M[2, 0] = om1
-    M[2, 2] = g1m - 1j * delta
-    M[2, 4] = +np.conj(g1a0)
-    M[2, 9] = +g1a0
-    # g_alpha2 = +g2
-    M[3, 1] = om2
-    M[3, 3] = g2m - 1j * delta
-    M[3, 4] = -np.conj(g2a0)
-    M[3, 9] = -g2a0
-    M[4, 0] = 1j * g1a0
-    M[4, 1] = -1j * g2a0
-    M[4, 4] = kappa + 1j * (dp - delta)
-    b[4] = 1.0
+def sideband_linear_solve(ep, a0, delta):
+    """a_plus, a_minus from (-i Delta I - K) x = e_a, with K the drift
+    matrix, in one batched solve over the broadcast of ep, a0 and delta.
 
-    # minus block (conjugated e^{+i Delta t} rows): same structure, the beat
-    # term couples to the same unknowns a+ and a-*
-    M[5, 5] = miD
-    M[5, 7] = -om1
-    M[6, 6] = miD
-    M[6, 8] = -om2
-    M[7, 5] = om1
-    M[7, 7] = g1m - 1j * delta
-    M[7, 4] = +np.conj(g1a0)
-    M[7, 9] = +g1a0
-    M[8, 6] = om2
-    M[8, 8] = g2m - 1j * delta
-    M[8, 4] = -np.conj(g2a0)
-    M[8, 9] = -g2a0
-    M[9, 5] = -1j * np.conj(g1a0)
-    M[9, 6] = +1j * np.conj(g2a0)
-    M[9, 9] = kappa - 1j * (dp + delta)
-
+    x holds the e^{-i Delta t} coefficients of dx under a unit probe drive
+    of a, so a_plus = x[4] and a_minus = conj(x[5]). A 0-d result comes
+    back as Python complex. Raises SingularSystem if any system is singular.
+    """
+    M = -1j * np.asarray(delta, dtype=float)[..., None, None] * np.eye(6) \
+        - _drift_matrix(ep, a0)
     try:
-        x = np.linalg.solve(M, b)
+        x = np.linalg.solve(M, np.broadcast_to(np.eye(6)[:, 4:5], M.shape[:-1] + (1,)))
     except np.linalg.LinAlgError as e:
-        raise SingularSystem(f"sideband system singular at delta={delta!r}: {e}")
-
-    A, Ap, L1, L2, _, d = _pieces(ep, delta)
-    degenerate = bool(abs(d) <= _DEGENERATE_RTOL * abs(A * Ap * L1 * L2))
-    return SidebandAmplitudes(complex(x[4]), complex(np.conj(x[9])),
-                              complex(d), degenerate)
+        raise SingularSystem(f"sideband system singular: {e}")
+    return with_python_scalars(SidebandAmplitudes, a_plus=x[..., 4, 0],
+                               a_minus=np.conj(x[..., 5, 0]))

@@ -80,11 +80,7 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
     return SpectrumSeries(
         delta_grid=grid, omega_m=ep.omega_m, nu_p=pr.nu_p, u_p=pr.u_p,
         phase_unwrapped=unwrap_phase(pr.phase), tau_g=res.tau_g,
-        flags=np.select([flags == "DegenerateDenominator",
-                         flags == "NearZeroTransmission"],
-                        ["degenerate_denominator", "near_zero_transmission"],
-                        "").tolist(),
-        config_fingerprint=config_fingerprint(cfg))
+        flags=flags.tolist(), config_fingerprint=config_fingerprint(cfg))
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def test_delay_map_captures_cell_failures(monkeypatch):
     # with the floor back and the degeneracy threshold raised to 2 the bare
     # cells (|d| = |A A' L1 L2|) count as degenerate and the driven one
     # (|d| = 4.8 |A A' L1 L2|) does not, in both maps and for either
-    # observable; the spectrum keeps its lowercase flag
+    # observable; the spectrum flags its rows with the same name
     monkeypatch.undo()
     monkeypatch.setattr(rmod, "_DEGENERATE_RTOL", 2.0)
     want = [["DegenerateDenominator"] * 2, ["DegenerateDenominator", ""]]
@@ -302,7 +302,7 @@ def test_delay_map_captures_cell_failures(monkeypatch):
     with pytest.raises(DegenerateDenominator):
         group_delay(_bare_ep(), 0.0, OMEGA_M)
     series = spectrum_sweep(replace(cfg, P=0.0), np.linspace(0.9, 1.1, 5) * OMEGA_M)
-    assert set(series.flags) == {"degenerate_denominator"}
+    assert set(series.flags) == {"DegenerateDenominator"}
     assert np.isnan(series.tau_g).all()
 
 

@@ -1,8 +1,8 @@
-"""Closed-form sideband amplitudes against limits, symmetries and the raw
-10x10 linear system."""
+"""Closed-form sideband amplitudes against limits, symmetries and the
+linear solve with the 6x6 drift matrix."""
 
-import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omitlab import (EffectiveParams, default_config, effective_params,
+from omitlab import (EffectiveParams, SelfConsistent, SingularSystem,
+                     default_config, derive_constants, effective_params,
                      eps_out_zero, lambda_j, probe_response,
                      sideband_amplitudes, sideband_linear_solve, solve_steady)
+from omitlab.model import config_grid, fold_steady_state
+from omitlab.response import _drift_matrix
+from omitlab.steadystate import self_consistent_branches
 
 OMEGA_M = default_config().omega_m
 
@@ -97,27 +101,82 @@ def test_far_detuned_transparency(ep, ss):
 
 
 def _rng_points(n, seed=42):
+    """n seeded (G1, G2, delta, a0) over a broad coupling range, |a0| = 1234.5."""
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        G1 = 10 ** rng.uniform(-3, math.log10(0.3)) * OMEGA_M
-        G2 = 10 ** rng.uniform(-3, math.log10(0.3)) * OMEGA_M
-        delta = rng.uniform(0.0, 2.0) * OMEGA_M
-        phase = rng.uniform(0, 2 * math.pi)
-        pts.append((G1, G2, delta, cmath.exp(1j * phase)))
-    return pts
+    G1 = 10 ** rng.uniform(-3, math.log10(0.3), n) * OMEGA_M
+    G2 = 10 ** rng.uniform(-3, math.log10(0.3), n) * OMEGA_M
+    delta = rng.uniform(0.0, 2.0, n) * OMEGA_M
+    a0 = 1234.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+    return G1, G2, delta, a0
 
 
 def test_closed_form_matches_linear_solve():
-    """The closed form and the raw 10x10 solve share no algebra; they must
-    agree to near machine precision over a broad coupling range."""
-    for G1, G2, delta, a0_dir in _rng_points(50):
-        ep = _bare_ep(G1=G1, G2=G2)
-        a0 = 1234.5 * a0_dir
-        cf = sideband_amplitudes(ep, delta, a0=a0)
-        ls = sideband_linear_solve(ep, a0, delta)
-        assert cf.a_plus == pytest.approx(ls.a_plus, rel=1e-10)
-        assert cf.a_minus == pytest.approx(ls.a_minus, rel=1e-10, abs=1e-18)
+    """The closed form and the 6x6 drift-matrix solve share no algebra; they
+    must agree to near machine precision over a broad coupling range, 2000
+    points in one batched call of each."""
+    G1, G2, delta, a0 = _rng_points(2000)
+    ep = _bare_ep(G1=G1, G2=G2)
+    cf = sideband_amplitudes(ep, delta, a0=a0)
+    ls = sideband_linear_solve(ep, a0, delta)
+    assert ls.a_plus.shape == ls.a_minus.shape == (2000,)
+    assert np.all(np.abs(cf.a_plus - ls.a_plus) <= 1e-10 * np.abs(ls.a_plus))
+    assert np.all(np.abs(cf.a_minus - ls.a_minus) <=
+                  np.maximum(1e-10 * np.abs(ls.a_minus), 1e-18))
+
+
+def test_minus_sideband_with_per_cell_a0():
+    """a_minus over a self-consistent P x kappa map grid, each cell with its
+    own a0 (whose phase sets a_minus's), against the batched linear solve."""
+    cfg = replace(default_config(), detuning_mode=SelfConsistent(1.5 * OMEGA_M))
+    c = config_grid(cfg, P=np.linspace(0.2e-3, 1.5e-3, 6)[:, None],
+                    kappa=np.geomspace(1.0, 8.0, 5)[None, :] * cfg.kappa)
+    dc = derive_constants(c)
+    br = self_consistent_branches(c, dc, cfg.detuning_mode.value)
+    assert (br.count == 1).all() and (br.flags == "").all()
+    a0 = br.a0[0]
+    assert np.ptp(np.angle(a0)) > 0.5
+    ep = fold_steady_state(c, dc, br.delta_prime[0], a0)
+    delta = np.full(a0.shape, 1.05 * OMEGA_M)
+    cf = sideband_amplitudes(ep, delta, a0=a0)
+    ls = sideband_linear_solve(ep, a0, delta)
+    assert ls.a_minus.shape == a0.shape
+    assert np.all(np.abs(cf.a_minus - ls.a_minus) <= 1e-10 * np.abs(ls.a_minus))
+
+
+def _denominator(ep, delta):
+    """d(Delta) = A A' L1 L2 - 2 Delta' B, written out again from the paper
+    so that it takes a complex Delta, and its scale |A A' L1 L2|."""
+    A = ep.kappa - 1j * (ep.delta_prime + delta)
+    Ap = ep.kappa + 1j * (ep.delta_prime - delta)
+    L1 = lambda_j(delta, ep.omega_phi1, ep.gamma1)
+    L2 = lambda_j(delta, ep.omega_phi2, ep.gamma2)
+    B = ep.G1 ** 2 * ep.omega_phi1 * L2 + ep.G2 ** 2 * ep.omega_phi2 * L1
+    return A * Ap * L1 * L2 - 2.0 * ep.delta_prime * B, np.abs(A * Ap * L1 * L2)
+
+
+def test_drift_matrix_has_no_spurious_modes():
+    """Each eigenvalue lambda of K is a root Delta = i lambda of the closed
+    form's denominator: modes go as e^{lambda t} and the probe as
+    e^{-i Delta t}, so a mode grows where Re lambda = Im Delta > 0. At the
+    default point and on the three branches at P = 1.9 mW, L = 100,
+    Delta_0 = omega_m; the largest growth rates [omega_m] say branch 0 is
+    stable, branch 1 a saddle and branch 2 oscillatory-unstable there."""
+    cfg = default_config()
+    sc = replace(cfg, P=1.9e-3, detuning_mode=SelfConsistent(OMEGA_M))
+    cases = [(cfg, 0, -0.0396), (sc, 0, -0.0310), (sc, 1, 0.1036), (sc, 2, 0.0025)]
+    for c, branch, growth in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bistable point
+            ss = solve_steady(c, branch=branch)
+        ep = effective_params(c, ss)
+        lam = np.linalg.eigvals(_drift_matrix(ep, ss.a0))
+        d, scale = _denominator(ep, 1j * lam)
+        assert np.all(np.abs(d) <= 1e-11 * scale), np.abs(d) / scale
+        assert lam.real.max() / OMEGA_M == pytest.approx(growth, abs=1e-4)
+    # on the real axis the denominator above is the kernel's
+    grid = np.linspace(0.5, 1.5, 11) * OMEGA_M
+    np.testing.assert_array_equal(_denominator(ep, grid)[0],
+                                  sideband_amplitudes(ep, grid).d_delta)
 
 
 def test_linear_solve_undriven_limit():
@@ -166,6 +225,9 @@ def test_degenerate_denominator_flag():
     assert sb.d_delta == 0.0
     # values are surfaced as non-finite rather than silently patched
     assert not np.isfinite(sb.a_plus.real)
+    # and the linear system is exactly singular there
+    with pytest.raises(SingularSystem):
+        sideband_linear_solve(ep, 0.0, ep.omega_phi1)
     ok = sideband_amplitudes(ep, 1.3 * OMEGA_M)
     assert not ok.degenerate
 
@@ -176,10 +238,14 @@ def test_eps_out_zero(cfg, dc, ss):
 
 
 def test_array_and_scalar_paths_agree(ep, ss):
-    grid = np.array([0.7, 1.0, 1.3]) * OMEGA_M
+    grid = np.array([0.7, 1.0, 1.3, 1.1]) * OMEGA_M
+    a0s = np.array([ss.a0, -ss.a0.real, 1j * ss.a0, 0.0])
     vec = sideband_amplitudes(ep, grid, a0=ss.a0)
+    per_a0 = sideband_amplitudes(ep, grid, a0=a0s)
     for k, d in enumerate(grid):
         one = sideband_amplitudes(ep, float(d), a0=ss.a0)
         assert one.a_plus == vec.a_plus[k]
         assert one.a_minus == vec.a_minus[k]
         assert isinstance(one.a_plus, complex)
+        assert sideband_amplitudes(ep, float(d), a0=complex(a0s[k])).a_minus == \
+            per_a0.a_minus[k]

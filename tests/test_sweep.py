@@ -293,9 +293,12 @@ def test_sweep2d_matches_scalar_route(cfg, references):
 def test_spectrum_csv_schema_and_determinism(cfg, ep, ss, references):
     series = spectrum_sweep(cfg, np.linspace(0.8, 1.2, 51) * cfg.omega_m)
     # every row, the refined ones across both windows included, against the
-    # linear solve and the finite difference
-    for row in zip(series.delta_grid, series.nu_p, series.u_p, series.tau_g):
-        references(ep, ss.a0, *row)
+    # linear solve and the finite difference; and nu_p, u_p on every row of
+    # the default spectrum
+    references(ep, ss.a0, series.delta_grid, series.nu_p, series.u_p, series.tau_g)
+    full = spectrum_sweep(cfg)
+    assert full.delta_grid.size == 4161
+    references(ep, ss.a0, full.delta_grid, full.nu_p, full.u_p)
     text = spectrum_csv(series)
     lines = text.splitlines()
     assert lines[0] == ",".join(SPECTRUM_HEADER)
