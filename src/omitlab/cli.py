@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, steady, dips, delay, delay-map, map2d, oracle,
 defaults. Outputs are CSV tables (schemas in sweep/delay), a JSON run
-manifest alongside every file output, and optional self-contained SVG plots.
+manifest alongside every file output, and optional self-contained SVG plots;
+`_run` writes all of them for every subcommand.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
 
@@ -27,8 +28,7 @@ from .errors import ConfigError, NumericalError
 from .model import (FixedEffective, SelfConsistent, config_fingerprint,
                     config_from_json, config_to_dict, config_to_json,
                     default_config, derive_constants, effective_params)
-from .oracle import (_THRESH_A0, _THRESH_AMINUS, _THRESH_APLUS,
-                     _THRESH_LINEARITY, oracle_check)
+from .oracle import _THRESHOLDS, oracle_check
 from .steadystate import residual, solve_steady, steady_state_self_consistent
 from .svgplot import heatmap_svg, line_svg
 from .sweep import (delay_map_csv, find_dips, map_csv, spectrum_csv,
@@ -107,9 +107,13 @@ def _resolve_config(args):
     return cfg
 
 
-def _write_manifest(anchor, subcommand, cfg, outputs, t0, args, stats=None):
+def _json(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _write_manifest(args, cfg, outputs, t0, stats):
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "tool_version": __version__,
         "config": config_to_dict(cfg),
         "config_fingerprint": config_fingerprint(cfg),
@@ -118,29 +122,19 @@ def _write_manifest(anchor, subcommand, cfg, outputs, t0, args, stats=None):
         "seed": args.seed,
         "stats": stats or {},
     }
-    path = f"{os.path.splitext(anchor)[0]}.manifest.json"
-    atomic_write(path, json.dumps(manifest, indent=2) + "\n")
-    return path
+    atomic_write(f"{os.path.splitext(outputs[0])[0]}.manifest.json", _json(manifest))
 
 
-def _svg_path(out):
-    return f"{os.path.splitext(out)[0]}.svg"
+# Each _cmd_* takes the parsed args and the resolved config and writes
+# nothing: it returns (stdout text, output file text, SVG text or None,
+# manifest stats or None) for _run to write.
+
+def _cmd_defaults(args, cfg):
+    text = config_to_json(cfg, notes=_KAPPA_NOTE)
+    return "" if args.out else text, text, None, None
 
 
-def _cmd_defaults(args):
-    text = config_to_json(default_config(), notes=_KAPPA_NOTE)
-    if args.out:
-        t0 = time.perf_counter()
-        atomic_write(args.out, text)
-        _write_manifest(args.out, "defaults", default_config(), [args.out], t0, args)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_steady(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_steady(args, cfg):
     dc = derive_constants(cfg)
     mode = cfg.detuning_mode
     if mode.mode == "fixed_effective":
@@ -155,12 +149,7 @@ def _cmd_steady(args):
                      f"{s.a0.imag:>22.15e} {s.delta_prime / cfg.omega_m:>20.15f} "
                      f"{resid:>12.3e}")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        atomic_write(args.out, text)
-        _write_manifest(args.out, "steady", cfg, [args.out], t0, args,
-                        stats={"n_branches": len(states)})
-    return 0
+    return text, text, None, {"n_branches": len(states)}
 
 
 def _spectrum_series(args, cfg):
@@ -173,74 +162,49 @@ def _spectrum_series(args, cfg):
     return spectrum_sweep(cfg, grid, branch=args.branch)
 
 
-def _cmd_spectrum(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_spectrum(args, cfg):
     series = _spectrum_series(args, cfg)
-    out = args.out or "spectrum.csv"
-    atomic_write(out, spectrum_csv(series))
-    outputs = [out]
-    if args.svg:
-        sv = _svg_path(out)
-        xs = series.delta_grid / series.omega_m
-        atomic_write(sv, line_svg(
-            xs, [("nu_p", series.nu_p), ("u_p", series.u_p)],
-            title="probe response", xlabel="Delta / omega_m", ylabel="quadrature"))
-        outputs.append(sv)
-    _write_manifest(out, "spectrum", cfg, outputs, t0, args,
-                    stats={"n_points": int(series.delta_grid.size)})
-    return 0
+    svg = line_svg(series.delta_grid / series.omega_m,
+                   [("nu_p", series.nu_p), ("u_p", series.u_p)],
+                   title="probe response", xlabel="Delta / omega_m",
+                   ylabel="quadrature") if args.svg else None
+    return "", spectrum_csv(series), svg, {"n_points": int(series.delta_grid.size)}
 
 
-def _cmd_dips(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_dips(args, cfg):
     series = _spectrum_series(args, cfg)
     rep = find_dips(series)
     om = series.omega_m
-    sys.stdout.write(f"dips: {rep.count}\n")
-    for k in range(rep.count):
-        sys.stdout.write(
-            f"  at Delta/omega_m = {rep.positions[k] / om:.9f}  "
-            f"nu_p = {rep.depths[k]:.6e}  width/omega_m = {rep.widths[k] / om:.6e}\n")
-    if args.out:
-        payload = {
-            "count": rep.count,
-            "positions_over_omega_m": [p / om for p in rep.positions],
-            "depths": list(map(float, rep.depths)),
-            "widths_over_omega_m": [w / om for w in rep.widths],
-        }
-        atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
-        _write_manifest(args.out, "dips", cfg, [args.out], t0, args,
-                        stats={"count": rep.count})
-    return 0
+    text = f"dips: {rep.count}\n" + "".join(
+        f"  at Delta/omega_m = {rep.positions[k] / om:.9f}  "
+        f"nu_p = {rep.depths[k]:.6e}  width/omega_m = {rep.widths[k] / om:.6e}\n"
+        for k in range(rep.count))
+    payload = {
+        "count": rep.count,
+        "positions_over_omega_m": [p / om for p in rep.positions],
+        "depths": list(map(float, rep.depths)),
+        "widths_over_omega_m": [w / om for w in rep.widths],
+    }
+    return text, _json(payload), None, {"count": rep.count}
 
 
-def _cmd_delay(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_delay(args, cfg):
     ss = solve_steady(cfg, branch=args.branch)
     ep = effective_params(cfg, ss)
     h = args.fd_step * cfg.omega_m if args.fd_step is not None else None
     res = group_delay(ep, ss.a0, args.delta * cfg.omega_m,
                       method=args.method, h=h)
-    sys.stdout.write(
-        f"tau_g = {res.tau_g * 1e6:.9g} us  [{res.classification}]  "
-        f"method={res.method}  |t_p|={res.t_p_magnitude:.6e}\n")
-    if args.out:
-        payload = {"delta_over_omega_m": args.delta,
-                   "tau_g_us": res.tau_g * 1e6,
-                   "classification": res.classification,
-                   "method": res.method,
-                   "t_p_magnitude": res.t_p_magnitude}
-        atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
-        _write_manifest(args.out, "delay", cfg, [args.out], t0, args)
-    return 0
+    text = (f"tau_g = {res.tau_g * 1e6:.9g} us  [{res.classification}]  "
+            f"method={res.method}  |t_p|={res.t_p_magnitude:.6e}\n")
+    payload = {"delta_over_omega_m": args.delta,
+               "tau_g_us": res.tau_g * 1e6,
+               "classification": res.classification,
+               "method": res.method,
+               "t_p_magnitude": res.t_p_magnitude}
+    return text, _json(payload), None, None
 
 
-def _cmd_delay_map(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_delay_map(args, cfg):
     for name, n in (("--p-points", args.p_points), ("--l-points", args.l_points)):
         if n < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -248,9 +212,6 @@ def _cmd_delay_map(args):
     L_grid = np.linspace(args.l_start, args.l_stop, args.l_points)
     dm = delay_map(cfg, P_grid, L_grid, args.delta * cfg.omega_m,
                    method=args.method, branch=args.branch)
-    out = args.out or "delay_map.csv"
-    atomic_write(out, delay_map_csv(dm))
-    outputs = [out]
     tau_us = dm.tau_g * 1e6
     finite = tau_us[np.isfinite(tau_us)]
     stats = {
@@ -261,14 +222,9 @@ def _cmd_delay_map(args):
         "n_fast": int(np.sum(dm.classification == "fast")),
         "n_error": int(sum(f != "" for r in dm.flags for f in r)),
     }
-    if args.svg:
-        sv = _svg_path(out)
-        atomic_write(sv, heatmap_svg(
-            dm.L_grid, dm.P_grid * 1e3, tau_us,
-            title="group delay [us]", xlabel="L", ylabel="P [mW]"))
-        outputs.append(sv)
-    _write_manifest(out, "delay-map", cfg, outputs, t0, args, stats=stats)
-    return 0
+    svg = heatmap_svg(dm.L_grid, dm.P_grid * 1e3, tau_us, title="group delay [us]",
+                      xlabel="L", ylabel="P [mW]") if args.svg else None
+    return "", delay_map_csv(dm), svg, stats
 
 
 def _parse_axis_grid(spec_str, name):
@@ -284,9 +240,7 @@ def _parse_axis_grid(spec_str, name):
     return np.linspace(start, stop, n)
 
 
-def _cmd_map2d(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_map2d(args, cfg):
     disp1 = _parse_axis_grid(args.grid1, "--grid1")
     disp2 = _parse_axis_grid(args.grid2, "--grid2")
     g1 = disp1 * cfg.omega_m if args.axis1 == "Delta" else disp1
@@ -296,40 +250,39 @@ def _cmd_map2d(args):
                  observable=args.observable, delta=delta,
                  branch=args.branch)
     m = dc_replace(m, axis1_grid=disp1, axis2_grid=disp2)
-    out = args.out or "map2d.csv"
-    atomic_write(out, map_csv(m))
-    outputs = [out]
-    if args.svg:
-        sv = _svg_path(out)
-        atomic_write(sv, heatmap_svg(
-            disp2, disp1, m.values,
-            title=f"{args.observable} map",
-            xlabel=args.axis2, ylabel=args.axis1))
-        outputs.append(sv)
-    _write_manifest(out, "map2d", cfg, outputs, t0, args,
-                    stats={"observable": args.observable})
-    return 0
+    svg = heatmap_svg(disp2, disp1, m.values, title=f"{args.observable} map",
+                      xlabel=args.axis2, ylabel=args.axis1) if args.svg else None
+    return "", map_csv(m), svg, {"observable": args.observable}
 
 
-def _cmd_oracle(args):
-    t0 = time.perf_counter()
-    cfg = _resolve_config(args)
+def _cmd_oracle(args, cfg):
     rep = oracle_check(cfg, args.delta * cfg.omega_m,
                        q_override=args.relax_q, tol=args.tol)
-    rows = (("a0", rep.a0_rel_err, _THRESH_A0),
-            ("a_plus", rep.a_plus_rel_err, _THRESH_APLUS),
-            ("a_minus", rep.a_minus_rel_err, _THRESH_AMINUS),
-            ("linearity", rep.linearity_rel_change, _THRESH_LINEARITY))
-    sys.stdout.write(f"{'quantity':<12} {'rel_error':>12} {'threshold':>12}\n")
-    for name, err, thr in rows:
-        sys.stdout.write(f"{name:<12} {err:>12.3e} {thr:>12.0e}\n")
-    sys.stdout.write(f"fit residual {rep.fit_residual:.3e}\n")
-    sys.stdout.write(f"pass: {str(rep.passed).lower()}\n")
-    sys.stdout.write(json.dumps(rep.as_dict()) + "\n")
-    if args.out:
-        atomic_write(args.out, json.dumps(rep.as_dict(), indent=2) + "\n")
-        _write_manifest(args.out, "oracle", cfg, [args.out], t0, args,
-                        stats={"pass": rep.passed})
+    lines = [f"{'quantity':<12} {'rel_error':>12} {'threshold':>12}"]
+    lines += [f"{name:<12} {getattr(rep, field):>12.3e} {thr:>12.0e}"
+              for name, field, thr in _THRESHOLDS]
+    lines += [f"fit residual {rep.fit_residual:.3e}",
+              f"pass: {str(rep.passed).lower()}", json.dumps(rep.as_dict())]
+    return "\n".join(lines) + "\n", _json(rep.as_dict()), None, {"pass": rep.passed}
+
+
+def _run(args):
+    """Run one subcommand, then write its stdout and, when it has an output
+    path, the output file, the SVG and the manifest. Every check and every
+    computation comes first, so a run that fails writes no file."""
+    t0 = time.perf_counter()
+    outputs = [args.out] if args.out else []
+    if getattr(args, "svg", False):
+        outputs.append(f"{os.path.splitext(args.out)[0]}.svg")
+        if outputs[1] == outputs[0]:
+            raise ConfigError(f"--out {args.out!r} is also the path of its SVG")
+    cfg = default_config() if args.subcommand == "defaults" else _resolve_config(args)
+    stdout, text, svg, stats = args.func(args, cfg)
+    sys.stdout.write(stdout)
+    for path, body in zip(outputs, (text, svg)):
+        atomic_write(path, body)
+    if outputs:
+        _write_manifest(args, cfg, outputs, t0, stats)
     return 0
 
 
@@ -348,8 +301,9 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(func=_cmd_steady)
 
-    for name, func, help_ in (("spectrum", _cmd_spectrum, "response spectrum CSV"),
-                              ("dips", _cmd_dips, "transparency dip report")):
+    for name, func, out, help_ in (
+            ("spectrum", _cmd_spectrum, "spectrum.csv", "response spectrum CSV"),
+            ("dips", _cmd_dips, None, "transparency dip report")):
         sp = sub.add_parser(name, help=help_)
         _add_common(sp, svg=name == "spectrum", branch=True)
         sp.add_argument("--delta-min", type=float, default=0.5,
@@ -357,7 +311,7 @@ def build_parser():
         sp.add_argument("--delta-max", type=float, default=1.5,
                         help="grid stop [units of omega_m]")
         sp.add_argument("--points", type=int, default=4001, help="grid size")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, out=out)
 
     sp = sub.add_parser("delay", help="group delay at one detuning")
     _add_common(sp, branch=True)
@@ -379,7 +333,7 @@ def build_parser():
     sp.add_argument("--delta", type=float, default=1.1,
                     help="detuning [units of omega_m]")
     sp.add_argument("--method", choices=("analytic", "fd"), default="analytic")
-    sp.set_defaults(func=_cmd_delay_map)
+    sp.set_defaults(func=_cmd_delay_map, out="delay_map.csv")
 
     sp = sub.add_parser("map2d", help="observable over two parameter axes")
     _add_common(sp, svg=True, branch=True)
@@ -393,7 +347,7 @@ def build_parser():
     sp.add_argument("--observable", choices=("nu_p", "tau_g"), default="nu_p")
     sp.add_argument("--delta", type=float, default=None,
                     help="fixed detuning [units of omega_m] when no Delta axis")
-    sp.set_defaults(func=_cmd_map2d)
+    sp.set_defaults(func=_cmd_map2d, out="map2d.csv")
 
     sp = sub.add_parser("oracle", help="time-domain vs closed-form check")
     _add_common(sp)
@@ -409,10 +363,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as e:
         sys.stderr.write(f"omitlab: error: {e}\n")
         return 1

@@ -28,7 +28,6 @@ from .util import fingerprint_dict, with_python_scalars
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
-_FREQ_FIELDS = ("kappa", "omega_phi1", "omega_phi2", "omega_m")
 _FREQ_UNITS = ("rad/s", "Hz", "units_of_omega_m")
 
 

@@ -24,11 +24,11 @@ _TOL_RANGE = (1e-12, 1e-6)
 _DEFAULT_DAMPING_TIMES = 40.0
 _MIN_DAMPING_TIMES = 20.0
 # oracle pass thresholds on relative errors of (a0, a_plus, a_minus) and on
-# the linearity check
-_THRESH_A0 = 1e-6
-_THRESH_APLUS = 1e-3
-_THRESH_AMINUS = 1e-2
-_THRESH_LINEARITY = 1e-3
+# the linearity check: (label, OracleReport field, threshold)
+_THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
+               ("a_plus", "a_plus_rel_err", 1e-3),
+               ("a_minus", "a_minus_rel_err", 1e-2),
+               ("linearity", "linearity_rel_change", 1e-3))
 
 
 def solve_ivp(*args, **kwargs):
@@ -232,16 +232,15 @@ def oracle_check(cfg, delta, q_override=50.0, p_p_override=None,
     sb = sideband_amplitudes(ep, delta, a0=ss.a0)
     # undriven configurations have a0 = a_minus = 0 exactly; judge those
     # estimates against the field scale actually present in the trace
-    a0_err = _rel(rep.a0_est, ss.a0,
-                  scale=abs(series.eps_p) * abs(sb.a_plus))
-    ap_err = _rel(rep.a_plus_est, sb.a_plus)
-    am_err = _rel(rep.a_minus_est, sb.a_minus, scale=abs(sb.a_plus))
-    lin = _rel(rep_half.a_plus_est, rep.a_plus_est)
-    passed = (a0_err < _THRESH_A0 and ap_err < _THRESH_APLUS
-              and am_err < _THRESH_AMINUS and lin < _THRESH_LINEARITY)
+    errs = {"a0_rel_err": _rel(rep.a0_est, ss.a0,
+                               scale=abs(series.eps_p) * abs(sb.a_plus)),
+            "a_plus_rel_err": _rel(rep.a_plus_est, sb.a_plus),
+            "a_minus_rel_err": _rel(rep.a_minus_est, sb.a_minus,
+                                    scale=abs(sb.a_plus)),
+            "linearity_rel_change": _rel(rep_half.a_plus_est, rep.a_plus_est)}
     return OracleReport(
-        delta=delta, q_override=float(q_override),
-        a0_rel_err=a0_err, a_plus_rel_err=ap_err, a_minus_rel_err=am_err,
-        linearity_rel_change=lin, fit_residual=rep.fit_residual, passed=passed,
+        delta=delta, q_override=float(q_override), **errs,
+        fit_residual=rep.fit_residual,
+        passed=all(errs[field] < thr for _, field, thr in _THRESHOLDS),
         a_plus_est=rep.a_plus_est, a_plus_closed=sb.a_plus,
         a_minus_est=rep.a_minus_est, a_minus_closed=sb.a_minus)

@@ -246,6 +246,8 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
         raise ConfigError("axis grids must be nonempty")
     if "Delta" not in (n1, n2) and delta is None:
         raise ConfigError("a fixed delta is required when no axis is Delta")
+    if "Delta" in (n1, n2) and delta is not None:
+        raise ConfigError("a fixed delta conflicts with the Delta axis")
 
     axes = {n1: g1[:, None], n2: g2[None, :]}
     dlt = axes.pop("Delta") if "Delta" in axes else float(delta)

@@ -162,6 +162,9 @@ def test_map2d_grid_validation():
                  "--axis2", "Delta", "--grid2", "0.9:1.1:3"]) == 1
     assert main(["map2d", "--axis1", "P", "--grid1", "0:1:2",
                  "--axis2", "P", "--grid2", "0:1:2"]) == 1
+    # a fixed --delta next to a Delta axis would be ignored
+    assert main(["map2d", "--axis1", "L", "--grid1", "0:100:2",
+                 "--axis2", "Delta", "--grid2", "0.9:1.1:3", "--delta", "0.3"]) == 1
 
 
 def test_oracle_json(capsys):
@@ -210,6 +213,55 @@ def test_branch_and_detuning_flags(tmp_path, capsys):
     # the default grid reaches powers with a single branch
     assert main(["delay-map", *grid, "--p-points", "2", "--l-points", "2",
                  "--out", str(dm)]) == 1
+
+
+_DELAY_MAP_STATS = {"max_abs_tau_g_us", "min_tau_g_us", "max_tau_g_us",
+                    "n_slow", "n_fast", "n_error"}
+
+
+@pytest.mark.parametrize("argv, name, stats", [
+    (["defaults"], "run.json", set()),
+    (["steady"], "run.txt", {"n_branches"}),
+    (["spectrum", "--points", "101", "--svg"], "run.csv", {"n_points"}),
+    (["dips", "--points", "401"], "run.json", {"count"}),
+    (["delay", "--delta", "1.05"], "run.json", set()),
+    (["delay-map", "--p-points", "3", "--l-points", "3", "--svg"], "run.csv",
+     _DELAY_MAP_STATS),
+    (["map2d", "--axis1", "L", "--grid1", "0:100:2", "--axis2", "Delta",
+      "--grid2", "0.9:1.1:3", "--svg"], "run.csv", {"observable"}),
+])
+def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
+    """A run writes exactly the files its manifest lists, plus the manifest."""
+    assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    manifest = json.loads(_read(tmp_path / "run.manifest.json"))
+    assert set(manifest) == {"subcommand", "tool_version", "config",
+                             "config_fingerprint", "outputs", "duration_s",
+                             "seed", "stats"}
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["outputs"][0] == name
+    assert len(manifest["outputs"]) == 1 + ("--svg" in argv)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        manifest["outputs"] + ["run.manifest.json"])
+    assert set(manifest["stats"]) == stats
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--points", "101", "--svg", "--out", "spec.svg"], 1),
+    (["delay-map", "--p-points", "2", "--l-points", "2", "--svg",
+      "--out", "dm.svg"], 1),
+    (["map2d", "--axis1", "L", "--grid1", "0:100:2", "--axis2", "Delta",
+      "--grid2", "0.9:1.1:3", "--svg", "--out", "m.svg"], 1),
+    (["map2d", "--axis1", "L", "--grid1", "0:100:2", "--axis2", "Delta",
+      "--grid2", "0.9:1.1:3", "--delta", "0.3", "--out", "m.csv"], 1),
+    (["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0",
+      "--out", "o.json"], 2),
+])
+def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code):
+    """An output path that its SVG would overwrite is a usage error, and a
+    run that exits 1 or 2 leaves no file behind."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert os.listdir(tmp_path) == []
 
 
 def test_exit_code_config_error(capsys):

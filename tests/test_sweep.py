@@ -191,6 +191,8 @@ def test_sweep2d_validation(cfg):
         sweep_2d(cfg, ("P", np.array([1e-3])), ("Delta", d), observable="phase")
     with pytest.raises(ConfigError, match="delta"):
         sweep_2d(cfg, ("P", np.array([1e-3])), ("L", np.array([10.0])))
+    with pytest.raises(ConfigError, match="conflicts"):
+        sweep_2d(cfg, ("P", np.array([1e-3])), ("Delta", d), delta=d[0])
     with pytest.raises(ConfigError, match="nonempty"):
         sweep_2d(cfg, ("P", np.array([])), ("Delta", d))
 
