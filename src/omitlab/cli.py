@@ -263,7 +263,9 @@ def _cmd_oracle(args, cfg):
               for name, field, thr in _THRESHOLDS]
     lines += [f"fit residual {rep.fit_residual:.3e}",
               f"pass: {str(rep.passed).lower()}", json.dumps(rep.as_dict())]
-    return "\n".join(lines) + "\n", _json(rep.as_dict()), None, {"pass": rep.passed}
+    stats = {"pass": rep.passed, "fit_residual": rep.fit_residual,
+             "rhs_evals": rep.rhs_evals}
+    return "\n".join(lines) + "\n", _json(rep.as_dict()), None, stats
 
 
 def _run(args):
@@ -276,13 +278,20 @@ def _run(args):
         outputs.append(f"{os.path.splitext(args.out)[0]}.svg")
         if outputs[1] == outputs[0]:
             raise ConfigError(f"--out {args.out!r} is also the path of its SVG")
+    # the SVG and the manifest go beside the output
+    if outputs and not os.path.isdir(os.path.dirname(outputs[0]) or "."):
+        raise ConfigError(f"--out {args.out!r}: its directory does not exist")
     cfg = default_config() if args.subcommand == "defaults" else _resolve_config(args)
     stdout, text, svg, stats = args.func(args, cfg)
     sys.stdout.write(stdout)
-    for path, body in zip(outputs, (text, svg)):
-        atomic_write(path, body)
-    if outputs:
-        _write_manifest(args, cfg, outputs, t0, stats)
+    try:
+        for path, body in zip(outputs, (text, svg)):
+            atomic_write(path, body)
+        if outputs:
+            _write_manifest(args, cfg, outputs, t0, stats)
+    except OSError as e:
+        raise ConfigError(f"cannot write the outputs of --out {args.out!r}: "
+                          f"{e.strerror or e}") from e
     return 0
 
 

@@ -167,13 +167,21 @@ def test_map2d_grid_validation():
                  "--axis2", "Delta", "--grid2", "0.9:1.1:3", "--delta", "0.3"]) == 1
 
 
-def test_oracle_json(capsys):
-    assert main(["oracle", "--delta", "1.0", "--tol", "1e-9"]) == 0
+def test_oracle_json(tmp_path, capsys):
+    out_path = tmp_path / "o.json"
+    assert main(["oracle", "--delta", "1.0", "--tol", "1e-9",
+                 "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "pass: true" in out
     rep = json.loads(out.splitlines()[-1])
     assert rep["pass"] is True
     assert rep["a_plus_rel_err"] < 1e-3
+    assert json.loads(_read(out_path)) == rep
+    stats = json.loads(_read(tmp_path / "o.manifest.json"))["stats"]
+    assert set(stats) == {"pass", "fit_residual", "rhs_evals"}
+    assert stats["pass"] is True
+    assert stats["fit_residual"] == rep["fit_residual"]
+    assert stats["rhs_evals"] > 0
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -255,13 +263,26 @@ def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
       "--grid2", "0.9:1.1:3", "--delta", "0.3", "--out", "m.csv"], 1),
     (["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0",
       "--out", "o.json"], 2),
+    (["steady", "--out", os.path.join("missing", "x.txt")], 1),
 ])
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code):
-    """An output path that its SVG would overwrite is a usage error, and a
-    run that exits 1 or 2 leaves no file behind."""
+    """An output path that its SVG would overwrite, or one in a directory
+    that does not exist, is a usage error, and a run that exits 1 or 2
+    leaves no file behind."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     assert os.listdir(tmp_path) == []
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    """A write that fails (here --out names a directory) ends the run with
+    one line on stderr and exit 1, not a traceback."""
+    target = tmp_path / "d"
+    target.mkdir()
+    assert main(["defaults", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("omitlab: error: cannot write") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(target) == []
 
 
 def test_exit_code_config_error(capsys):

@@ -69,6 +69,8 @@ def test_integrate_validates_inputs(cfg, dc):
         integrate(relaxed, rdc, cfg.omega_m, duration=10.0 / gamma_min)
     with pytest.raises(ConfigError, match="y0"):
         integrate(relaxed, rdc, cfg.omega_m, y0=np.zeros(3))
+    with pytest.raises(ConfigError, match="eps_p_scale"):
+        integrate(relaxed, rdc, cfg.omega_m, eps_p_scale=())
 
 
 def test_probe_off_state_stays_at_steady_state():
@@ -126,6 +128,43 @@ def test_nonfinite_state_is_reported(cfg, monkeypatch):
     rdc = derive_constants(relaxed)
     with pytest.raises(BlowUp):
         om.integrate(relaxed, rdc, cfg.omega_m)
+
+
+def test_stacked_run_matches_separate_runs(monkeypatch):
+    """The two probe amplitudes integrated as one stacked state give, copy by
+    copy, the trajectories of two separate runs, for about half their
+    right-hand-side evaluations; oracle_check integrates once, stacked."""
+    from scipy.integrate import solve_ivp
+
+    import omitlab.oracle as om
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(solve_ivp(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(om, "solve_ivp", counting)
+    cfg = replace(default_config(), Q1=50.0, Q2=50.0)
+    dc = derive_constants(cfg)
+    delta = 0.93 * cfg.omega_m
+    stacked = integrate(cfg, dc, delta, eps_p_scale=(1.0, 0.5))
+    singles = [integrate(cfg, dc, delta, eps_p_scale=s) for s in (1.0, 0.5)]
+    assert isinstance(stacked, tuple) and len(stacked) == 2
+    a0 = abs(solve_steady(cfg, dc=dc).a0)
+    for copy, single in zip(stacked, singles):
+        assert copy.eps_p == single.eps_p
+        np.testing.assert_array_equal(copy.t, single.t)
+        window = single.t >= single.t[-1] / 2
+        assert np.max(np.abs(copy.a[window] - single.a[window])) < 1e-8 * a0
+    nfev = [sol.nfev for sol in calls]
+    assert stacked[0].rhs_evals == stacked[1].rhs_evals == nfev[0]
+    assert nfev[0] <= 0.6 * (nfev[1] + nfev[2])
+
+    calls.clear()
+    rep = oracle_check(cfg, delta)
+    assert len(calls) == 1
+    assert rep.rhs_evals == nfev[0]
 
 
 @pytest.fixture(scope="module")
