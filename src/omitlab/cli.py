@@ -249,8 +249,12 @@ def _cmd_map2d(args, cfg):
     m = sweep_2d(cfg, (args.axis1, g1), (args.axis2, g2),
                  observable=args.observable, delta=delta,
                  branch=args.branch)
-    m = dc_replace(m, axis1_grid=disp1, axis2_grid=disp2)
-    svg = heatmap_svg(disp2, disp1, m.values, title=f"{args.observable} map",
+    # the Delta axis is written in the units of the flag
+    if args.axis1 == "Delta":
+        m = dc_replace(m, axis1_grid=disp1)
+    if args.axis2 == "Delta":
+        m = dc_replace(m, axis2_grid=disp2)
+    svg = heatmap_svg(m.axis2_grid, m.axis1_grid, m.values, title=f"{args.observable} map",
                       xlabel=args.axis2, ylabel=args.axis1) if args.svg else None
     return "", map_csv(m), svg, {"observable": args.observable}
 

@@ -91,6 +91,8 @@ def _delays(ep, delta, method="analytic", h=None, flags=""):
     """
     if method not in ("analytic", "fd", "central-difference"):
         raise ConfigError(f"unknown group-delay method {method!r}")
+    if not np.isfinite(delta).all():
+        raise ConfigError("the detuning must be finite")
     pr = probe_response(ep, delta)
     tp_mag = np.abs(pr.t_p)
     flags = flag_cells(flags, pr.degenerate, errors.DegenerateDenominator)
@@ -101,8 +103,8 @@ def _delays(ep, delta, method="analytic", h=None, flags=""):
             tau = np.imag(-pr.deps_T / pr.t_p)
     else:
         method, step = "central-difference", float(1e-6 * ep.omega_m if h is None else h)
-        if step <= 0:
-            raise ConfigError(f"finite-difference step must be > 0, got {step!r}")
+        if not 0 < step < np.inf:
+            raise ConfigError(f"finite-difference step must lie in (0, inf), got {step!r}")
         delta = np.broadcast_to(delta, tp_mag.shape)  # the stencil stacks on axis 0
         d1 = _fd_slope(ep, delta, step)
         d2 = _fd_slope(ep, delta, step / 2.0)
@@ -169,13 +171,14 @@ class DelayMap:
 def delay_map(cfg, P_grid, L_grid, delta, method="analytic", branch=0):
     """Evaluate the group delay on a (P, L) grid at one detuning.
 
-    L values are rounded to the nearest integer quantum number; branch
-    selects the steady state as in solve_steady. One batched steady-state
-    solve covers the grid; per-cell numerical failures are recorded in the
-    flags matrix and do not abort the map.
+    L values are rounded to the nearest integer quantum number, and L_grid
+    holds the rounded values; branch selects the steady state as in
+    solve_steady. One batched steady-state solve covers the grid; per-cell
+    numerical failures are recorded in the flags matrix and do not abort
+    the map.
     """
     P_grid = np.asarray(P_grid, dtype=float)
-    L_grid = np.asarray(L_grid, dtype=float)
+    L_grid = np.round(np.asarray(L_grid, dtype=float))
     if P_grid.size == 0 or L_grid.size == 0:
         raise ConfigError("delay_map grids must be nonempty")
     delta = float(delta)

@@ -93,6 +93,8 @@ def integrate(cfg, dc, delta, duration=None, tol=1e-10, eps_p_scale=1.0, y0=None
     if not scales:
         raise ConfigError("eps_p_scale must be a float or a non-empty sequence")
     delta = float(delta)
+    if not math.isfinite(delta):
+        raise ConfigError(f"the detuning must be finite, got {delta!r}")
     gamma_min = min(dc.gamma1, dc.gamma2)
     if duration is None:
         duration = _DEFAULT_DAMPING_TIMES / gamma_min

@@ -1,14 +1,17 @@
 """Self-contained static SVG output: line plots and heat maps.
 
-Deliberately minimal, no plotting dependency: a figure is a single SVG
-document with inline polylines or rect cells, a frame, tick labels and an
-optional legend or color bar.
+Deliberately minimal, no plotting dependency. `_figure` writes what both
+figures share (the document, its background, the title and axis labels);
+the renderers add their marks, computed over whole arrays and formatted
+once. Sizes are fixed: 720x460 for a line plot, 720x520 for a heat map.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+_WIDTH = 720
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 28, 46
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -17,10 +20,10 @@ def _esc(s):
     return (str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         return [lo]
-    return list(np.linspace(lo, hi, n))
+    return list(np.linspace(lo, hi, 5))
 
 
 def _fmt_tick(v):
@@ -32,61 +35,34 @@ def _fmt_tick(v):
     return f"{v:.2e}"
 
 
+def _fmt(a):
+    return [f"{v:.2f}" for v in np.asarray(a).tolist()]
+
+
 def _finite_range(arrs):
-    lo, hi = math.inf, -math.inf
-    for a in arrs:
-        a = np.asarray(a, dtype=float)
-        m = np.isfinite(a)
-        if m.any():
-            lo = min(lo, float(a[m].min()))
-            hi = max(hi, float(a[m].max()))
-    if lo > hi:
-        lo, hi = 0.0, 1.0
+    a = np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in arrs] + [[]])
+    a = a[np.isfinite(a)]
+    lo, hi = (float(a.min()), float(a.max())) if a.size else (0.0, 1.0)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
 
 
-def line_svg(x, series, title="", xlabel="", ylabel="", width=720, height=460):
-    """SVG line plot.
-
-    series is a list of (label, y) pairs sharing the x grid; non-finite
-    samples split the polyline. Returns the SVG text.
-    """
-    x = np.asarray(x, dtype=float)
-    xlo, xhi = _finite_range([x])
-    ylo, yhi = _finite_range([y for _, y in series])
-    iw = width - _MARGIN_L - _MARGIN_R
+def _figure(height, iw, title, xlabel, ylabel, under, axes, marks):
+    """SVG text of one figure: the <svg> element and its background, then
+    `under`, the title, `axes`, the axis labels and `marks`, in that order.
+    iw is the width of the plot area."""
     ih = height - _MARGIN_T - _MARGIN_B
-
-    def px(v):
-        return _MARGIN_L + (v - xlo) / (xhi - xlo) * iw
-
-    def py(v):
-        return _MARGIN_T + (yhi - v) / (yhi - ylo) * ih
-
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
-        f'fill="none" stroke="#333" stroke-width="1"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="white"/>',
+        *under,
     ]
     if title:
-        parts.append(f'<text x="{width / 2}" y="18" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2}" y="18" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="13">{_esc(title)}</text>')
-    for tv in _ticks(xlo, xhi):
-        parts.append(f'<line x1="{px(tv):.2f}" y1="{_MARGIN_T + ih}" '
-                     f'x2="{px(tv):.2f}" y2="{_MARGIN_T + ih + 4}" stroke="#333"/>')
-        parts.append(f'<text x="{px(tv):.2f}" y="{_MARGIN_T + ih + 17}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="10">{_fmt_tick(tv)}</text>')
-    for tv in _ticks(ylo, yhi):
-        parts.append(f'<line x1="{_MARGIN_L - 4}" y1="{py(tv):.2f}" '
-                     f'x2="{_MARGIN_L}" y2="{py(tv):.2f}" stroke="#333"/>')
-        parts.append(f'<text x="{_MARGIN_L - 7}" y="{py(tv):.2f}" '
-                     f'text-anchor="end" dominant-baseline="middle" '
-                     f'font-family="sans-serif" font-size="10">{_fmt_tick(tv)}</text>')
+    parts += axes
     if xlabel:
         parts.append(f'<text x="{_MARGIN_L + iw / 2}" y="{height - 8}" '
                      f'text-anchor="middle" font-family="sans-serif" '
@@ -96,45 +72,86 @@ def line_svg(x, series, title="", xlabel="", ylabel="", width=720, height=460):
         parts.append(f'<text x="14" y="{yc}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11" '
                      f'transform="rotate(-90 14 {yc})">{_esc(ylabel)}</text>')
-
-    for k, (label, y) in enumerate(series):
-        y = np.asarray(y, dtype=float)
-        color = _PALETTE[k % len(_PALETTE)]
-        pts = []
-        for xi, yi in zip(x, y):
-            if np.isfinite(yi):
-                pts.append(f"{px(xi):.2f},{py(yi):.2f}")
-            elif pts:
-                parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                             f'stroke="{color}" stroke-width="1.3"/>')
-                pts = []
-        if pts:
-            parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.3"/>')
-        if label:
-            ly = _MARGIN_T + 14 + 14 * k
-            lx = _MARGIN_L + iw - 120
-            parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
-                         f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>')
-            parts.append(f'<text x="{lx + 27}" y="{ly}" font-family="sans-serif" '
-                         f'font-size="10">{_esc(label)}</text>')
+    parts += marks
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _diverging_color(v):
-    """Blue through white to red over v in [-1, 1]."""
-    v = max(-1.0, min(1.0, v))
-    if v < 0:
-        t = 1.0 + v
-        r, g, b = int(59 + t * 196), int(76 + t * 179), 255
-    else:
-        t = 1.0 - v
-        r, g, b = 255, int(76 + t * 179), int(59 + t * 196)
-    return f"rgb({r},{g},{b})"
+def line_svg(x, series, title="", xlabel="", ylabel=""):
+    """SVG line plot.
+
+    series is a list of (label, y) pairs sharing the x grid; non-finite
+    samples split the polyline. Returns the SVG text.
+    """
+    x = np.asarray(x, dtype=float)
+    xlo, xhi = _finite_range([x])
+    ylo, yhi = _finite_range([y for _, y in series])
+    height = 460
+    iw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ih = height - _MARGIN_T - _MARGIN_B
+
+    def px(v):
+        return _MARGIN_L + (v - xlo) / (xhi - xlo) * iw
+
+    def py(v):
+        return _MARGIN_T + (yhi - v) / (yhi - ylo) * ih
+
+    axes = []
+    for tv in _ticks(xlo, xhi):
+        tx = f"{px(tv):.2f}"
+        axes.append(f'<line x1="{tx}" y1="{_MARGIN_T + ih}" '
+                    f'x2="{tx}" y2="{_MARGIN_T + ih + 4}" stroke="#333"/>')
+        axes.append(f'<text x="{tx}" y="{_MARGIN_T + ih + 17}" '
+                    f'text-anchor="middle" font-family="sans-serif" '
+                    f'font-size="10">{_fmt_tick(tv)}</text>')
+    for tv in _ticks(ylo, yhi):
+        ty = f"{py(tv):.2f}"
+        axes.append(f'<line x1="{_MARGIN_L - 4}" y1="{ty}" '
+                    f'x2="{_MARGIN_L}" y2="{ty}" stroke="#333"/>')
+        axes.append(f'<text x="{_MARGIN_L - 7}" y="{ty}" '
+                    f'text-anchor="end" dominant-baseline="middle" '
+                    f'font-family="sans-serif" font-size="10">{_fmt_tick(tv)}</text>')
+
+    xs = _fmt(px(x))
+    marks = []
+    for k, (label, y) in enumerate(series):
+        y = np.asarray(y, dtype=float)
+        color = _PALETTE[k % len(_PALETTE)]
+        pts = [f"{a},{b:.2f}" for a, b in zip(xs, py(y).tolist())]
+        # the runs of finite samples start and stop where the mask flips
+        edges = np.flatnonzero(np.diff(np.isfinite(y[:len(pts)]),
+                                       prepend=False, append=False)).tolist()
+        for a, b in zip(edges[::2], edges[1::2]):
+            marks.append(f'<polyline points="{" ".join(pts[a:b])}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.3"/>')
+        if label:
+            ly = _MARGIN_T + 14 + 14 * k
+            lx = _MARGIN_L + iw - 120
+            marks.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
+                         f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>')
+            marks.append(f'<text x="{lx + 27}" y="{ly}" font-family="sans-serif" '
+                         f'font-size="10">{_esc(label)}</text>')
+    frame = (f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
+             f'fill="none" stroke="#333" stroke-width="1"/>')
+    return _figure(height, iw, title, xlabel, ylabel, [frame], axes, marks)
 
 
-def heatmap_svg(x, y, z, title="", xlabel="", ylabel="", width=720, height=520):
+def _diverging_colors(v):
+    """Blue through white to red over v in [-1, 1], grey where v is not
+    finite: one color per element of v, in C order."""
+    v = np.ravel(v)
+    ok = np.isfinite(v)
+    # 1 - |v| is 1 + v exactly for v < 0, and the channels are positive, so
+    # astype(int) truncates as int() does
+    t = 1.0 - np.abs(np.where(ok, v, 0.0))
+    outer = (59 + t * 196).astype(int).tolist()
+    mid = (76 + t * 179).astype(int).tolist()
+    return [("#bbbbbb" if not o else f"rgb({c},{g},255)" if neg
+             else f"rgb(255,{g},{c})")
+            for o, neg, c, g in zip(ok.tolist(), (v < 0).tolist(), outer, mid)]
+
+
+def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     """SVG heat map of z[i, j] at (x[j], y[i]), diverging scale centered at 0
     when z takes both signs. Non-finite cells are drawn grey."""
     x = np.asarray(x, dtype=float)
@@ -148,68 +165,39 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel="", width=720, height=520):
     if vmax == 0:
         vmax = 1.0
     signed = finite.size > 0 and finite.min() < 0 < finite.max()
-    iw = width - _MARGIN_L - _MARGIN_R - 58
+    height = 520
+    iw = _WIDTH - _MARGIN_L - _MARGIN_R - 58
     ih = height - _MARGIN_T - _MARGIN_B
     cw, ch = iw / x.size, ih / y.size
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{width / 2}" y="18" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13">{_esc(title)}</text>')
-    for i in range(y.size):
-        for j in range(x.size):
-            v = z[i, j]
-            if not np.isfinite(v):
-                color = "#bbbbbb"
-            elif signed:
-                color = _diverging_color(v / vmax)
-            else:
-                color = _diverging_color(abs(v) / vmax)
-            cx = _MARGIN_L + j * cw
-            cy = _MARGIN_T + ih - (i + 1) * ch
-            parts.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cw + 0.5:.2f}" '
-                         f'height="{ch + 0.5:.2f}" fill="{color}"/>')
-    parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw:.2f}" '
-                 f'height="{ih}" fill="none" stroke="#333"/>')
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    rows = _fmt(_MARGIN_T + ih - np.arange(1, y.size + 1) * ch)
+    cols = _fmt(_MARGIN_L + np.arange(x.size) * cw)
+    colors = _diverging_colors((z if signed else np.abs(z)) / vmax)
+    axes = [f'<rect x="{cx}" y="{cy}" {size} fill="{c}"/>'
+            for (cy, cx), c in zip(itertools.product(rows, cols), colors)]
+    axes.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw:.2f}" '
+                f'height="{ih}" fill="none" stroke="#333"/>')
     for tv in _ticks(float(x.min()), float(x.max())):
         tx = _MARGIN_L + (tv - x.min()) / (x.max() - x.min() or 1.0) * iw
-        parts.append(f'<text x="{tx:.2f}" y="{_MARGIN_T + ih + 15}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="10">{_fmt_tick(tv)}</text>')
+        axes.append(f'<text x="{tx:.2f}" y="{_MARGIN_T + ih + 15}" '
+                    f'text-anchor="middle" font-family="sans-serif" '
+                    f'font-size="10">{_fmt_tick(tv)}</text>')
     for tv in _ticks(float(y.min()), float(y.max())):
         ty = _MARGIN_T + ih - (tv - y.min()) / (y.max() - y.min() or 1.0) * ih
-        parts.append(f'<text x="{_MARGIN_L - 6}" y="{ty:.2f}" text-anchor="end" '
-                     f'dominant-baseline="middle" font-family="sans-serif" '
-                     f'font-size="10">{_fmt_tick(tv)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_MARGIN_L + iw / 2}" y="{height - 8}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{_esc(xlabel)}</text>')
-    if ylabel:
-        yc = _MARGIN_T + ih / 2
-        parts.append(f'<text x="14" y="{yc}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11" '
-                     f'transform="rotate(-90 14 {yc})">{_esc(ylabel)}</text>')
+        axes.append(f'<text x="{_MARGIN_L - 6}" y="{ty:.2f}" text-anchor="end" '
+                    f'dominant-baseline="middle" font-family="sans-serif" '
+                    f'font-size="10">{_fmt_tick(tv)}</text>')
 
-    # color bar
+    # color bar: 64 segments from the bottom of the scale to its top
     bx = _MARGIN_L + iw + 16
-    nseg = 64
-    for k in range(nseg):
-        frac = k / (nseg - 1)
-        v = (2 * frac - 1) if signed else frac
-        cy = _MARGIN_T + ih * (1 - (k + 1) / nseg)
-        parts.append(f'<rect x="{bx}" y="{cy:.2f}" width="14" '
-                     f'height="{ih / nseg + 0.5:.2f}" '
-                     f'fill="{_diverging_color(v)}"/>')
-    top = vmax
-    bot = -vmax if signed else 0.0
-    parts.append(f'<text x="{bx + 18}" y="{_MARGIN_T + 4}" '
-                 f'font-family="sans-serif" font-size="10">{_fmt_tick(top)}</text>')
-    parts.append(f'<text x="{bx + 18}" y="{_MARGIN_T + ih}" '
-                 f'font-family="sans-serif" font-size="10">{_fmt_tick(bot)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    frac = np.arange(64) / 63
+    seg = _fmt(_MARGIN_T + ih * (1 - np.arange(1, 65) / 64))
+    marks = [f'<rect x="{bx}" y="{cy}" width="14" height="{ih / 64 + 0.5:.2f}" '
+             f'fill="{c}"/>'
+             for cy, c in zip(seg, _diverging_colors(2 * frac - 1 if signed else frac))]
+    marks.append(f'<text x="{bx + 18}" y="{_MARGIN_T + 4}" '
+                 f'font-family="sans-serif" font-size="10">{_fmt_tick(vmax)}</text>')
+    marks.append(f'<text x="{bx + 18}" y="{_MARGIN_T + ih}" font-family="sans-serif" '
+                 f'font-size="10">{_fmt_tick(-vmax if signed else 0.0)}</text>')
+    return _figure(height, iw, title, xlabel, ylabel, [], axes, marks)

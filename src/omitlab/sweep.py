@@ -229,8 +229,9 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
     Delta; the Delta axis feeds the response detuning directly instead of the
     configuration. observable is "nu_p" or "tau_g", evaluated at the Delta
     axis values or at the fixed delta argument. L grids are rounded to
-    integer quantum numbers. The whole grid is one batched evaluation;
-    per-cell numerical failures are flagged, not raised.
+    integer quantum numbers, and the map holds the rounded grid. The whole
+    grid is one batched evaluation; per-cell numerical failures are flagged,
+    not raised.
     """
     (n1, g1), (n2, g2) = axis1, axis2
     for n in (n1, n2):
@@ -242,6 +243,7 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
         raise ConfigError(f"observable must be nu_p or tau_g, got {observable!r}")
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
+    g1, g2 = (np.round(g) if n == "L" else g for n, g in ((n1, g1), (n2, g2)))
     if g1.size == 0 or g2.size == 0:
         raise ConfigError("axis grids must be nonempty")
     if "Delta" not in (n1, n2) and delta is None:
@@ -290,7 +292,7 @@ def map_csv(m):
 
 
 def delay_map_csv(dm):
-    P_mW, L = np.meshgrid(dm.P_grid * 1e3, np.round(dm.L_grid).astype(int),
+    P_mW, L = np.meshgrid(dm.P_grid * 1e3, dm.L_grid.astype(int),
                           indexing="ij")
     return render_csv(DELAY_MAP_HEADER, _rows(
         P_mW, L, dm.tau_g * 1e6, dm.classification, dm.flags))

@@ -155,6 +155,11 @@ def test_map2d_delta_axis_units(tmp_path):
     cfg = default_config()
     bare = 2 * cfg.kappa ** 2 / (cfg.kappa ** 2 + (cfg.omega_m - 0.9 * cfg.omega_m) ** 2)
     assert float(rows[0][2]) == pytest.approx(bare, rel=1e-12)
+    # an L axis is written at the integer quantum numbers it was computed at
+    assert main(["map2d", "--axis1", "L", "--grid1", "0:10:4",
+                 "--axis2", "Delta", "--grid2", "0.9:1.1:2",
+                 "--out", str(out)]) == 0
+    assert [r[0] for r in _rows(_read(out))[1][::2]] == ["0.0", "3.0", "7.0", "10.0"]
 
 
 def test_map2d_grid_validation():
@@ -264,6 +269,18 @@ def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
     (["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0",
       "--out", "o.json"], 2),
     (["steady", "--out", os.path.join("missing", "x.txt")], 1),
+    # a non-finite detuning or finite-difference step
+    (["delay", "--delta", "nan", "--out", "d.json"], 1),
+    (["delay", "--delta", "1.0", "--method", "fd", "--fd-step", "nan",
+      "--out", "d.json"], 1),
+    (["map2d", "--axis1", "L", "--grid1", "0:100:2", "--axis2", "Delta",
+      "--grid2", "nan:1.5:2", "--out", "m.csv"], 1),
+    (["map2d", "--axis1", "P", "--grid1", "0.001:0.002:2", "--axis2", "L",
+      "--grid2", "0:100:2", "--delta", "nan", "--out", "m.csv"], 1),
+    (["delay-map", "--delta", "inf", "--p-points", "2", "--l-points", "2",
+      "--out", "dm.csv"], 1),
+    (["spectrum", "--delta-min", "nan", "--out", "s.csv"], 1),
+    (["oracle", "--delta", "nan", "--out", "o.json"], 1),
 ])
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code):
     """An output path that its SVG would overwrite, or one in a directory

@@ -255,6 +255,7 @@ def test_delay_map_rounds_oam():
     dm = delay_map(cfg, [1e-6], [99.6], 1.1 * cfg.omega_m)
     direct = delay_map(cfg, [1e-6], [100], 1.1 * cfg.omega_m)
     assert dm.cells[0][0].tau_g == direct.cells[0][0].tau_g
+    assert dm.L_grid.tolist() == [100.0]
 
 
 def test_delay_map_sign_change_along_oam():

@@ -68,3 +68,42 @@ def test_heatmap_svg_marks_nonfinite_cells():
 def test_heatmap_svg_shape_mismatch():
     with pytest.raises(ValueError):
         heatmap_svg(np.array([0.0, 1.0]), np.array([0.0]), np.zeros((3, 3)))
+
+
+def _cell_fills(text, n):
+    return [r.get("fill") for r in _parse(text).findall(f"{SVG_NS}rect")[1:1 + n]]
+
+
+@pytest.mark.parametrize("z, fills", [
+    # signed data: the scale runs from -max|z| to +max|z|
+    ([-1.0, -0.5, 0.0, 0.5, 1.0], ["rgb(59,76,255)", "rgb(157,165,255)",
+                                   "rgb(255,255,255)", "rgb(255,165,157)",
+                                   "rgb(255,76,59)"]),
+    # unsigned data: |z| from 0 to max|z|, whatever its sign
+    ([0.0, 0.5, 1.0], ["rgb(255,255,255)", "rgb(255,165,157)", "rgb(255,76,59)"]),
+    ([-1.0, -0.5, -0.0], ["rgb(255,76,59)", "rgb(255,165,157)", "rgb(255,255,255)"]),
+    ([0.0, 0.0, 0.0], ["rgb(255,255,255)"] * 3),
+])
+def test_heatmap_svg_cell_colors(z, fills):
+    z = np.array([z])
+    text = heatmap_svg(np.arange(z.shape[1], dtype=float), np.array([0.0]), z)
+    assert _cell_fills(text, z.size) == fills
+
+
+def test_line_svg_draws_the_inner_runs():
+    x = np.linspace(0.0, 1.0, 6)
+    y = np.array([np.nan, 1.0, 2.0, np.nan, 3.0, np.nan])
+    polylines = _parse(line_svg(x, [("s", y)])).findall(f"{SVG_NS}polyline")
+    xs = [[float(p.split(",")[0]) for p in pl.get("points").split()]
+          for pl in polylines]
+    # x maps [0, 1] onto the 632-unit plot width starting at 64
+    assert xs == [[64 + 632 * 0.2, 64 + 632 * 0.4], [64 + 632 * 0.8]]
+
+
+def test_line_svg_all_nan_series_keeps_its_legend():
+    x = np.linspace(0.0, 1.0, 5)
+    text = line_svg(x, [("gone", np.full(5, np.nan))])
+    root = _parse(text)
+    assert root.findall(f"{SVG_NS}polyline") == []
+    assert "gone" in [t.text for t in root.findall(f"{SVG_NS}text")]
+    assert 'stroke="#1f77b4" stroke-width="1.6"' in text
