@@ -31,8 +31,8 @@ from .model import (FixedEffective, SelfConsistent, config_fingerprint,
 from .oracle import _THRESHOLDS, oracle_check
 from .steadystate import residual, solve_steady, steady_state_self_consistent
 from .svgplot import heatmap_svg, line_svg
-from .sweep import (delay_map_csv, find_dips, map_csv, spectrum_csv,
-                    spectrum_sweep, sweep_2d)
+from .sweep import (_AXIS_NAMES, delay_map_csv, find_dips, map_csv,
+                    spectrum_csv, spectrum_sweep, sweep_2d)
 from .util import atomic_write
 
 _KAPPA_NOTE = ("kappa default 2*pi*15e6 rad/s; the reference parameter list "
@@ -350,12 +350,10 @@ def build_parser():
 
     sp = sub.add_parser("map2d", help="observable over two parameter axes")
     _add_common(sp, svg=True, branch=True)
-    sp.add_argument("--axis1", required=True,
-                    choices=("P", "L", "kappa", "Q1", "Q2", "Delta"))
+    sp.add_argument("--axis1", required=True, choices=_AXIS_NAMES)
     sp.add_argument("--grid1", required=True, help="start:stop:points "
                     "(Delta in units of omega_m, others SI)")
-    sp.add_argument("--axis2", required=True,
-                    choices=("P", "L", "kappa", "Q1", "Q2", "Delta"))
+    sp.add_argument("--axis2", required=True, choices=_AXIS_NAMES)
     sp.add_argument("--grid2", required=True, help="start:stop:points")
     sp.add_argument("--observable", choices=("nu_p", "tau_g"), default="nu_p")
     sp.add_argument("--delta", type=float, default=None,

@@ -89,7 +89,7 @@ def _delays(ep, delta, method="analytic", h=None, flags=""):
     StepTooLarge where the Richardson pair disagrees beyond 1e-4 relative.
     A flagged cell has tau_g nan and classification "".
     """
-    if method not in ("analytic", "fd", "central-difference"):
+    if method not in ("analytic", "fd"):
         raise ConfigError(f"unknown group-delay method {method!r}")
     if not np.isfinite(delta).all():
         raise ConfigError("the detuning must be finite")

@@ -17,7 +17,7 @@ frequency-valued fields and converts at the boundary.
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,9 +27,6 @@ from .util import fingerprint_dict, with_python_scalars
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
-
-_FREQ_UNITS = ("rad/s", "Hz", "units_of_omega_m")
-
 
 @dataclass(frozen=True)
 class FixedEffective:
@@ -59,10 +56,11 @@ def _check_finite(name, x):
         raise ConfigError(f"{name} must be finite, got {x!r}")
 
 
-def _check_positive(name, x):
-    _check_finite(name, x)
-    if x <= 0:
-        raise ConfigError(f"{name} must be > 0, got {x!r}")
+def _num(low, strict=False, kind="number"):
+    """A numeric PhysicalConfig field: finite, >= low (> low if strict) and
+    written in JSON as kind, "number", "integer" (nonnegative, low 0) or
+    "frequency" (rad/s, or a value/unit object)."""
+    return field(metadata={"low": low, "strict": strict, "kind": kind})
 
 
 @dataclass(frozen=True)
@@ -95,41 +93,27 @@ class PhysicalConfig:
     detuning_mode : FixedEffective | SelfConsistent
     """
 
-    lambda_c: float
-    P: float
-    P_p: float
-    L: int
-    m: float
-    R: float
-    cav_len: float
-    kappa: float
-    omega_phi1: float
-    omega_phi2: float
-    Q1: float
-    Q2: float
-    omega_m: float
+    lambda_c: float = _num(0.0, strict=True)
+    P: float = _num(0.0)
+    P_p: float = _num(0.0)
+    L: int = _num(0, kind="integer")
+    m: float = _num(0.0, strict=True)
+    R: float = _num(0.0, strict=True)
+    cav_len: float = _num(0.0, strict=True)
+    kappa: float = _num(0.0, strict=True, kind="frequency")
+    omega_phi1: float = _num(0.0, strict=True, kind="frequency")
+    omega_phi2: float = _num(0.0, strict=True, kind="frequency")
+    Q1: float = _num(1.0)
+    Q2: float = _num(1.0)
+    omega_m: float = _num(0.0, strict=True, kind="frequency")
     detuning_mode: object
 
     def __post_init__(self):
-        for name in ("lambda_c", "m", "R", "cav_len", "kappa",
-                     "omega_phi1", "omega_phi2", "omega_m"):
-            _check_positive(name, getattr(self, name))
-        for name in ("P", "P_p"):
-            v = getattr(self, name)
-            _check_finite(name, v)
-            if v < 0:
-                raise ConfigError(f"{name} must be >= 0, got {v!r}")
-        L = self.L
-        if isinstance(L, bool) or (not isinstance(L, int) and float(L) != int(L)):
-            raise ConfigError(f"L must be a nonnegative integer, got {L!r}")
-        object.__setattr__(self, "L", int(L))
-        if self.L < 0:
-            raise ConfigError(f"L must be a nonnegative integer, got {L!r}")
-        for name in ("Q1", "Q2"):
-            v = getattr(self, name)
-            _check_finite(name, v)
-            if v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v!r}")
+        for name, rule in _RULES.items():
+            x = getattr(self, name)
+            _check_field(name, x)
+            if rule["kind"] == "integer":
+                object.__setattr__(self, name, int(x))
         if not isinstance(self.detuning_mode, (FixedEffective, SelfConsistent)):
             raise ConfigError(
                 f"detuning_mode must be FixedEffective or SelfConsistent, "
@@ -140,6 +124,31 @@ class PhysicalConfig:
             warnings.warn(
                 f"omega_m = {self.omega_m:g} differs from the mirror-frequency "
                 f"midpoint {mid:g} by more than 1e-9 relative", stacklevel=2)
+
+
+# the rule of each numeric field, in declaration order (config_to_dict's key order)
+_RULES = {f.name: f.metadata for f in fields(PhysicalConfig) if f.metadata}
+
+
+def _check_field(name, x):
+    """Raise ConfigError unless x, a Python scalar or an array of values of
+    field name, obeys its rule; the message names the first bad value."""
+    rule = _RULES[name]
+    low, strict, integer = rule["low"], rule["strict"], rule["kind"] == "integer"
+    if isinstance(x, np.ndarray):
+        ok = np.isfinite(x) & ((x > low) if strict else (x >= low))
+        if integer:
+            ok &= x == np.round(x)
+        if ok.all():
+            return
+        x = x[~ok].flat[0].item()
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {x!r}")
+    if integer:
+        if isinstance(x, bool) or x != int(x) or x < low:
+            raise ConfigError(f"{name} must be a nonnegative integer, got {x!r}")
+    elif not (x > low if strict else x >= low):
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -190,16 +199,15 @@ def derive_constants(cfg):
 
 def config_grid(cfg, **axes):
     """cfg with the named numeric fields replaced by arrays that broadcast
-    against each other. Each value is validated once through PhysicalConfig,
-    so an invalid one raises ConfigError; L values are rounded to the
+    against each other. Each axis is checked against its field's rule, so
+    an invalid value raises ConfigError; L values are rounded to the
     nearest integer quantum number."""
     grid = dict(vars(cfg))
     for name, values in axes.items():
         values = np.asarray(values, dtype=float)
-        if name == "L":
+        if _RULES[name]["kind"] == "integer":
             values = np.round(values)
-        for v in values.ravel():
-            dc_replace(cfg, **{name: int(v) if name == "L" else float(v)})
+        _check_field(name, values)
         grid[name] = values
     return SimpleNamespace(**grid)
 
@@ -276,44 +284,47 @@ def default_config():
 # ---------------------------------------------------------------------------
 # JSON boundary
 
-def _freq_from_json(name, raw, omega_m):
-    """Accept a bare number (rad/s) or {"value": x, "unit": u}."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name}: expected a number or a value/unit object, got {raw!r}")
-    extra = set(raw) - {"value", "unit"}
-    if extra or "value" not in raw:
-        raise ConfigError(f"{name}: value/unit object malformed: {raw!r}")
-    unit = raw.get("unit", "rad/s")
-    if unit not in _FREQ_UNITS:
-        raise ConfigError(f"{name}: unknown unit {unit!r}, expected one of {_FREQ_UNITS}")
-    try:
-        v = float(raw["value"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: value is not numeric: {raw['value']!r}")
-    if unit == "Hz":
-        return 2.0 * math.pi * v
-    if unit == "units_of_omega_m":
-        if omega_m is None:
+def _from_json(name, raw, kind, omega_m=None):
+    """The value of a field of JSON form kind (see _num) from its JSON value
+    raw: a number, or for a frequency also {"value": x, "unit": u}, where
+    "units_of_omega_m" needs omega_m."""
+    if kind == "frequency" and isinstance(raw, dict):
+        if set(raw) - {"value", "unit"} or "value" not in raw:
+            raise ConfigError(f"{name}: value/unit object malformed: {raw!r}")
+        scale = {"rad/s": 1.0, "Hz": 2.0 * math.pi, "units_of_omega_m": omega_m}
+        unit = raw.get("unit", "rad/s")
+        if not isinstance(unit, str) or unit not in scale:
+            raise ConfigError(f"{name}: unknown unit {unit!r}, "
+                              f"expected one of {tuple(scale)}")
+        if scale[unit] is None:
             raise ConfigError(f"{name}: units_of_omega_m is not allowed for omega_m itself")
-        return v * omega_m
-    return v
+        return scale[unit] * _from_json(f"{name}.value", raw["value"], "number")
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{name}: expected a number, got {raw!r}")
+    try:
+        v = float(raw)
+    except OverflowError:
+        raise ConfigError(f"{name}: {raw} is out of range") from None
+    if kind != "integer":
+        return v
+    if not v.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {raw!r}")
+    return int(v)
 
 
 def config_from_dict(d):
     """Build a PhysicalConfig from a plain dict (parsed JSON).
 
     Keys are exactly the PhysicalConfig field names; an optional "notes" key
-    is ignored. Frequency fields and the detuning value take value/unit
-    wrappers; "units_of_omega_m" is resolved against the omega_m entry.
+    is ignored. Values are JSON numbers, L an integer; frequency fields and
+    the detuning value take value/unit wrappers, and "units_of_omega_m" is
+    resolved against the omega_m entry.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
     d = dict(d)
     d.pop("notes", None)
-    known = {"lambda_c", "P", "P_p", "L", "m", "R", "cav_len", "kappa",
-             "omega_phi1", "omega_phi2", "Q1", "Q2", "omega_m", "detuning_mode"}
+    known = {f.name for f in fields(PhysicalConfig)}
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -321,27 +332,14 @@ def config_from_dict(d):
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-    omega_m = _freq_from_json("omega_m", d["omega_m"], None)
-    kw = {}
-    for name in ("lambda_c", "P", "P_p", "m", "R", "cav_len", "Q1", "Q2"):
-        try:
-            kw[name] = float(d[name])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected a number, got {d[name]!r}")
-    try:
-        kw["L"] = int(d["L"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"L: expected an integer, got {d['L']!r}")
-    if kw["L"] != d["L"]:
-        raise ConfigError(f"L: expected an integer, got {d['L']!r}")
-    for name in ("kappa", "omega_phi1", "omega_phi2"):
-        kw[name] = _freq_from_json(name, d[name], omega_m)
-    kw["omega_m"] = omega_m
+    omega_m = _from_json("omega_m", d["omega_m"], "frequency")
+    kw = {name: _from_json(name, d[name], rule["kind"], omega_m)
+          for name, rule in _RULES.items()}
 
     dm = d["detuning_mode"]
     if not isinstance(dm, dict) or set(dm) - {"mode", "value"} or "mode" not in dm:
         raise ConfigError(f"detuning_mode must be {{mode, value}}, got {dm!r}")
-    val = _freq_from_json("detuning_mode.value", dm.get("value"), omega_m)
+    val = _from_json("detuning_mode.value", dm.get("value"), "frequency", omega_m)
     if dm["mode"] == FixedEffective.mode:
         kw["detuning_mode"] = FixedEffective(val)
     elif dm["mode"] == SelfConsistent.mode:
@@ -356,25 +354,19 @@ def config_from_dict(d):
 def config_from_json(text):
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to read
         raise ConfigError(f"config is not valid JSON: {e}")
     return config_from_dict(d)
 
 
 def config_to_dict(cfg, notes=None):
     """Canonical dict form; frequencies emitted as rad/s value/unit objects."""
-    d = {
-        "lambda_c": cfg.lambda_c, "P": cfg.P, "P_p": cfg.P_p, "L": cfg.L,
-        "m": cfg.m, "R": cfg.R, "cav_len": cfg.cav_len,
-        "kappa": {"value": cfg.kappa, "unit": "rad/s"},
-        "omega_phi1": {"value": cfg.omega_phi1, "unit": "rad/s"},
-        "omega_phi2": {"value": cfg.omega_phi2, "unit": "rad/s"},
-        "Q1": cfg.Q1, "Q2": cfg.Q2,
-        "omega_m": {"value": cfg.omega_m, "unit": "rad/s"},
-        "detuning_mode": {"mode": cfg.detuning_mode.mode,
-                          "value": {"value": cfg.detuning_mode.value,
-                                    "unit": "rad/s"}},
-    }
+    mode = cfg.detuning_mode
+    d = {name: {"value": getattr(cfg, name), "unit": "rad/s"}
+         if rule["kind"] == "frequency" else getattr(cfg, name)
+         for name, rule in _RULES.items()}
+    d["detuning_mode"] = {"mode": mode.mode,
+                          "value": {"value": mode.value, "unit": "rad/s"}}
     if notes:
         d["notes"] = notes
     return d

@@ -160,6 +160,12 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     if z.shape != (y.size, x.size):
         raise ValueError(f"z shape {z.shape} does not match grids "
                          f"({y.size}, {x.size})")
+    # the ticks run from the minimum up, so a descending axis is reversed
+    # together with its cells
+    if x.size and x[-1] < x[0]:
+        x, z = x[::-1], z[:, ::-1]
+    if y.size and y[-1] < y[0]:
+        y, z = y[::-1], z[::-1]
     finite = z[np.isfinite(z)]
     vmax = float(np.max(np.abs(finite))) if finite.size else 1.0
     if vmax == 0:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omitlab import (config_fingerprint, config_from_json, default_config,
-                     effective_params, group_delay, solve_steady)
+from omitlab import (config_fingerprint, config_from_json, config_to_json,
+                     default_config, effective_params, group_delay,
+                     solve_steady)
 from omitlab.cli import main
 
 
@@ -306,6 +307,18 @@ def test_exit_code_config_error(capsys):
     assert main(["steady", "--P", "-1"]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["spectrum", "--config", "/no/such/file.json"]) == 1
+
+
+def test_infinite_oam_in_config_exits_one(tmp_path, capsys):
+    """Python's json reads Infinity; as L it is one error line and exit 1,
+    and the run writes no file."""
+    path = tmp_path / "config.json"
+    path.write_text(config_to_json(default_config()).replace('"L": 100', '"L": Infinity'))
+    out = tmp_path / "steady.txt"
+    assert main(["steady", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("omitlab: error: L") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_exit_code_numerical_error(capsys):

@@ -186,8 +186,9 @@ def test_step_too_large_near_narrow_window(ep, ss):
 
 
 def test_method_and_step_validation(ep, ss):
-    with pytest.raises(ConfigError):
-        group_delay(ep, ss.a0, OMEGA_M, method="secret")
+    for method in ("secret", "central-difference"):  # the label is not a method
+        with pytest.raises(ConfigError):
+            group_delay(ep, ss.a0, OMEGA_M, method=method)
     with pytest.raises(ConfigError):
         group_delay(ep, ss.a0, OMEGA_M, method="fd", h=-1.0)
 

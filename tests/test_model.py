@@ -13,6 +13,7 @@ from omitlab import (ConfigError, FixedEffective, SelfConsistent,
                      config_fingerprint, config_from_dict, config_from_json,
                      config_to_dict, config_to_json, default_config,
                      derive_constants, effective_params, solve_steady)
+from omitlab.model import config_grid
 
 
 def test_moment_of_inertia(dc):
@@ -80,14 +81,23 @@ def test_coupling_proportional_to_oam():
     assert d300.g1 == pytest.approx(3.0 * d100.g1, rel=1e-14)
 
 
+def _assert_rejected_alone_and_on_a_grid(field, value):
+    """value is a ConfigError for field both in a PhysicalConfig and as a
+    1-element config_grid axis, with the same message."""
+    with pytest.raises(ConfigError) as alone:
+        replace(default_config(), **{field: value})
+    with pytest.raises(ConfigError) as grid:
+        config_grid(default_config(), **{field: [value]})
+    assert str(grid.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("field,value", [
     ("m", -1.0), ("m", 0.0), ("R", 0.0), ("cav_len", -2.0),
     ("kappa", 0.0), ("lambda_c", 0.0), ("P", -1e-3), ("P_p", -1e-9),
     ("Q1", 0.5), ("Q2", 0.0), ("omega_phi1", -1.0),
 ])
 def test_rejects_nonphysical_values(field, value):
-    with pytest.raises(ConfigError):
-        replace(default_config(), **{field: value})
+    _assert_rejected_alone_and_on_a_grid(field, value)
 
 
 def test_rejects_bad_oam():
@@ -98,13 +108,16 @@ def test_rejects_bad_oam():
     # an integral float is accepted and coerced
     c = replace(default_config(), L=3.0)
     assert c.L == 3 and isinstance(c.L, int)
+    # a grid rejects -1 the same way, but rounds 1.5 to the nearest quantum
+    # number
+    _assert_rejected_alone_and_on_a_grid("L", -1.0)
+    assert config_grid(default_config(), L=[1.5, 3.2]).L.tolist() == [2.0, 3.0]
 
 
 def test_rejects_nonfinite():
-    with pytest.raises(ConfigError):
-        replace(default_config(), kappa=float("nan"))
-    with pytest.raises(ConfigError):
-        replace(default_config(), P=float("inf"))
+    for field, value in (("kappa", float("nan")), ("P", float("inf")),
+                         ("L", float("inf")), ("L", float("nan"))):
+        _assert_rejected_alone_and_on_a_grid(field, value)
 
 
 def test_midpoint_warning():
@@ -162,6 +175,8 @@ def test_omega_m_cannot_be_relative(cfg):
 def test_json_schema_errors(cfg):
     with pytest.raises(ConfigError):
         config_from_json("not json {")
+    with pytest.raises(ConfigError):  # more digits than Python reads
+        config_from_json('{"P": ' + "9" * 5000 + "}")
     d = config_to_dict(cfg)
     d["surprise"] = 1
     with pytest.raises(ConfigError, match="unknown"):
@@ -178,6 +193,15 @@ def test_json_schema_errors(cfg):
     d["L"] = 99.5
     with pytest.raises(ConfigError, match="L"):
         config_from_dict(d)
+    # a JSON string or boolean is not a number, also inside a value/unit
+    # object, and an integer too large for a float is out of range
+    for key, raw in (("P", "0.002"), ("Q1", True), ("L", True), ("L", float("inf")),
+                     ("kappa", {"value": "9.4e7"}), ("kappa", {"value": True}),
+                     ("omega_m", False), ("P", 10 ** 400)):
+        d = config_to_dict(cfg)
+        d[key] = raw
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(d)
 
 
 def test_fingerprint_sensitivity(cfg):

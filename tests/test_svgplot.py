@@ -65,6 +65,16 @@ def test_heatmap_svg_marks_nonfinite_cells():
     assert "#bbbbbb" in text
 
 
+def test_heatmap_svg_draws_a_descending_grid_ascending():
+    """A descending axis is drawn as the ascending one with its cells
+    reversed, so each cell stays under its own tick."""
+    x, y = np.array([0.9, 1.0, 1.1]), np.array([10.0, 20.0])
+    z = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    text = heatmap_svg(x, y, z, xlabel="x", ylabel="y")
+    assert heatmap_svg(x[::-1], y, z[:, ::-1], xlabel="x", ylabel="y") == text
+    assert heatmap_svg(x, y[::-1], z[::-1], xlabel="x", ylabel="y") == text
+
+
 def test_heatmap_svg_shape_mismatch():
     with pytest.raises(ValueError):
         heatmap_svg(np.array([0.0, 1.0]), np.array([0.0]), np.zeros((3, 3)))
