@@ -27,8 +27,7 @@ from .oracle import (DemodulationReport, OdeSeries, OracleReport, demodulate,
 from .response import (ProbeResponse, SidebandAmplitudes, eps_out_zero,
                        lambda_j, probe_response, sideband_amplitudes,
                        sideband_linear_solve)
-from .steadystate import (SteadyState, solve_steady, steady_state_fixed,
-                          steady_state_self_consistent)
+from .steadystate import SteadyState, solve_steady, steady_states
 from .sweep import (DipReport, Map2D, SpectrumSeries, default_delta_grid,
                     delay_map_csv, find_dips, map_csv, spectrum_csv,
                     spectrum_sweep, sweep_2d)
@@ -43,8 +42,7 @@ __all__ = [
     "config_fingerprint", "config_from_dict", "config_from_json",
     "config_to_dict", "config_to_json", "default_config", "derive_constants",
     "effective_params",
-    "SteadyState", "solve_steady", "steady_state_fixed",
-    "steady_state_self_consistent",
+    "SteadyState", "solve_steady", "steady_states",
     "ProbeResponse", "SidebandAmplitudes", "eps_out_zero", "lambda_j",
     "probe_response", "sideband_amplitudes", "sideband_linear_solve",
     "DelayMap", "DelayResult", "delay_map", "group_delay", "tau_g_analytic",

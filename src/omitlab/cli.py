@@ -29,7 +29,7 @@ from .model import (FixedEffective, SelfConsistent, config_fingerprint,
                     config_from_json, config_to_dict, config_to_json,
                     default_config, derive_constants, effective_params)
 from .oracle import _THRESHOLDS, oracle_check
-from .steadystate import residual, solve_steady, steady_state_self_consistent
+from .steadystate import residual, solve_steady, steady_states
 from .svgplot import heatmap_svg, line_svg
 from .sweep import (_AXIS_NAMES, delay_map_csv, find_dips, map_csv,
                     spectrum_csv, spectrum_sweep, sweep_2d)
@@ -136,11 +136,7 @@ def _cmd_defaults(args, cfg):
 
 def _cmd_steady(args, cfg):
     dc = derive_constants(cfg)
-    mode = cfg.detuning_mode
-    if mode.mode == "fixed_effective":
-        states = [solve_steady(cfg, dc=dc)]
-    else:
-        states = steady_state_self_consistent(cfg, dc, mode.value)
+    states = steady_states(cfg)
     lines = [f"{'branch':>6} {'n':>22} {'Re_a0':>22} {'Im_a0':>22} "
              f"{'delta_prime/omega_m':>20} {'residual':>12}"]
     for s in states:

@@ -2,10 +2,13 @@
 the time domain, demodulate the late-time cavity field into its dc and
 first-sideband components, and compare with the closed-form response.
 
-The production quality factor (1.2e5) makes probe transients last ~1e8
-mechanical periods, so the oracle runs at a relaxed Q (default 50). The
-closed form is parameter-agnostic; validating it at relaxed damping
-validates the algebra.
+The oracle runs at a relaxed Q (default 50), because its integration length
+is counted in bare mechanical damping times 1/gamma: at the production Q
+(1.2e5) that is about 8.5e5 mechanical periods. The probe transients
+themselves are far shorter: optical damping makes the slowest mode at the
+default point decay at 0.0396 omega_m, against a bare gamma/2 of
+3.8e-6 omega_m. The closed form is parameter-agnostic; validating it at
+relaxed damping validates the algebra.
 """
 
 import cmath
@@ -20,8 +23,9 @@ from .response import sideband_amplitudes
 from .steadystate import solve_steady
 
 _TOL_RANGE = (1e-12, 1e-6)
-# default integration length in units of the slowest mechanical damping time;
-# probe transients decay at gamma/2, so 40 damping times leaves e^-20 residual
+# default integration length in units of the slowest bare mechanical damping
+# time 1/gamma: a bound, since optical damping makes probe transients decay
+# faster than gamma/2 (e^-20 residual after 40 damping times at gamma/2)
 _DEFAULT_DAMPING_TIMES = 40.0
 _MIN_DAMPING_TIMES = 20.0
 # oracle pass thresholds on relative errors of (a0, a_plus, a_minus) and on
@@ -71,7 +75,7 @@ class DemodulationReport:
     window: tuple
 
 
-def integrate(cfg, dc, delta, duration=None, tol=1e-10, eps_p_scale=1.0, y0=None):
+def integrate(cfg, delta, duration=None, tol=1e-10, eps_p_scale=(1.0,), y0=None):
     """Integrate the mean-value equations with both drives on.
 
     The frame rotates at the drive frequency; the bare detuning is chosen so
@@ -81,20 +85,19 @@ def integrate(cfg, dc, delta, duration=None, tol=1e-10, eps_p_scale=1.0, y0=None
     probe-induced transients must decay. duration defaults to 40 slowest
     damping times and must be at least 20.
 
-    A float eps_p_scale returns one OdeSeries. A sequence of k scales
-    integrates k copies of the system, one per probe amplitude, as one
-    stacked 5k-component state in a single DOP853 run (each copy starts
-    from y0), and returns a tuple of k OdeSeries; the copies share their
-    steps, so the per-step overhead is paid once.
+    The k scales of eps_p_scale integrate k copies of the system, one per
+    probe amplitude, as one stacked 5k-component state in a single DOP853
+    run (each copy starts from y0), and return a tuple of k OdeSeries; the
+    copies share their steps, so the per-step overhead is paid once.
     """
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ConfigError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
-    scales = tuple(eps_p_scale) if np.ndim(eps_p_scale) else (eps_p_scale,)
-    if not scales:
-        raise ConfigError("eps_p_scale must be a float or a non-empty sequence")
+    if not eps_p_scale:
+        raise ConfigError("eps_p_scale must be a non-empty sequence")
     delta = float(delta)
     if not math.isfinite(delta):
         raise ConfigError(f"the detuning must be finite, got {delta!r}")
+    dc = derive_constants(cfg)
     gamma_min = min(dc.gamma1, dc.gamma2)
     if duration is None:
         duration = _DEFAULT_DAMPING_TIMES / gamma_min
@@ -103,12 +106,12 @@ def integrate(cfg, dc, delta, duration=None, tol=1e-10, eps_p_scale=1.0, y0=None
             f"duration {duration!r} shorter than {_MIN_DAMPING_TIMES} damping "
             f"times ({_MIN_DAMPING_TIMES / gamma_min:.3e} s)")
 
-    ss = solve_steady(cfg, dc=dc)
+    ss = solve_steady(cfg)
     # Delta_0 such that Delta_0 + g1 phi10 - g2 phi20 = delta_prime
     delta0 = ss.delta_prime - dc.g1 * ss.phi10 + dc.g2 * ss.phi20
     eps_c = dc.eps_c
     eps_ps = [float(dc.eps_p(dc.omega_c + delta) * s if cfg.P_p > 0 else 0.0)
-              for s in scales]
+              for s in eps_p_scale]
     g1, g2 = dc.g1, dc.g2
     om1, om2 = cfg.omega_phi1, cfg.omega_phi2
     gam1, gam2 = dc.gamma1, dc.gamma2
@@ -157,12 +160,11 @@ def integrate(cfg, dc, delta, duration=None, tol=1e-10, eps_p_scale=1.0, y0=None
     if not np.all(np.isfinite(sol.y)):
         raise BlowUp("non-finite state encountered during integration")
 
-    series = tuple(OdeSeries(
+    return tuple(OdeSeries(
         t=sol.t, a=y[4], phi1=y[0].real, phi2=y[2].real,
         lz1=y[1].real, lz2=y[3].real, delta=delta, eps_p=eps_p,
         duration=float(duration), rhs_evals=int(sol.nfev))
         for eps_p, y in zip(eps_ps, np.split(sol.y, k)))
-    return series if np.ndim(eps_p_scale) else series[0]
 
 
 def demodulate(series, delta, eps_p):
@@ -230,8 +232,7 @@ def _rel(x, ref, scale=0.0):
     return abs(x - ref) / max(denom, 1e-300)
 
 
-def oracle_check(cfg, delta, q_override=50.0, p_p_override=None,
-                 tol=1e-10, duration=None):
+def oracle_check(cfg, delta, q_override=50.0, tol=1e-10):
     """Run the time-domain oracle at relaxed damping and compare to the
     closed form.
 
@@ -239,17 +240,12 @@ def oracle_check(cfg, delta, q_override=50.0, p_p_override=None,
     relative; halving eps_p must change the a_plus estimate by < 1e-3
     relative (linearity).
     """
-    over = {"Q1": float(q_override), "Q2": float(q_override)}
-    if p_p_override is not None:
-        over["P_p"] = float(p_p_override)
-    c = dc_replace(cfg, **over)
-    dc = derive_constants(c)
-    ss = solve_steady(c, dc=dc)
+    c = dc_replace(cfg, Q1=float(q_override), Q2=float(q_override))
+    ss = solve_steady(c)
     ep = effective_params(c, ss)
     delta = float(delta)
 
-    series, series_half = integrate(c, dc, delta, duration=duration, tol=tol,
-                                    eps_p_scale=(1.0, 0.5))
+    series, series_half = integrate(c, delta, tol=tol, eps_p_scale=(1.0, 0.5))
     rep = demodulate(series, delta, series.eps_p)
     rep_half = demodulate(series_half, delta, series_half.eps_p)
 

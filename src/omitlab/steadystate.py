@@ -1,10 +1,10 @@
 """Zeroth-order steady state of the driven cavity with two rotating mirrors.
 
-Two entry points: ``steady_state_fixed`` takes the effective detuning Delta'
-as given (the operating mode of all the spectra), and
-``steady_state_self_consistent`` takes the bare detuning Delta_0 and solves
-the back-action condition, which is cubic in the intracavity photon number
-n = |a0|^2 and can have one or three real branches (optical bistability).
+The configuration's detuning mode picks the solver: a fixed effective
+detuning Delta' (the operating mode of all the spectra) gives one branch; a
+fixed bare detuning Delta_0 solves the back-action condition, which is cubic
+in the intracavity photon number n = |a0|^2 and can have one or three real
+branches (optical bistability).
 
 With chi = g1^2/omega_phi1 + g2^2/omega_phi2 the cubic reads
 
@@ -12,8 +12,9 @@ With chi = g1^2/omega_phi1 + g2^2/omega_phi2 the cubic reads
 
 and every real root gives Delta' = Delta_0 - chi*n, a0 = eps_c/(kappa + i Delta').
 
-Both solvers broadcast over a ``config_grid`` and flag failed cells; the
-scalar entry points run them on one configuration and raise the flag.
+Both solvers broadcast over a ``config_grid`` and flag failed cells.
+``steady_states`` returns every branch of one configuration and
+``solve_steady`` one of them; both raise the error a failed cell names.
 """
 
 import warnings
@@ -145,8 +146,10 @@ def self_consistent_branches(cfg, dc, delta0):
                     np.where(eps2 == 0.0, 0.0, eps2 / (kappa * kappa + delta0 * delta0)))
 
     count = np.where(cubic, keep.sum(axis=0), 1)
+    # stacklevel 4 names the line that called solve_steady, steady_states or
+    # effective_grid, each of which reaches this function through _solve
     if np.any((count == 3) & ~stalled):
-        warnings.warn("bistable point: three steady-state branches", stacklevel=3)
+        warnings.warn("bistable point: three steady-state branches", stacklevel=4)
     flags = flag_cells("", stalled, RootRefinementError)
     return _branches(cfg, dc, delta0 - chi * n, flag_cells(flags, count == 0, NumericalError))
 
@@ -167,28 +170,6 @@ def _states(cfg, dc, br, where):
         config_fingerprint=fp) for k in range(br.count)]
 
 
-def steady_state_fixed(cfg, dc, delta_prime):
-    """Steady state at a prescribed effective detuning."""
-    if not np.isfinite(delta_prime):
-        raise ConfigError(f"delta_prime must be finite, got {delta_prime!r}")
-    return _states(cfg, dc, fixed_branches(cfg, dc, delta_prime),
-                   f"delta_prime={delta_prime!r}")[0]
-
-
-def steady_state_self_consistent(cfg, dc, delta0):
-    """All real steady-state branches at a prescribed bare detuning.
-
-    Returns a list of SteadyState sorted by ascending photon number. Three
-    branches (bistability) are surfaced with a warning; dynamical stability
-    of the branches is not classified here.
-    """
-    if not np.isfinite(delta0):
-        raise ConfigError(f"delta0 must be finite, got {delta0!r}")
-    delta0 = float(delta0)
-    return _states(cfg, dc, self_consistent_branches(cfg, dc, delta0),
-                   f"delta0={delta0!r}")
-
-
 def _solve(cfg, dc, branch):
     """Branches in cfg's detuning mode; ConfigError unless every cell that
     did not fail has the requested branch."""
@@ -205,17 +186,22 @@ def _solve(cfg, dc, branch):
     return br
 
 
-def solve_steady(cfg, branch=0, dc=None):
-    """Steady state dispatch on cfg.detuning_mode.
-
-    In fixed mode there is a single branch and branch must be 0. In
-    self-consistent mode branch selects among the ascending-n roots
-    (default 0, the lowest branch).
+def steady_states(cfg):
+    """Every steady-state branch of cfg in its detuning mode, a list of
+    SteadyState in ascending photon number: one in fixed mode, up to three
+    in self-consistent mode. Three branches (bistability) are surfaced with
+    a warning; dynamical stability of the branches is not classified here.
     """
-    if dc is None:
-        dc = derive_constants(cfg)
-    br = _solve(cfg, dc, branch)
-    return _states(cfg, dc, br, repr(cfg.detuning_mode))[branch]
+    dc = derive_constants(cfg)
+    return _states(cfg, dc, _solve(cfg, dc, 0), repr(cfg.detuning_mode))
+
+
+def solve_steady(cfg, branch=0):
+    """One steady-state branch of cfg: in fixed mode the single branch
+    (branch must be 0), in self-consistent mode the branch-th of the
+    ascending-n roots (default 0, the lowest branch)."""
+    dc = derive_constants(cfg)
+    return _states(cfg, dc, _solve(cfg, dc, branch), repr(cfg.detuning_mode))[branch]
 
 
 def effective_grid(cfg, branch=0, **axes):

@@ -414,6 +414,16 @@ def test_readme_config_example(tmp_path):
                                                           rel=1e-15)
 
 
+def test_readme_library_example(capsys):
+    """The README's "Library use" block runs as written, so the documented
+    API follows every rename."""
+    readme = _read(Path(__file__).resolve().parents[1] / "README.md")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_threads_env(tmp_path, monkeypatch):
     """There is no thread pool: --threads is a usage error, OMITLAB_THREADS
     is ignored, and the manifest records no thread count."""

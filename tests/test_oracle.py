@@ -57,27 +57,26 @@ def test_demodulation_rejects_zero_probe():
         demodulate(s, s.delta, 0.0)
 
 
-def test_integrate_validates_inputs(cfg, dc):
+def test_integrate_validates_inputs(cfg):
     with pytest.raises(ConfigError):
-        integrate(cfg, dc, cfg.omega_m, tol=1e-3)
+        integrate(cfg, cfg.omega_m, tol=1e-3)
     with pytest.raises(ConfigError):
-        integrate(cfg, dc, cfg.omega_m, tol=1e-14)
+        integrate(cfg, cfg.omega_m, tol=1e-14)
     relaxed = replace(cfg, Q1=50.0, Q2=50.0)
     rdc = derive_constants(relaxed)
     gamma_min = min(rdc.gamma1, rdc.gamma2)
     with pytest.raises(ConfigError, match="damping"):
-        integrate(relaxed, rdc, cfg.omega_m, duration=10.0 / gamma_min)
+        integrate(relaxed, cfg.omega_m, duration=10.0 / gamma_min)
     with pytest.raises(ConfigError, match="y0"):
-        integrate(relaxed, rdc, cfg.omega_m, y0=np.zeros(3))
+        integrate(relaxed, cfg.omega_m, y0=np.zeros(3))
     with pytest.raises(ConfigError, match="eps_p_scale"):
-        integrate(relaxed, rdc, cfg.omega_m, eps_p_scale=())
+        integrate(relaxed, cfg.omega_m, eps_p_scale=())
 
 
 def test_probe_off_state_stays_at_steady_state():
     cfg = replace(default_config(), Q1=50.0, Q2=50.0, P_p=0.0)
-    dc = derive_constants(cfg)
-    ss = solve_steady(cfg, dc=dc)
-    series = integrate(cfg, dc, cfg.omega_m)
+    ss = solve_steady(cfg)
+    series, = integrate(cfg, cfg.omega_m)
     assert series.eps_p == 0.0
     dev = np.max(np.abs(series.a - ss.a0)) / abs(ss.a0)
     assert dev < 1e-8
@@ -88,11 +87,11 @@ def test_cavity_relaxation_matches_exact_solution():
     integrator must track the exact exponential."""
     cfg = replace(default_config(), L=0, Q1=50.0, Q2=50.0, P_p=0.0)
     dc = derive_constants(cfg)
-    ss = solve_steady(cfg, dc=dc)
+    ss = solve_steady(cfg)
     gamma_min = min(dc.gamma1, dc.gamma2)
     duration = 20.0 / gamma_min
     y0 = np.array([0.0, 0.0, 0.0, 0.0, 1.5 * ss.a0], dtype=complex)
-    series = integrate(cfg, dc, 0.9 * cfg.omega_m, duration=duration, y0=y0)
+    series, = integrate(cfg, 0.9 * cfg.omega_m, duration=duration, y0=y0)
     # delta0 equals delta_prime here (no static displacement at L = 0)
     lam = -(1j * ss.delta_prime + cfg.kappa)
     expect = ss.a0 + (y0[4] - ss.a0) * np.exp(lam * series.t)
@@ -100,7 +99,7 @@ def test_cavity_relaxation_matches_exact_solution():
                                atol=1e-7 * abs(ss.a0))
 
 
-def test_integrator_failure_is_reported(cfg, dc, monkeypatch):
+def test_integrator_failure_is_reported(cfg, monkeypatch):
     import omitlab.oracle as om
 
     class Fake:
@@ -108,10 +107,8 @@ def test_integrator_failure_is_reported(cfg, dc, monkeypatch):
         message = "step size underflow"
 
     monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: Fake())
-    relaxed = replace(cfg, Q1=50.0, Q2=50.0)
-    rdc = derive_constants(relaxed)
     with pytest.raises(StepFailure):
-        om.integrate(relaxed, rdc, cfg.omega_m)
+        om.integrate(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
 
 
 def test_nonfinite_state_is_reported(cfg, monkeypatch):
@@ -124,10 +121,8 @@ def test_nonfinite_state_is_reported(cfg, monkeypatch):
         t = np.linspace(0, 1, 8)
 
     monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: Fake())
-    relaxed = replace(cfg, Q1=50.0, Q2=50.0)
-    rdc = derive_constants(relaxed)
     with pytest.raises(BlowUp):
-        om.integrate(relaxed, rdc, cfg.omega_m)
+        om.integrate(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
 
 
 def test_stacked_run_matches_separate_runs(monkeypatch):
@@ -146,12 +141,11 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
 
     monkeypatch.setattr(om, "solve_ivp", counting)
     cfg = replace(default_config(), Q1=50.0, Q2=50.0)
-    dc = derive_constants(cfg)
     delta = 0.93 * cfg.omega_m
-    stacked = integrate(cfg, dc, delta, eps_p_scale=(1.0, 0.5))
-    singles = [integrate(cfg, dc, delta, eps_p_scale=s) for s in (1.0, 0.5)]
+    stacked = integrate(cfg, delta, eps_p_scale=(1.0, 0.5))
+    singles = [integrate(cfg, delta, eps_p_scale=(s,))[0] for s in (1.0, 0.5)]
     assert isinstance(stacked, tuple) and len(stacked) == 2
-    a0 = abs(solve_steady(cfg, dc=dc).a0)
+    a0 = abs(solve_steady(cfg).a0)
     for copy, single in zip(stacked, singles):
         assert copy.eps_p == single.eps_p
         np.testing.assert_array_equal(copy.t, single.t)
@@ -171,8 +165,7 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
 def oracle_rep(cfg):
     # a weak probe keeps the physical O(eps_p^2) shift of the mean field
     # well under the a0 threshold at this off-window detuning
-    return oracle_check(cfg, 1.05 * cfg.omega_m, p_p_override=2e-11,
-                        tol=1e-9)
+    return oracle_check(replace(cfg, P_p=2e-11), 1.05 * cfg.omega_m, tol=1e-9)
 
 
 def test_oracle_passes_at_relaxed_damping(oracle_rep):
@@ -200,7 +193,7 @@ def test_oracle_estimates_carry_closed_form(oracle_rep, cfg):
 def test_oracle_detects_nonlinearity(cfg):
     """A probe 1e4 times stronger drives the system out of the linear-response
     regime; the linearity cross-check must catch it."""
-    rep = oracle_check(cfg, 1.05 * cfg.omega_m, p_p_override=2e-5, tol=1e-9)
+    rep = oracle_check(replace(cfg, P_p=2e-5), 1.05 * cfg.omega_m, tol=1e-9)
     assert rep.linearity_rel_change > 1e-3
     assert not rep.passed
 

@@ -6,10 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omitlab import (ConfigError, SelfConsistent, default_config,
-                     derive_constants, solve_steady)
-from omitlab.steadystate import (steady_state_fixed,
-                                 steady_state_self_consistent)
+from omitlab import (ConfigError, FixedEffective, SelfConsistent,
+                     default_config, derive_constants, solve_steady,
+                     steady_states)
 
 
 def test_fixed_point_reference_value(ss):
@@ -34,17 +33,19 @@ def test_static_displacements(cfg, dc, ss):
     assert ss.lz1 == 0.0 and ss.lz2 == 0.0
 
 
-def test_fixed_rejects_nonfinite(cfg, dc):
-    with pytest.raises(ConfigError):
-        steady_state_fixed(cfg, dc, float("nan"))
+def test_fixed_rejects_nonfinite(cfg):
+    # a non-finite detuning in either mode is refused before any solve
+    for mode in (FixedEffective(float("nan")), SelfConsistent(float("inf"))):
+        with pytest.raises(ConfigError, match="detuning_mode.value must be finite"):
+            steady_states(replace(cfg, detuning_mode=mode))
 
 
 def test_self_consistent_no_backaction():
     # L = 0 removes the coupling; the cubic degenerates to the linear root
-    cfg = replace(default_config(), L=0)
+    delta0 = 0.7 * default_config().omega_m
+    cfg = replace(default_config(), L=0, detuning_mode=SelfConsistent(delta0))
     dc = derive_constants(cfg)
-    delta0 = 0.7 * cfg.omega_m
-    states = steady_state_self_consistent(cfg, dc, delta0)
+    states = steady_states(cfg)
     assert len(states) == 1
     expect = dc.eps_c ** 2 / (cfg.kappa ** 2 + delta0 ** 2)
     assert states[0].n == pytest.approx(expect, rel=1e-13)
@@ -52,9 +53,9 @@ def test_self_consistent_no_backaction():
 
 
 def test_self_consistent_undriven():
-    cfg = replace(default_config(), P=0.0)
-    dc = derive_constants(cfg)
-    states = steady_state_self_consistent(cfg, dc, 1.3 * cfg.omega_m)
+    cfg = replace(default_config(), P=0.0,
+                  detuning_mode=SelfConsistent(1.3 * default_config().omega_m))
+    states = steady_states(cfg)
     assert len(states) == 1
     assert states[0].n == 0.0
     assert states[0].a0 == 0.0
@@ -90,14 +91,14 @@ def _brute_force_roots(kappa, delta0, chi, eps2):
 def test_bistable_point_against_bisection():
     """Three branches at strong drive and large bare detuning, matching an
     algebra-free bisection root finder."""
-    cfg = replace(default_config(), P=5e-3)
+    delta0 = 2.0 * default_config().omega_m
+    cfg = replace(default_config(), P=5e-3, detuning_mode=SelfConsistent(delta0))
     dc = derive_constants(cfg)
-    delta0 = 2.0 * cfg.omega_m
     chi = dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2
     eps2 = dc.eps_c ** 2
 
     with pytest.warns(UserWarning, match="bistable"):
-        states = steady_state_self_consistent(cfg, dc, delta0)
+        states = steady_states(cfg)
     assert len(states) == 3
     ns = [s.n for s in states]
     assert ns == sorted(ns)
@@ -134,7 +135,7 @@ def test_saddle_node_edge_reports_merged_roots_once():
     delta0 = (kappa ** 2 + 3.0 * u ** 2) / (2.0 * u)
     n_double = (delta0 - u) / chi
 
-    ns = [s.n for s in steady_state_self_consistent(cfg, dc, delta0)]
+    ns = [s.n for s in steady_states(replace(cfg, detuning_mode=SelfConsistent(delta0)))]
     assert len(ns) == 2
     assert ns[1] - ns[0] > 1e-9 * ns[1]
     # the simple root: np.roots on the same coefficients, then one Newton
@@ -150,11 +151,11 @@ def test_saddle_node_edge_reports_merged_roots_once():
 
 
 def test_single_branch_at_weak_drive():
-    cfg = replace(default_config(), P=1e-6)
-    dc = derive_constants(cfg)
+    cfg = replace(default_config(), P=1e-6,
+                  detuning_mode=SelfConsistent(default_config().omega_m))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = steady_state_self_consistent(cfg, dc, 1.0 * cfg.omega_m)
+        states = steady_states(cfg)
     assert len(states) == 1
 
 
@@ -175,6 +176,7 @@ def test_solve_steady_dispatch(cfg):
     with pytest.raises(ConfigError, match="single branch"):
         solve_steady(cfg, branch=1)
     sc = replace(cfg, P=5e-3, detuning_mode=SelfConsistent(2.0 * cfg.omega_m))
+    weak = replace(cfg, P=1e-6, detuning_mode=SelfConsistent(cfg.omega_m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lowest = solve_steady(sc, branch=0)
@@ -182,6 +184,21 @@ def test_solve_steady_dispatch(cfg):
         assert lowest.n < top.n
         with pytest.raises(ConfigError, match="branch"):
             solve_steady(sc, branch=3)
+        # every branch of steady_states is solve_steady's, field for field
+        for c, count in ((cfg, 1), (weak, 1), (sc, 3)):
+            states = steady_states(c)
+            assert len(states) == count
+            for b, s in enumerate(states):
+                assert s == solve_steady(c, b)
+
+
+def test_bistable_warning_names_the_caller():
+    cfg = replace(default_config(), P=5e-3,
+                  detuning_mode=SelfConsistent(2.0 * default_config().omega_m))
+    for solve in (solve_steady, steady_states):
+        with pytest.warns(UserWarning, match="bistable") as record:
+            solve(cfg)
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_fingerprint_travels_with_state(cfg, ss):
