@@ -16,7 +16,7 @@ from .delay import (DelayMap, DelayResult, delay_map, group_delay,
 from .errors import (BlowUp, ConfigError, DegenerateDenominator,
                      IllConditionedFit, NearZeroTransmission, NumericalError,
                      OmitlabError, RootRefinementError, SingularSystem,
-                     StepFailure, StepTooLarge)
+                     StepFailure, StepTooLarge, Unstable)
 from .model import (C_LIGHT, HBAR, DerivedConstants, EffectiveParams,
                     FixedEffective, PhysicalConfig, SelfConsistent,
                     config_fingerprint, config_from_dict, config_from_json,
@@ -37,6 +37,7 @@ __all__ = [
     "BlowUp", "ConfigError", "DegenerateDenominator", "IllConditionedFit",
     "NearZeroTransmission", "NumericalError", "OmitlabError",
     "RootRefinementError", "SingularSystem", "StepFailure", "StepTooLarge",
+    "Unstable",
     "C_LIGHT", "HBAR", "DerivedConstants", "EffectiveParams",
     "FixedEffective", "PhysicalConfig", "SelfConsistent",
     "config_fingerprint", "config_from_dict", "config_from_json",

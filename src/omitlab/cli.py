@@ -264,7 +264,9 @@ def _cmd_oracle(args, cfg):
     lines += [f"fit residual {rep.fit_residual:.3e}",
               f"pass: {str(rep.passed).lower()}", json.dumps(rep.as_dict())]
     stats = {"pass": rep.passed, "fit_residual": rep.fit_residual,
-             "rhs_evals": rep.rhs_evals}
+             "rhs_evals": rep.rhs_evals,
+             "newton_iterations": rep.newton_iterations,
+             "floquet_max": rep.floquet_max}
     return "\n".join(lines) + "\n", _json(rep.as_dict()), None, stats
 
 

@@ -48,3 +48,7 @@ class IllConditionedFit(NumericalError):
 
 class RootRefinementError(NumericalError):
     """Newton polish of a steady-state root did not reach the residual target."""
+
+
+class Unstable(NumericalError):
+    """The steady state is dynamically unstable: a small perturbation grows."""

@@ -121,9 +121,11 @@ class PhysicalConfig:
         _check_finite("detuning_mode.value", self.detuning_mode.value)
         mid = 0.5 * (self.omega_phi1 + self.omega_phi2)
         if abs(self.omega_m - mid) > 1e-9 * self.omega_m:
+            # stacklevel 3 names the line that constructed the config, past
+            # the generated __init__
             warnings.warn(
                 f"omega_m = {self.omega_m:g} differs from the mirror-frequency "
-                f"midpoint {mid:g} by more than 1e-9 relative", stacklevel=2)
+                f"midpoint {mid:g} by more than 1e-9 relative", stacklevel=3)
 
 
 # the rule of each numeric field, in declaration order (config_to_dict's key order)

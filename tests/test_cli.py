@@ -184,10 +184,13 @@ def test_oracle_json(tmp_path, capsys):
     assert rep["a_plus_rel_err"] < 1e-3
     assert json.loads(_read(out_path)) == rep
     stats = json.loads(_read(tmp_path / "o.manifest.json"))["stats"]
-    assert set(stats) == {"pass", "fit_residual", "rhs_evals"}
+    assert set(stats) == {"pass", "fit_residual", "rhs_evals",
+                          "newton_iterations", "floquet_max"}
     assert stats["pass"] is True
     assert stats["fit_residual"] == rep["fit_residual"]
     assert stats["rhs_evals"] > 0
+    assert stats["newton_iterations"] >= 1
+    assert 0 < stats["floquet_max"] < 1
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -3,16 +3,17 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omitlab import (ConfigError, FixedEffective, SelfConsistent,
-                     config_fingerprint, config_from_dict, config_from_json,
-                     config_to_dict, config_to_json, default_config,
-                     derive_constants, effective_params, solve_steady)
+from omitlab import (ConfigError, FixedEffective, PhysicalConfig,
+                     SelfConsistent, config_fingerprint, config_from_dict,
+                     config_from_json, config_to_dict, config_to_json,
+                     default_config, derive_constants, effective_params,
+                     solve_steady)
 from omitlab.model import config_grid
 
 
@@ -127,6 +128,14 @@ def test_midpoint_warning():
         replace(c, omega_phi1=c.omega_phi1)  # midpoint holds: no warning
     with pytest.warns(UserWarning, match="midpoint"):
         replace(c, omega_m=c.omega_m * 1.001)
+
+
+def test_midpoint_warning_names_the_constructing_line():
+    c = default_config()
+    kwargs = {f.name: getattr(c, f.name) for f in fields(c)}
+    with pytest.warns(UserWarning, match="midpoint") as record:
+        PhysicalConfig(**{**kwargs, "omega_m": c.omega_m * 1.001})
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_detuning_mode_types():

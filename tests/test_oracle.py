@@ -1,14 +1,18 @@
 """Time-domain integration, lock-in demodulation and the end-to-end oracle."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import omitlab.oracle as om
 from omitlab import (BlowUp, ConfigError, IllConditionedFit, OdeSeries,
-                     StepFailure, default_config, demodulate, derive_constants,
-                     integrate, oracle_check, solve_steady)
+                     SelfConsistent, StepFailure, Unstable, default_config,
+                     demodulate, derive_constants, effective_params, integrate,
+                     oracle_check, sideband_amplitudes, solve_steady)
+from omitlab.response import _drift_matrix
 
 
 def _synthetic_series(delta=1e6, eps_p=7.0, a0=2.0 - 1.5j,
@@ -30,6 +34,16 @@ def test_demodulation_recovers_exact_components():
     assert rep.fit_residual < 1e-12
     # the fit window is the final half
     assert rep.window[0] == pytest.approx(0.5e-3, rel=1e-3)
+
+
+def test_demodulation_fits_a_single_period_whole():
+    # one closed period of a periodic orbit has no transient to discard
+    s = _synthetic_series(T=2 * math.pi / 1e6, n=1025)
+    rep = demodulate(s, s.delta, s.eps_p)
+    assert rep.window == (0.0, s.t[-1])
+    assert rep.a0_est == pytest.approx(2.0 - 1.5j, rel=1e-12)
+    assert rep.a_plus_est == pytest.approx(0.3 + 0.1j, rel=1e-12)
+    assert rep.a_minus_est == pytest.approx(-0.05 + 0.02j, rel=1e-12)
 
 
 def test_demodulation_tolerates_noise():
@@ -100,20 +114,17 @@ def test_cavity_relaxation_matches_exact_solution():
 
 
 def test_integrator_failure_is_reported(cfg, monkeypatch):
-    import omitlab.oracle as om
-
     class Fake:
         success = False
         message = "step size underflow"
 
     monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: Fake())
-    with pytest.raises(StepFailure):
-        om.integrate(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
+    for route in (integrate, oracle_check):
+        with pytest.raises(StepFailure):
+            route(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
 
 
 def test_nonfinite_state_is_reported(cfg, monkeypatch):
-    import omitlab.oracle as om
-
     class Fake:
         success = True
         message = ""
@@ -121,17 +132,17 @@ def test_nonfinite_state_is_reported(cfg, monkeypatch):
         t = np.linspace(0, 1, 8)
 
     monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: Fake())
-    with pytest.raises(BlowUp):
-        om.integrate(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
+    for route in (integrate, oracle_check):
+        with pytest.raises(BlowUp):
+            route(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
 
 
 def test_stacked_run_matches_separate_runs(monkeypatch):
     """The two probe amplitudes integrated as one stacked state give, copy by
     copy, the trajectories of two separate runs, for about half their
-    right-hand-side evaluations; oracle_check integrates once, stacked."""
+    right-hand-side evaluations; oracle_check's rhs_evals counts every call
+    of all its integrations."""
     from scipy.integrate import solve_ivp
-
-    import omitlab.oracle as om
 
     calls = []
 
@@ -157,8 +168,7 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
 
     calls.clear()
     rep = oracle_check(cfg, delta)
-    assert len(calls) == 1
-    assert rep.rhs_evals == nfev[0]
+    assert rep.rhs_evals == sum(sol.nfev for sol in calls) < 2000
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +215,70 @@ def test_oracle_undriven_cavity():
     assert rep.passed
     expect = 1.0 / (cfg.kappa + 1j * (cfg.omega_m - 0.95 * cfg.omega_m))
     assert rep.a_plus_closed == pytest.approx(expect, rel=1e-12)
+
+
+def _growth_rate(c):
+    """Largest Re lambda of the drift matrix at c's steady state."""
+    ss = solve_steady(c)
+    return np.linalg.eigvals(_drift_matrix(effective_params(c, ss), ss.a0)).real.max()
+
+
+@pytest.mark.parametrize("x", [0.93, 1.1])
+def test_periodic_orbit_matches_the_long_run(cfg, x):
+    """Integrating 40 damping times from the steady state and demodulating
+    the final half gives the verdict and the a0 error of the shooting route."""
+    rep = oracle_check(cfg, x * cfg.omega_m)
+    c = replace(cfg, Q1=50.0, Q2=50.0)
+    delta = x * cfg.omega_m
+    series, half = integrate(c, delta, eps_p_scale=(1.0, 0.5))
+    fit = demodulate(series, delta, series.eps_p)
+    fit_half = demodulate(half, delta, half.eps_p)
+    ss = solve_steady(c)
+    sb = sideband_amplitudes(effective_params(c, ss), delta, a0=ss.a0)
+    errs = {"a0_rel_err": om._rel(fit.a0_est, ss.a0),
+            "a_plus_rel_err": om._rel(fit.a_plus_est, sb.a_plus),
+            "a_minus_rel_err": om._rel(fit.a_minus_est, sb.a_minus),
+            "linearity_rel_change": om._rel(fit_half.a_plus_est, fit.a_plus_est)}
+    assert rep.passed == all(errs[f] < thr for _, f, thr in om._THRESHOLDS)
+    assert rep.a0_rel_err == pytest.approx(errs["a0_rel_err"], rel=1e-3)
+
+
+def test_periodic_orbit_closes_over_twenty_periods(cfg):
+    """The converged states return to themselves within tol after 20 more
+    periods, where the steady state they started from does not."""
+    c = replace(cfg, Q1=50.0, Q2=50.0)
+    tol = 1e-10
+    orbit = om._periodic_orbit(c, 0.93 * cfg.omega_m, tol)
+    ss = solve_steady(c)
+    y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, ss.a0])
+    atol = tol * np.maximum(np.abs(orbit.states), max(abs(ss.a0), 1.0))
+    for start, closes in ((orbit.states, True), (np.tile(y_ss, (2, 1)), False)):
+        ends = orbit.run(start, orbit.eps_ps, 20 * orbit.period).y[:, -1]
+        assert np.all(np.abs(ends.reshape(2, 5) - start) <= atol) == closes
+
+
+def test_floquet_multiplier_matches_the_drift_matrix(oracle_rep, cfg):
+    """The largest |eigenvalue| of the finite-difference monodromy matrix is
+    e^{T max Re lambda}, lambda the eigenvalues of the drift matrix."""
+    growth = _growth_rate(replace(cfg, P_p=2e-11, Q1=50.0, Q2=50.0))
+    period = 2 * math.pi / oracle_rep.delta
+    assert oracle_rep.floquet_max == pytest.approx(math.exp(growth * period), rel=1e-4)
+    assert 1 <= oracle_rep.newton_iterations <= om._MAX_NEWTON
+
+
+def test_unstable_steady_state_is_refused(cfg):
+    """Branch 0 of the self-consistent map grows at 0.45 omega_m at 4 mW,
+    L = 200 and Delta_0 = 1.2 omega_m: the oracle names its multiplier."""
+    c = replace(cfg, P=4e-3, L=200, detuning_mode=SelfConsistent(1.2 * cfg.omega_m))
+    growth = _growth_rate(c)
+    assert growth > 0
+    with pytest.raises(Unstable, match="Floquet multiplier") as err:
+        oracle_check(c, cfg.omega_m, q_override=1.2e5)
+    mu = float(re.search(r"\|mu\| = (\S+)", str(err.value)).group(1))
+    assert mu == pytest.approx(math.exp(growth * 2 * math.pi / cfg.omega_m), rel=1e-2)
+
+
+def test_unconverged_orbit_is_reported(cfg, monkeypatch):
+    monkeypatch.setattr(om, "_MAX_NEWTON", 1)
+    with pytest.raises(StepFailure, match="Newton steps.*times atol"):
+        oracle_check(cfg, 0.93 * cfg.omega_m)
