@@ -14,6 +14,7 @@ files may use {"value", "unit"} wrappers, including Hz); detuning-like flags
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -371,8 +372,14 @@ def build_parser():
     return p
 
 
+# one parser per process, built by the first main() rather than at import:
+# building it (about 145 add_argument calls) takes 3-5 ms, far longer than
+# a parse
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except ConfigError as e:

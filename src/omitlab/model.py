@@ -16,6 +16,7 @@ frequency-valued fields and converts at the boundary.
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -121,11 +122,22 @@ class PhysicalConfig:
         _check_finite("detuning_mode.value", self.detuning_mode.value)
         mid = 0.5 * (self.omega_phi1 + self.omega_phi2)
         if abs(self.omega_m - mid) > 1e-9 * self.omega_m:
-            # stacklevel 3 names the line that constructed the config, past
-            # the generated __init__
             warnings.warn(
                 f"omega_m = {self.omega_m:g} differs from the mirror-frequency "
-                f"midpoint {mid:g} by more than 1e-9 relative", stacklevel=3)
+                f"midpoint {mid:g} by more than 1e-9 relative",
+                stacklevel=_stacklevel_outside())
+
+
+def _stacklevel_outside():
+    """The stacklevel, for warnings.warn in the function that calls this
+    one, of the first frame outside this module and dataclasses: the line
+    that built the configuration, directly, through dataclasses.replace or
+    through a constructor here. The generated __init__ runs in this
+    module's globals, so it is passed over too."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # the rule of each numeric field, in declaration order (config_to_dict's key order)

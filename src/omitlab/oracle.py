@@ -14,6 +14,9 @@ state is unstable and has no steady sidebands; the oracle raises Unstable.
 The closed form enters only the final comparison, so the time domain stays
 an independent route. integrate is the transient integrator of the same
 equations, from the steady state over tens of damping times.
+
+Every integration goes through solve_ivp, the package's DOP853 stepper
+(dop853.py), which takes the steps of scipy's; the package needs numpy only.
 """
 
 import cmath
@@ -22,6 +25,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from .dop853 import solve_ivp
 from .errors import (BlowUp, ConfigError, IllConditionedFit, StepFailure,
                      Unstable)
 from .model import derive_constants, effective_params
@@ -44,14 +48,6 @@ _THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
                ("a_plus", "a_plus_rel_err", 1e-3),
                ("a_minus", "a_minus_rel_err", 1e-2),
                ("linearity", "linearity_rel_change", 1e-3))
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: the oracle is
-    the only part of the package that needs scipy, whose import takes longer
-    than any other subcommand's whole run."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,11 @@ def _flow(cfg, delta, tol):
     y_ss is that probe-off steady state (phi1, lz1, phi2, lz2, a) and eps_p
     the probe amplitude. run(y0s, eps_ps, t_end, t_eval=None) integrates one
     copy of the system per row of y0s, copy j at probe amplitude eps_ps[j],
-    from t = 0 to t_end as one stacked state in one DOP853 call (the copies
-    share their steps, so the per-step overhead is paid once) and returns
-    the solve_ivp result. Copy j's absolute tolerance is tol times
-    max(|y0s[j]|, floor), componentwise.
+    from t = 0 to t_end as one stacked state in one solve_ivp (DOP853) call
+    (the copies share their steps, so the per-step overhead is paid once)
+    and returns its result, with t, y and nfev; it raises StepFailure where
+    the stepper stops short and BlowUp on a non-finite state. Copy j's
+    absolute tolerance is tol times max(|y0s[j]|, floor), componentwise.
     """
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ConfigError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
@@ -137,7 +134,7 @@ def _flow(cfg, delta, tol):
             return out
 
         y0s = np.asarray(y0s, dtype=complex)
-        sol = solve_ivp(rhs, (0.0, t_end), y0s.ravel(), method="DOP853",
+        sol = solve_ivp(rhs, (0.0, t_end), y0s.ravel(),
                         rtol=tol, atol=tol * np.maximum(np.abs(y0s), floor).ravel(),
                         t_eval=t_eval, first_step=first_step)
         if not sol.success:

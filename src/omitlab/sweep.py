@@ -272,10 +272,22 @@ MAP_HEADER = ("axis1", "axis2", "value", "flag")
 DELAY_MAP_HEADER = ("P_mW", "L", "tau_g_us", "classification", "flag")
 
 
+def _cells(column):
+    """A column's cells as strings, formatted with str: floats in their
+    shortest round-trip form."""
+    return map(str, np.asarray(column).ravel().tolist())
+
+
 def _rows(*columns):
-    """Rows of cell strings from equal-length columns, formatted a column at a
-    time with str: floats in their shortest round-trip form."""
-    return list(zip(*(map(str, np.asarray(c).ravel().tolist()) for c in columns)))
+    """Rows of cell strings from equal-length columns."""
+    return list(zip(*map(_cells, columns)))
+
+
+def _map_rows(axis1, axis2, *columns):
+    """Rows of a map: the two axis values in C order (axis1 slowest), each
+    formatted once, then the cells of the (n1, n2) columns."""
+    s1, s2 = list(_cells(axis1)), list(_cells(axis2))
+    return list(zip([s for s in s1 for _ in s2], s2 * len(s1), *map(_cells, columns)))
 
 
 def spectrum_csv(series):
@@ -286,13 +298,12 @@ def spectrum_csv(series):
 
 
 def map_csv(m):
-    g1, g2 = np.meshgrid(np.asarray(m.axis1_grid, dtype=float),
-                         np.asarray(m.axis2_grid, dtype=float), indexing="ij")
-    return render_csv(MAP_HEADER, _rows(g1, g2, m.values, m.flags))
+    return render_csv(MAP_HEADER, _map_rows(
+        np.asarray(m.axis1_grid, dtype=float), np.asarray(m.axis2_grid, dtype=float),
+        m.values, m.flags))
 
 
 def delay_map_csv(dm):
-    P_mW, L = np.meshgrid(dm.P_grid * 1e3, dm.L_grid.astype(int),
-                          indexing="ij")
-    return render_csv(DELAY_MAP_HEADER, _rows(
-        P_mW, L, dm.tau_g * 1e6, dm.classification, dm.flags))
+    return render_csv(DELAY_MAP_HEADER, _map_rows(
+        dm.P_grid * 1e3, dm.L_grid.astype(int), dm.tau_g * 1e6,
+        dm.classification, dm.flags))

@@ -13,7 +13,7 @@ import pytest
 from omitlab import (config_fingerprint, config_from_json, config_to_json,
                      default_config, effective_params, group_delay,
                      solve_steady)
-from omitlab.cli import main
+from omitlab.cli import build_parser, main
 
 
 def _read(path):
@@ -370,16 +370,20 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 2
 
 
-def _scipy_modules_after(argvs, cwd):
+def _scipy_modules_after(argvs, cwd, block_scipy):
     """Exit codes of omitlab.cli.main on each argv in turn, in a fresh
-    interpreter given the checkout's src, and the scipy modules it loaded."""
+    interpreter given the checkout's src, and the scipy modules it loaded.
+    With block_scipy, sys.modules["scipy"] is None from the start, so any
+    import of scipy fails as it would without scipy installed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {src!r})\n"
-        "from omitlab.cli import main\n"
+        + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+        + "from omitlab.cli import main\n"
         f"codes = [main(a) for a in {argvs!r}]\n"
-        "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "mods = [m for m, v in sys.modules.items()\n"
+        "        if m.split('.')[0] == 'scipy' and v is not None]\n"
         "print(json.dumps([codes, mods]))\n")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                        text=True, cwd=cwd)
@@ -387,22 +391,38 @@ def _scipy_modules_after(argvs, cwd):
     return json.loads(r.stdout.splitlines()[-1])
 
 
-def test_only_the_oracle_imports_scipy(tmp_path):
-    """Every subcommand but oracle runs on numpy alone; oracle imports
-    scipy.integrate on its first integration and never scipy.signal."""
-    codes, mods = _scipy_modules_after(
-        [["defaults"], ["steady"], ["spectrum", "--svg", "--out", "s.csv"],
-         ["dips"], ["delay", "--delta", "1.1"],
-         ["delay-map", "--svg", "--out", "dm.csv"],
-         ["map2d", "--axis1", "L", "--grid1", "0:200:3", "--axis2", "Delta",
-          "--grid2", "0.9:1.1:5", "--out", "m.csv"]], tmp_path)
-    assert codes == [0] * 7
-    assert mods == []
-    codes, mods = _scipy_modules_after(
-        [["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0"]], tmp_path)
-    assert codes == [2]  # the demodulation fails after the integration
-    assert "scipy.integrate" in mods
-    assert not any(m.startswith("scipy.signal") for m in mods)
+def test_no_subcommand_imports_scipy(tmp_path):
+    """Every subcommand, the oracle included, runs on numpy alone: none
+    loads a scipy module, and each runs where scipy cannot be imported."""
+    argvs = [["defaults"], ["steady"], ["spectrum", "--svg", "--out", "s.csv"],
+             ["dips"], ["delay", "--delta", "1.1"],
+             ["delay-map", "--svg", "--out", "dm.csv"],
+             ["map2d", "--axis1", "L", "--grid1", "0:200:3", "--axis2", "Delta",
+              "--grid2", "0.9:1.1:5", "--out", "m.csv"],
+             ["oracle", "--delta", "1.0", "--out", "o.json"]]
+    for block_scipy in (False, True):
+        codes, mods = _scipy_modules_after(argvs, tmp_path, block_scipy)
+        assert codes == [0] * len(argvs)
+        assert mods == []
+        assert json.loads(_read(tmp_path / "o.json"))["pass"] is True
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main() builds its parser once per process: a usage error between two
+    valid calls exits 1 with the usage text of a freshly built parser, and
+    the options of one call do not carry over to the next."""
+    assert main(["delay", "--delta", "1.1", "--method", "fd"]) == 0
+    assert "method=central-difference" in capsys.readouterr().out
+    bad = ["delay", "--delta", "1.1", "--svg"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(bad)
+    assert err == capsys.readouterr().err and "usage: omitlab" in err
+    assert main(["delay", "--delta", "1.1"]) == 0
+    assert "method=analytic" in capsys.readouterr().out
 
 
 def test_readme_config_example(tmp_path):

@@ -135,7 +135,8 @@ def test_midpoint_warning_names_the_constructing_line():
     kwargs = {f.name: getattr(c, f.name) for f in fields(c)}
     with pytest.warns(UserWarning, match="midpoint") as record:
         PhysicalConfig(**{**kwargs, "omega_m": c.omega_m * 1.001})
-    assert [w.filename for w in record] == [__file__]
+        replace(c, omega_phi1=1.01 * c.omega_phi1)  # as the CLI's overrides
+    assert [w.filename for w in record] == [__file__] * 2
 
 
 def test_detuning_mode_types():

@@ -12,6 +12,7 @@ from omitlab import (BlowUp, ConfigError, IllConditionedFit, OdeSeries,
                      SelfConsistent, StepFailure, Unstable, default_config,
                      demodulate, derive_constants, effective_params, integrate,
                      oracle_check, sideband_amplitudes, solve_steady)
+from omitlab.dop853 import TOO_SMALL_STEP
 from omitlab.response import _drift_matrix
 
 
@@ -142,8 +143,7 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     copy, the trajectories of two separate runs, for about half their
     right-hand-side evaluations; oracle_check's rhs_evals counts every call
     of all its integrations."""
-    from scipy.integrate import solve_ivp
-
+    solve_ivp = om.solve_ivp
     calls = []
 
     def counting(*args, **kwargs):
@@ -169,6 +169,72 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     calls.clear()
     rep = oracle_check(cfg, delta)
     assert rep.rhs_evals == sum(sol.nfev for sol in calls) < 2000
+
+
+def _oracle_runs(cfg, delta, monkeypatch):
+    """(fun, t_span, y0, options) of every integration of one oracle_check:
+    the shooting runs on the stacked flow, then the sampled period."""
+    runs = []
+    solve_ivp = om.solve_ivp
+
+    def recording(fun, t_span, y0, **options):
+        runs.append((fun, t_span, y0, options))
+        return solve_ivp(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(om, "solve_ivp", recording)
+    oracle_check(cfg, delta)
+    monkeypatch.undo()
+    return runs
+
+
+def test_stepper_matches_scipy_dop853(cfg, monkeypatch):
+    """On the oracle's stacked flow the package's DOP853 takes the steps of
+    scipy.integrate.solve_ivp(method="DOP853"): the same right-hand-side
+    count and times, and end states and t_eval samples within 1e-12 of each
+    component's scale; also from an oversized first step, which the step
+    controller must reject."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    runs = _oracle_runs(cfg, 0.93 * cfg.omega_m, monkeypatch)
+    assert runs[-1][3]["t_eval"] is not None
+    fun, t_span, y0, options = runs[0]
+    oversized = (fun, t_span, y0, {**options, "first_step": t_span[1]})
+    for fun, t_span, y0, options in runs + [oversized]:
+        ours = om.solve_ivp(fun, t_span, y0, **options)
+        ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", **options)
+        assert ours.success and ref.success
+        assert ours.nfev == ref.nfev
+        np.testing.assert_array_equal(ours.t, ref.t)
+        scale = np.max(np.abs(ref.y), axis=1, keepdims=True)
+        assert np.all(np.abs(ours.y - ref.y) <= 1e-12 * scale)
+    # without t_eval a step costs 12 calls, plus 1 for the start: more
+    # attempts than accepted steps means a rejection
+    assert (ours.nfev - 1) // 12 > len(ours.t) - 1
+
+
+def test_too_small_step_is_a_step_failure(cfg, monkeypatch):
+    """y' = y^2 from y = 1 blows up at t = 1: both steppers stop where the
+    step falls below ten units in the last place of t, after the same calls,
+    and the oracle's integration reports that as StepFailure."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    def blowup(t, y):
+        return y * y
+
+    options = {"rtol": 1e-10, "atol": 1e-10, "first_step": 1e-3}
+    y0 = np.ones(1, dtype=complex)
+    ours = om.solve_ivp(blowup, (0.0, 2.0), y0, **options)
+    ref = scipy_solve_ivp(blowup, (0.0, 2.0), y0, method="DOP853", **options)
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message == TOO_SMALL_STEP
+    assert ours.nfev == ref.nfev
+    assert ours.t[-1] == ref.t[-1] == pytest.approx(1.0, rel=1e-9)
+
+    solve_ivp = om.solve_ivp
+    monkeypatch.setattr(om, "solve_ivp", lambda fun, t_span, y0, **o: solve_ivp(
+        blowup, (0.0, 2.0), np.ones_like(y0), **{**o, "first_step": 1e-3}))
+    with pytest.raises(StepFailure, match="spacing between numbers"):
+        integrate(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
 
 
 @pytest.fixture(scope="module")

@@ -336,3 +336,23 @@ def test_delay_map_csv_schema(cfg):
     assert cells[0] == "0.001"          # 1e-6 W rendered in mW
     assert cells[1] == "0"              # integer angular momentum
     assert cells[3] in ("slow", "fast", "neutral")
+
+
+def _meshgrid_csv(header, axis1, axis2, *columns):
+    """The map rendering that formats every cell of both meshgridded axes."""
+    g1, g2 = np.meshgrid(axis1, axis2, indexing="ij")
+    cells = [map(str, np.asarray(c).ravel().tolist()) for c in (g1, g2, *columns)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def test_map_csvs_match_the_meshgrid_rendering(cfg):
+    """Formatting each axis value once and repeating it gives the bytes of
+    formatting every cell, on grids that are not square."""
+    m = sweep_2d(cfg, ("L", np.array([0.0, 50.0, 125.0])),
+                 ("Delta", np.linspace(0.9, 1.1, 4) * cfg.omega_m))
+    assert map_csv(m) == _meshgrid_csv(MAP_HEADER, m.axis1_grid, m.axis2_grid,
+                                       m.values, m.flags)
+    dm = delay_map(cfg, [1e-6, 2e-6], [0, 100, 200], 1.1 * cfg.omega_m)
+    assert delay_map_csv(dm) == _meshgrid_csv(
+        DELAY_MAP_HEADER, dm.P_grid * 1e3, dm.L_grid.astype(int),
+        dm.tau_g * 1e6, dm.classification, dm.flags)
