@@ -15,6 +15,7 @@ files may use {"value", "unit"} wrappers, including Hz); detuning-like flags
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -211,13 +212,14 @@ def _cmd_delay_map(args, cfg):
                    method=args.method, branch=args.branch)
     tau_us = dm.tau_g * 1e6
     finite = tau_us[np.isfinite(tau_us)]
+    flags = list(itertools.chain.from_iterable(dm.flags))
     stats = {
         "max_abs_tau_g_us": float(np.max(np.abs(finite))) if finite.size else None,
         "min_tau_g_us": float(finite.min()) if finite.size else None,
         "max_tau_g_us": float(finite.max()) if finite.size else None,
         "n_slow": int(np.sum(dm.classification == "slow")),
         "n_fast": int(np.sum(dm.classification == "fast")),
-        "n_error": int(sum(f != "" for r in dm.flags for f in r)),
+        "n_error": len(flags) - flags.count(""),
     }
     svg = heatmap_svg(dm.L_grid, dm.P_grid * 1e3, tau_us, title="group delay [us]",
                       xlabel="L", ylabel="P [mW]") if args.svg else None

@@ -277,6 +277,11 @@ def _periodic_orbit(cfg, delta, tol):
                   rhs_evals=int(rhs_evals))
 
 
+def _norm2(z):
+    """Squared 2-norm of a complex array, summed elementwise."""
+    return float(np.sum(z.real * z.real + z.imag * z.imag))
+
+
 def demodulate(series, delta, eps_p):
     """Least-squares fit of a(t) over the final half of the series, or over
     its final beat period 2 pi/|delta| where that is longer, against the
@@ -298,15 +303,20 @@ def demodulate(series, delta, eps_p):
             f"demodulation basis collinear over window {window} at "
             f"delta = {delta!r}")
 
-    M = np.column_stack([
-        np.ones_like(tw, dtype=complex),
-        eps_p * np.exp(-1j * delta * tw),
-        np.conj(eps_p) * np.exp(+1j * delta * tw)])
-    coef, _, _, _ = np.linalg.lstsq(M, aw, rcond=None)
-    resid = np.linalg.norm(aw - M @ coef) / max(np.linalg.norm(aw), 1e-300)
+    # the 3x3 normal equations of the basis {1, w, w*}, w = e^{-i delta t},
+    # from sums over the window; the coefficients of w and w* are
+    # eps_p a_plus and eps_p^* a_minus
+    w = np.exp(-1j * delta * tw)
+    wc = w.conj()
+    s1, s2 = complex(w.sum()), complex((w * w).sum())
+    s1c, n = s1.conjugate(), float(tw.size)
+    gram = np.array([[n, s1, s1c], [s1c, n, s2.conjugate()], [s1, s2, n]])
+    c0, c1, c2 = np.linalg.solve(gram, [aw.sum(), (wc * aw).sum(), (w * aw).sum()])
+    miss = aw - (c0 + c1 * w + c2 * wc)
+    resid = math.sqrt(_norm2(miss)) / max(math.sqrt(_norm2(aw)), 1e-300)
     return DemodulationReport(
-        a0_est=complex(coef[0]), a_plus_est=complex(coef[1]),
-        a_minus_est=complex(coef[2]), fit_residual=float(resid), window=window)
+        a0_est=complex(c0), a_plus_est=complex(c1 / eps_p),
+        a_minus_est=complex(c2 / np.conj(eps_p)), fit_residual=resid, window=window)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ Both solvers broadcast over a ``config_grid`` and flag failed cells.
 ``solve_steady`` one of them; both raise the error a failed cell names.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ from .util import flag_cells, with_python_scalars
 # Newton polish of the cubic roots: hard iteration cap and relative residual target
 _POLISH_MAX_ITER = 50
 _POLISH_RTOL = 1e-12
+# the angles 0, 2 pi/3 and 4 pi/3 of the trigonometric roots of a cubic
+_THIRDS = np.array([0.0, 2.0, 4.0]) * (math.pi / 3.0)
 
 
 @dataclass(frozen=True)
@@ -111,25 +114,58 @@ def _polish(n, active, kappa, delta0, chi, eps2):
     return n, np.abs(n * (kappa * kappa + det * det) - eps2) <= target
 
 
+def _cubic_roots(kappa, chi, eps2, delta0, cubic):
+    """The three roots n of the cubic in closed form, stacked on a leading
+    axis: three real ones, or one real root and a complex conjugate pair.
+    Cells where cubic is false get finite placeholders.
+
+    In t = chi n / kappa the cubic is monic with coefficients of order
+    one, t [1 + (D - t)^2] = beta with D = delta0/kappa and
+    beta = chi eps2/kappa^3, and t = x + 2D/3 depresses it to
+    x^3 + p x + q = 0. A negative discriminant gives three real roots in
+    trigonometric form, otherwise Cardano's form gives the real root and
+    the pair. The root the shift by 2D/3 would cancel, the smallest when
+    all are real and the real one when it is smaller than the pair, comes
+    from the product of the roots, which is beta.
+    """
+    chi = np.where(cubic, chi, 1.0)
+    d = delta0 / kappa
+    beta = chi * eps2 / kappa ** 3
+    p = 1.0 - d * d / 3.0
+    q = d * (2.0 / 3.0 + d * d * (2.0 / 27.0)) - beta
+    disc = 0.25 * q * q + p * p * p / 27.0
+    three = disc < 0.0
+    shift = 2.0 * d / 3.0
+    # three real roots, in descending order
+    m = 2.0 * np.sqrt(np.where(three, -p, 3.0) / 3.0)
+    phi = np.arccos(np.clip(-4.0 * q / (m * m * m), -1.0, 1.0)) / 3.0
+    trig = m * np.cos(phi - _THIRDS.reshape((3,) + (1,) * phi.ndim)) + shift
+    with np.errstate(divide="ignore", invalid="ignore"):  # cells with one real root
+        trig[2] = beta / (trig[0] * trig[1])
+    # one real root and a pair; u^3 is formed without cancellation, and
+    # u = 0 only at a triple root, where p = 0 and so v = 0
+    u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+    v = -p / (3.0 * np.where(u == 0.0, 1.0, u))
+    pair = (shift - 0.5 * (u + v)) + (0.5j * math.sqrt(3.0)) * (u - v)
+    mod2 = pair.real ** 2 + pair.imag ** 2
+    one = u + v + shift
+    one = np.where(mod2 >= one * one, beta / mod2, one)
+    return np.where(three, trig, np.stack([one, pair, pair.conj()])) * (kappa / chi)
+
+
 def self_consistent_branches(cfg, dc, delta0):
     """Branches at a prescribed bare detuning: every real root of the cubic.
 
-    All cubics are solved at once as the eigenvalues of their stacked
-    companion matrices, then polished by Newton's method. Three branches
-    (bistability) anywhere on the grid are surfaced with one warning.
+    All cubics are solved at once in closed form (_cubic_roots), then
+    polished by Newton's method. Three branches (bistability) anywhere on
+    the grid are surfaced with one warning.
     """
     kappa, chi, eps2 = np.broadcast_arrays(
         cfg.kappa, dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2,
         dc.eps_c ** 2)
     # without drive n = 0; without back-action (L = 0) the cubic is linear
     cubic = (eps2 != 0.0) & (chi != 0.0)
-    coeffs = (chi * chi, -2.0 * delta0 * chi, kappa * kappa + delta0 * delta0, -eps2)
-    lead = np.where(cubic, coeffs[0], 1.0)
-    companion = np.zeros(kappa.shape + (3, 3))
-    for k in range(3):
-        companion[..., 0, k] = np.where(cubic, -coeffs[k + 1] / lead, 0.0)
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    raw = np.moveaxis(np.linalg.eigvals(companion), -1, 0)
+    raw = _cubic_roots(kappa, chi, eps2, delta0, cubic)
 
     scale = eps2 / (kappa * kappa)
     real = np.abs(raw.imag) <= 1e-7 * np.maximum(np.abs(raw), scale)

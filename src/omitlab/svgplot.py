@@ -136,19 +136,30 @@ def line_svg(x, series, title="", xlabel="", ylabel=""):
     return _figure(height, iw, title, xlabel, ylabel, [frame], axes, marks)
 
 
+def _color(key):
+    """The color of a key of _diverging_colors."""
+    if not key:
+        return "#bbbbbb"
+    c, g = divmod(abs(key) - 1, 256)
+    return f"rgb({c},{g},255)" if key < 0 else f"rgb(255,{g},{c})"
+
+
 def _diverging_colors(v):
     """Blue through white to red over v in [-1, 1], grey where v is not
-    finite: one color per element of v, in C order."""
+    finite: one color per element of v, in C order, each distinct color
+    formatted once."""
     v = np.ravel(v)
     ok = np.isfinite(v)
     # 1 - |v| is 1 + v exactly for v < 0, and the channels are positive, so
     # astype(int) truncates as int() does
     t = 1.0 - np.abs(np.where(ok, v, 0.0))
-    outer = (59 + t * 196).astype(int).tolist()
-    mid = (76 + t * 179).astype(int).tolist()
-    return [("#bbbbbb" if not o else f"rgb({c},{g},255)" if neg
-             else f"rgb(255,{g},{c})")
-            for o, neg, c, g in zip(ok.tolist(), (v < 0).tolist(), outer, mid)]
+    outer = (59 + t * 196).astype(int)
+    mid = (76 + t * 179).astype(int)
+    # one integer per color: 0 for grey, else +-(256 outer + mid + 1) with
+    # the sign of v
+    keys = np.where(ok, np.where(v < 0, -1, 1) * (256 * outer + mid + 1), 0).tolist()
+    table = {k: _color(k) for k in set(keys)}
+    return list(map(table.__getitem__, keys))
 
 
 def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
@@ -184,13 +195,15 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
             for (cy, cx), c in zip(itertools.product(rows, cols), colors)]
     axes.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw:.2f}" '
                 f'height="{ih}" fill="none" stroke="#333"/>')
+    # ticks run from the centre of the first cell (the minimum) to the
+    # centre of the last (the maximum)
     for tv in _ticks(float(x.min()), float(x.max())):
-        tx = _MARGIN_L + (tv - x.min()) / (x.max() - x.min() or 1.0) * iw
+        tx = _MARGIN_L + cw / 2 + (tv - x.min()) / (x.max() - x.min() or 1.0) * (iw - cw)
         axes.append(f'<text x="{tx:.2f}" y="{_MARGIN_T + ih + 15}" '
                     f'text-anchor="middle" font-family="sans-serif" '
                     f'font-size="10">{_fmt_tick(tv)}</text>')
     for tv in _ticks(float(y.min()), float(y.max())):
-        ty = _MARGIN_T + ih - (tv - y.min()) / (y.max() - y.min() or 1.0) * ih
+        ty = _MARGIN_T + ih - ch / 2 - (tv - y.min()) / (y.max() - y.min() or 1.0) * (ih - ch)
         axes.append(f'<text x="{_MARGIN_L - 6}" y="{ty:.2f}" text-anchor="end" '
                     f'dominant-baseline="middle" font-family="sans-serif" '
                     f'font-size="10">{_fmt_tick(tv)}</text>')

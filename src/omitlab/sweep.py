@@ -7,6 +7,7 @@ resonance: at Q = 1.2e5 the transparency windows are gamma-narrow and a
 uniform grid would step right over them.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ def _refine_grid(grid, ep):
         inside = pieces[0][(pieces[0] >= lo) & (pieces[0] <= hi)]
         if inside.size < 2 or np.max(np.diff(inside)) > gam / 4.0:
             pieces.append(np.linspace(lo, hi, 81))
-    out = np.unique(np.concatenate(pieces))
-    return out
+    # sorted, each value once (np.unique would import numpy.ma)
+    out = np.sort(np.concatenate(pieces))
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -278,32 +280,35 @@ def _cells(column):
     return map(str, np.asarray(column).ravel().tolist())
 
 
-def _rows(*columns):
-    """Rows of cell strings from equal-length columns."""
-    return list(zip(*map(_cells, columns)))
+def _rows(flags, *columns):
+    """Rows of cell strings from equal-length columns, then the flag, taken
+    from the list of strings as it is."""
+    return list(zip(*map(_cells, columns), flags))
 
 
-def _map_rows(axis1, axis2, *columns):
+def _map_rows(axis1, axis2, flags, *columns):
     """Rows of a map: the two axis values in C order (axis1 slowest), each
-    formatted once, then the cells of the (n1, n2) columns."""
+    formatted once, the cells of the (n1, n2) columns, then the flag from
+    the nested lists as they are."""
     s1, s2 = list(_cells(axis1)), list(_cells(axis2))
-    return list(zip([s for s in s1 for _ in s2], s2 * len(s1), *map(_cells, columns)))
+    return list(zip([s for s in s1 for _ in s2], s2 * len(s1), *map(_cells, columns),
+                    itertools.chain.from_iterable(flags)))
 
 
 def spectrum_csv(series):
     grid = np.asarray(series.delta_grid, dtype=float)
     return render_csv(SPECTRUM_HEADER, _rows(
-        grid / series.omega_m, series.nu_p, series.u_p, series.phase_unwrapped,
-        np.asarray(series.tau_g) * 1e6, series.flags))
+        series.flags, grid / series.omega_m, series.nu_p, series.u_p,
+        series.phase_unwrapped, np.asarray(series.tau_g) * 1e6))
 
 
 def map_csv(m):
     return render_csv(MAP_HEADER, _map_rows(
         np.asarray(m.axis1_grid, dtype=float), np.asarray(m.axis2_grid, dtype=float),
-        m.values, m.flags))
+        m.flags, m.values))
 
 
 def delay_map_csv(dm):
     return render_csv(DELAY_MAP_HEADER, _map_rows(
-        dm.P_grid * 1e3, dm.L_grid.astype(int), dm.tau_g * 1e6,
-        dm.classification, dm.flags))
+        dm.P_grid * 1e3, dm.L_grid.astype(int), dm.flags, dm.tau_g * 1e6,
+        dm.classification))

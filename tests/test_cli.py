@@ -370,11 +370,12 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 2
 
 
-def _scipy_modules_after(argvs, cwd, block_scipy):
+def _modules_after(argvs, cwd, block_scipy):
     """Exit codes of omitlab.cli.main on each argv in turn, in a fresh
-    interpreter given the checkout's src, and the scipy modules it loaded.
-    With block_scipy, sys.modules["scipy"] is None from the start, so any
-    import of scipy fails as it would without scipy installed."""
+    interpreter given the checkout's src, and the modules of scipy and of
+    numpy.ma it loaded. With block_scipy, sys.modules["scipy"] is None from
+    the start, so any import of scipy fails as it would without scipy
+    installed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import json, sys\n"
@@ -382,8 +383,8 @@ def _scipy_modules_after(argvs, cwd, block_scipy):
         + ("sys.modules['scipy'] = None\n" if block_scipy else "")
         + "from omitlab.cli import main\n"
         f"codes = [main(a) for a in {argvs!r}]\n"
-        "mods = [m for m, v in sys.modules.items()\n"
-        "        if m.split('.')[0] == 'scipy' and v is not None]\n"
+        "mods = [m for m, v in sys.modules.items() if v is not None and\n"
+        "        (m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])]\n"
         "print(json.dumps([codes, mods]))\n")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                        text=True, cwd=cwd)
@@ -393,7 +394,9 @@ def _scipy_modules_after(argvs, cwd, block_scipy):
 
 def test_no_subcommand_imports_scipy(tmp_path):
     """Every subcommand, the oracle included, runs on numpy alone: none
-    loads a scipy module, and each runs where scipy cannot be imported."""
+    loads a scipy module, and each runs where scipy cannot be imported.
+    None loads numpy.ma either, which costs several milliseconds to import
+    (np.unique, for one, imports it on its first call)."""
     argvs = [["defaults"], ["steady"], ["spectrum", "--svg", "--out", "s.csv"],
              ["dips"], ["delay", "--delta", "1.1"],
              ["delay-map", "--svg", "--out", "dm.csv"],
@@ -401,7 +404,7 @@ def test_no_subcommand_imports_scipy(tmp_path):
               "--grid2", "0.9:1.1:5", "--out", "m.csv"],
              ["oracle", "--delta", "1.0", "--out", "o.json"]]
     for block_scipy in (False, True):
-        codes, mods = _scipy_modules_after(argvs, tmp_path, block_scipy)
+        codes, mods = _modules_after(argvs, tmp_path, block_scipy)
         assert codes == [0] * len(argvs)
         assert mods == []
         assert json.loads(_read(tmp_path / "o.json"))["pass"] is True

@@ -59,6 +59,45 @@ def test_demodulation_tolerates_noise():
     assert rep.a_plus_est == pytest.approx(0.3 + 0.1j, rel=1e-5)
 
 
+def _lstsq_fit(series, delta, eps_p, window):
+    """The least-squares fit over the window by np.linalg.lstsq on the
+    stacked basis: (a0, a_plus, a_minus, residual)."""
+    sel = series.t >= window[0]
+    t, a = series.t[sel], series.a[sel]
+    M = np.column_stack([np.ones_like(t, dtype=complex),
+                         eps_p * np.exp(-1j * delta * t),
+                         np.conj(eps_p) * np.exp(+1j * delta * t)])
+    coef = np.linalg.lstsq(M, a, rcond=None)[0]
+    return (*coef, np.linalg.norm(a - M @ coef) / np.linalg.norm(a))
+
+
+def _oracle_series(cfg, x):
+    """The uniformly sampled period of the periodic orbit that oracle_check
+    demodulates at x omega_m."""
+    c, delta = replace(cfg, Q1=50.0, Q2=50.0), x * cfg.omega_m
+    orbit = om._periodic_orbit(c, delta, 1e-10)
+    t = np.linspace(0.0, orbit.period, om._PERIOD_SAMPLES + 1)
+    sol = orbit.run(orbit.states, orbit.eps_ps, orbit.period, t_eval=t)
+    return om._series(sol, delta, orbit.eps_ps, orbit.period)[0]
+
+
+@pytest.mark.parametrize("which", ["harmonics", "oracle"])
+def test_demodulation_matches_lstsq(cfg, which):
+    """The normal equations give the coefficients and the residual of
+    np.linalg.lstsq within 1e-12 relative: on a signal with 2nd and 3rd
+    harmonics outside the basis, and on a period of the oracle's orbit."""
+    if which == "harmonics":
+        s = _synthetic_series(T=1.37e-3)
+        w = np.exp(-1j * s.delta * s.t)
+        s = replace(s, a=s.a + (0.2 - 0.1j) * w ** 2 + 0.05j * np.conj(w) ** 3)
+    else:
+        s = _oracle_series(cfg, 0.93)
+    rep = demodulate(s, s.delta, s.eps_p)
+    ref = _lstsq_fit(s, s.delta, s.eps_p, rep.window)
+    est = (rep.a0_est, rep.a_plus_est, rep.a_minus_est, rep.fit_residual)
+    assert est == pytest.approx(ref, rel=1e-12)
+
+
 def test_demodulation_rejects_short_window():
     # fewer than one beat period across the fit window
     s = _synthetic_series(delta=1e3)

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import omitlab.steadystate as steadystate
 from omitlab import (ConfigError, FixedEffective, SelfConsistent,
                      default_config, derive_constants, solve_steady,
                      steady_states)
+from omitlab.model import config_grid
 
 
 def test_fixed_point_reference_value(ss):
@@ -115,12 +117,9 @@ def test_bistable_point_against_bisection():
         assert abs(_cubic(s.n, cfg.kappa, delta0, chi, eps2)) <= 1e-11 * eps2
 
 
-def test_saddle_node_edge_reports_merged_roots_once():
-    """At the upper edge of the bistable band in delta0 the two upper roots
-    of the cubic merge. The eigenvalue solve returns them as a nearly real
-    complex pair, which the polish brings onto one number: one branch, not
-    two copies."""
-    cfg = replace(default_config(), P=5e-3)
+def _upper_edge(cfg):
+    """(delta0, n*): the larger bare detuning at which two roots of the
+    cubic merge into the double root n*, at cfg's drive."""
     dc = derive_constants(cfg)
     kappa = cfg.kappa
     chi = dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2
@@ -133,7 +132,20 @@ def test_saddle_node_edge_reports_merged_roots_once():
     us = np.roots([1.0, 0.0, 2.0 * kappa ** 2, -2.0 * chi * eps2, kappa ** 4])
     u = min(r.real for r in us if abs(r.imag) <= 1e-9 * abs(r))
     delta0 = (kappa ** 2 + 3.0 * u ** 2) / (2.0 * u)
-    n_double = (delta0 - u) / chi
+    return delta0, (delta0 - u) / chi
+
+
+def test_saddle_node_edge_reports_merged_roots_once():
+    """At the upper edge of the bistable band in delta0 the two upper roots
+    of the cubic merge. The closed form returns them as a complex pair
+    whose imaginary parts lie far below the real-root test, and the polish
+    brings both onto their common real part: one branch, not two copies."""
+    cfg = replace(default_config(), P=5e-3)
+    dc = derive_constants(cfg)
+    kappa = cfg.kappa
+    chi = dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2
+    eps2 = dc.eps_c ** 2
+    delta0, n_double = _upper_edge(cfg)
 
     ns = [s.n for s in steady_states(replace(cfg, detuning_mode=SelfConsistent(delta0)))]
     assert len(ns) == 2
@@ -148,6 +160,47 @@ def test_saddle_node_edge_reports_merged_roots_once():
     # the mean of the pair is well conditioned (their sum is 2 delta0/chi -
     # ns[0]) and already meets the residual target, so no Newton step moves it
     assert ns[1] == pytest.approx(n_double, rel=1e-12)
+
+
+def _eigvals_roots(kappa, chi, eps2, delta0, cubic):
+    """The roots of the cubic as the eigenvalues of the stacked companion
+    matrices, the solve the closed form replaced."""
+    coeffs = (chi * chi, -2.0 * delta0 * chi, kappa * kappa + delta0 * delta0, -eps2)
+    lead = np.where(cubic, coeffs[0], 1.0)
+    companion = np.zeros(kappa.shape + (3, 3))
+    for k in range(3):
+        companion[..., 0, k] = np.where(cubic, -coeffs[k + 1] / lead, 0.0)
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    return np.moveaxis(np.linalg.eigvals(companion), -1, 0)
+
+
+def test_closed_form_roots_match_the_eigenvalue_solve(monkeypatch):
+    """The closed-form roots give the branch counts, flags and polished n of
+    the companion-matrix eigenvalues, n within 1e-12 relative: on a seeded
+    P x L grid with P = 0 and L = 0 cells at bare detunings across the
+    bistable band, and at the saddle-node edge."""
+    rng = np.random.default_rng(1018)
+    base = default_config()
+    P = np.concatenate([[0.0], np.sort(rng.uniform(1e-5, 1e-2, 24))])
+    L = np.concatenate([[0.0, 1.0], np.sort(rng.integers(2, 300, 24))])
+    grid = config_grid(base, P=P[:, None], L=L[None, :])
+    edge = replace(base, P=5e-3)
+    cases = [(grid, x * base.omega_m) for x in rng.uniform(-1.0, 3.0, 6)]
+    cases.append((edge, _upper_edge(edge)[0]))
+    bistable = 0
+    for c, delta0 in cases:
+        dc = derive_constants(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = steadystate.self_consistent_branches(c, dc, delta0)
+            monkeypatch.setattr(steadystate, "_cubic_roots", _eigvals_roots)
+            ref = steadystate.self_consistent_branches(c, dc, delta0)
+            monkeypatch.undo()
+        assert np.array_equal(got.count, ref.count)
+        assert np.array_equal(got.flags, ref.flags)
+        np.testing.assert_allclose(np.abs(got.a0) ** 2, np.abs(ref.a0) ** 2, rtol=1e-12)
+        bistable += np.count_nonzero(got.count == 3)
+    assert bistable > 0
 
 
 def test_single_branch_at_weak_drive():

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from omitlab.svgplot import heatmap_svg, line_svg
+from omitlab.svgplot import _diverging_colors, _fmt_tick, heatmap_svg, line_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -75,6 +75,34 @@ def test_heatmap_svg_draws_a_descending_grid_ascending():
     assert heatmap_svg(x, y[::-1], z[::-1], xlabel="x", ylabel="y") == text
 
 
+@pytest.mark.parametrize("grid", [[0.0, 100.0], [100.0, 0.0],
+                                  [0.9, 1.0, 1.1], [1.1, 1.0, 0.9]])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_heatmap_svg_ticks_sit_on_cell_centres(grid, axis):
+    """The tick of each grid value sits at the centre of the cells of that
+    value, on either axis of 2 or 3 points, ascending or descending."""
+    g, other = np.array(grid), np.array([0.0, 1.0])
+    if axis == "x":
+        z = np.broadcast_to(g, (other.size, g.size))
+        text = heatmap_svg(g, other, z)
+        # the x ticks stand below the plot area, the y ticks left of it
+        ticks = [t for t in _parse(text).findall(f"{SVG_NS}text") if t.get("y") == "489"]
+    else:
+        z = np.broadcast_to(g[:, None], (g.size, other.size))
+        text = heatmap_svg(other, g, z)
+        ticks = [t for t in _parse(text).findall(f"{SVG_NS}text") if t.get("x") == "58"]
+    at = {t.text: float(t.get(axis)) for t in ticks}
+    size = "width" if axis == "x" else "height"
+    centres = {}
+    for r in _parse(text).findall(f"{SVG_NS}rect")[1:1 + z.size]:
+        # a cell is drawn 0.5 larger than its pitch, to close the seams
+        centres.setdefault(r.get("fill"), set()).add(
+            round(float(r.get(axis)) + (float(r.get(size)) - 0.5) / 2, 2))
+    for v in g:
+        (centre,) = centres[_diverging_colors(np.array([v / g.max()]))[0]]
+        assert at[_fmt_tick(v)] == pytest.approx(centre, abs=0.02)
+
+
 def test_heatmap_svg_shape_mismatch():
     with pytest.raises(ValueError):
         heatmap_svg(np.array([0.0, 1.0]), np.array([0.0]), np.zeros((3, 3)))
@@ -98,6 +126,24 @@ def test_heatmap_svg_cell_colors(z, fills):
     z = np.array([z])
     text = heatmap_svg(np.arange(z.shape[1], dtype=float), np.array([0.0]), z)
     assert _cell_fills(text, z.size) == fills
+
+
+def _per_cell_colors(v):
+    """The colors of v formatted cell by cell, as one string each."""
+    v = np.ravel(v)
+    ok = np.isfinite(v)
+    t = 1.0 - np.abs(np.where(ok, v, 0.0))
+    return [("#bbbbbb" if not o else f"rgb({int(59 + x * 196)},{int(76 + x * 179)},255)"
+             if neg else f"rgb(255,{int(76 + x * 179)},{int(59 + x * 196)})")
+            for o, neg, x in zip(ok.tolist(), (v < 0).tolist(), t.tolist())]
+
+
+def test_diverging_colors_match_the_per_cell_formatter():
+    """Formatting each distinct color once gives the color of every cell:
+    seeded values over [-1, 1], the ends, both zeros and non-finite values."""
+    v = np.random.default_rng(14).uniform(-1.0, 1.0, (50, 41))
+    v.flat[:8] = [-1.0, 1.0, 0.0, -0.0, np.nan, np.inf, -np.inf, -1e-300]
+    assert _diverging_colors(v) == _per_cell_colors(v)
 
 
 def test_line_svg_draws_the_inner_runs():

@@ -346,13 +346,22 @@ def _meshgrid_csv(header, axis1, axis2, *columns):
 
 
 def test_map_csvs_match_the_meshgrid_rendering(cfg):
-    """Formatting each axis value once and repeating it gives the bytes of
-    formatting every cell, on grids that are not square."""
+    """Formatting each axis value once and repeating it, and passing the
+    flags on from their nested lists, gives the bytes of formatting every
+    cell through an array, on grids that are not square, with and without
+    flagged cells."""
     m = sweep_2d(cfg, ("L", np.array([0.0, 50.0, 125.0])),
                  ("Delta", np.linspace(0.9, 1.1, 4) * cfg.omega_m))
-    assert map_csv(m) == _meshgrid_csv(MAP_HEADER, m.axis1_grid, m.axis2_grid,
-                                       m.values, m.flags)
     dm = delay_map(cfg, [1e-6, 2e-6], [0, 100, 200], 1.1 * cfg.omega_m)
-    assert delay_map_csv(dm) == _meshgrid_csv(
-        DELAY_MAP_HEADER, dm.P_grid * 1e3, dm.L_grid.astype(int),
-        dm.tau_g * 1e6, dm.classification, dm.flags)
+    flagged_m = replace(m, flags=[["", "NumericalError", "", ""],
+                                  ["NearZeroTransmission", "", "", ""],
+                                  ["", "", "", "DegenerateDenominator"]])
+    flagged_dm = replace(dm, flags=[["", "RootRefinementError", ""],
+                                    ["NumericalError", "", ""]])
+    for a in (m, flagged_m):
+        assert map_csv(a) == _meshgrid_csv(MAP_HEADER, a.axis1_grid, a.axis2_grid,
+                                           a.values, a.flags)
+    for d in (dm, flagged_dm):
+        assert delay_map_csv(d) == _meshgrid_csv(
+            DELAY_MAP_HEADER, d.P_grid * 1e3, d.L_grid.astype(int),
+            d.tau_g * 1e6, d.classification, d.flags)
