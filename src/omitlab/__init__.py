@@ -11,12 +11,11 @@ validated against direct time-domain integration.
 
 __version__ = "0.1.0"
 
-from .delay import (DelayMap, DelayResult, delay_map, group_delay,
-                    tau_g_analytic, unwrap_phase)
+from .delay import DelayResult, group_delay, tau_g_analytic, unwrap_phase
 from .errors import (BlowUp, ConfigError, DegenerateDenominator,
-                     IllConditionedFit, NearZeroTransmission, NumericalError,
-                     OmitlabError, RootRefinementError, SingularSystem,
-                     StepFailure, StepTooLarge, Unstable)
+                     IllConditionedFit, MissingBranch, NearZeroTransmission,
+                     NumericalError, OmitlabError, RootRefinementError,
+                     SingularSystem, StepFailure, StepTooLarge, Unstable)
 from .model import (C_LIGHT, HBAR, DerivedConstants, EffectiveParams,
                     FixedEffective, PhysicalConfig, SelfConsistent,
                     config_fingerprint, config_from_dict, config_from_json,
@@ -35,7 +34,7 @@ from .sweep import (DipReport, Map2D, SpectrumSeries, default_delta_grid,
 __all__ = [
     "__version__",
     "BlowUp", "ConfigError", "DegenerateDenominator", "IllConditionedFit",
-    "NearZeroTransmission", "NumericalError", "OmitlabError",
+    "MissingBranch", "NearZeroTransmission", "NumericalError", "OmitlabError",
     "RootRefinementError", "SingularSystem", "StepFailure", "StepTooLarge",
     "Unstable",
     "C_LIGHT", "HBAR", "DerivedConstants", "EffectiveParams",
@@ -46,8 +45,7 @@ __all__ = [
     "SteadyState", "solve_steady", "steady_states",
     "ProbeResponse", "SidebandAmplitudes", "eps_out_zero", "lambda_j",
     "probe_response", "sideband_amplitudes", "sideband_linear_solve",
-    "DelayMap", "DelayResult", "delay_map", "group_delay", "tau_g_analytic",
-    "unwrap_phase",
+    "DelayResult", "group_delay", "tau_g_analytic", "unwrap_phase",
     "DemodulationReport", "OdeSeries", "OracleReport", "demodulate",
     "integrate", "oracle_check",
     "DipReport", "Map2D", "SpectrumSeries", "default_delta_grid",

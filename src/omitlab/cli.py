@@ -15,7 +15,6 @@ files may use {"value", "unit"} wrappers, including Hz); detuning-like flags
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from . import __version__
-from .delay import delay_map, group_delay
+from .delay import _classify, group_delay
 from .errors import ConfigError, NumericalError
 from .model import (FixedEffective, SelfConsistent, config_fingerprint,
                     config_from_json, config_to_dict, config_to_json,
@@ -208,22 +207,23 @@ def _cmd_delay_map(args, cfg):
             raise ConfigError(f"{name} must be >= 1")
     P_grid = np.linspace(args.p_start, args.p_stop, args.p_points) * 1e-3
     L_grid = np.linspace(args.l_start, args.l_stop, args.l_points)
-    dm = delay_map(cfg, P_grid, L_grid, args.delta * cfg.omega_m,
-                   method=args.method, branch=args.branch)
-    tau_us = dm.tau_g * 1e6
+    m = sweep_2d(cfg, ("P", P_grid), ("L", L_grid), observable="tau_g",
+                 delta=args.delta * cfg.omega_m, branch=args.branch,
+                 method=args.method)
+    tau_us = m.values * 1e6
     finite = tau_us[np.isfinite(tau_us)]
-    flags = list(itertools.chain.from_iterable(dm.flags))
+    kinds = _classify(m.values)
     stats = {
         "max_abs_tau_g_us": float(np.max(np.abs(finite))) if finite.size else None,
         "min_tau_g_us": float(finite.min()) if finite.size else None,
         "max_tau_g_us": float(finite.max()) if finite.size else None,
-        "n_slow": int(np.sum(dm.classification == "slow")),
-        "n_fast": int(np.sum(dm.classification == "fast")),
-        "n_error": len(flags) - flags.count(""),
+        "n_slow": int(np.sum(kinds == "slow")),
+        "n_fast": int(np.sum(kinds == "fast")),
+        "n_error": sum(len(row) - row.count("") for row in m.flags),
     }
-    svg = heatmap_svg(dm.L_grid, dm.P_grid * 1e3, tau_us, title="group delay [us]",
+    svg = heatmap_svg(m.axis2_grid, m.axis1_grid * 1e3, tau_us, title="group delay [us]",
                       xlabel="L", ylabel="P [mW]") if args.svg else None
-    return "", delay_map_csv(dm), svg, stats
+    return "", delay_map_csv(m), svg, stats
 
 
 def _parse_axis_grid(spec_str, name):

@@ -5,7 +5,8 @@ derivative is with respect to Delta. Two independent methods are provided:
 an exact derivative of the closed-form response (default) and a central
 finite difference with one Richardson step; they cross-validate each other.
 A positive tau_g is slow light, negative is fast light. Both methods run
-batched, flagging the cells where the delay is undefined.
+batched and flag the cells where the delay is undefined; the (P, L) delay
+map is a sweep.sweep_2d map.
 """
 
 import warnings
@@ -16,7 +17,6 @@ import numpy as np
 from . import errors
 from .errors import ConfigError
 from .response import probe_response
-from .steadystate import effective_grid
 from .util import flag_cells, scalar_in_scalar_out
 
 # |t_p| below this leaves the phase (and its derivative) undefined
@@ -139,54 +139,3 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
         raise error(f"at delta = {delta!r} (|t_p| = {res.t_p_magnitude:.3e}, "
                     f"h = {res.step!r}): {error.__doc__}")
     return res
-
-
-@dataclass(frozen=True)
-class DelayMap:
-    """Group delay over a (P, L) grid at fixed detuning.
-
-    Index [i, j] is (P_grid[i], L_grid[j]). flags[i][j] names the error of
-    a failed cell ("" on success); there tau_g [s] is nan and classification
-    "". cells[i][j] is the cell's DelayResult, or None if it failed.
-    """
-
-    P_grid: object
-    L_grid: object
-    delta: float
-    flags: object
-    tau_g: object
-    classification: object
-    t_p_magnitude: object
-    method: str
-    step: object
-
-    @property
-    def cells(self):
-        rows = zip(self.flags, self.tau_g, self.classification, self.t_p_magnitude)
-        return [[None if f else DelayResult(float(t), self.method, self.step,
-                                            str(c), float(m))
-                 for f, t, c, m in zip(*row)] for row in rows]
-
-
-def delay_map(cfg, P_grid, L_grid, delta, method="analytic", branch=0):
-    """Evaluate the group delay on a (P, L) grid at one detuning.
-
-    L values are rounded to the nearest integer quantum number, and L_grid
-    holds the rounded values; branch selects the steady state as in
-    solve_steady. One batched steady-state solve covers the grid; per-cell
-    numerical failures are recorded in the flags matrix and do not abort
-    the map.
-    """
-    P_grid = np.asarray(P_grid, dtype=float)
-    L_grid = np.round(np.asarray(L_grid, dtype=float))
-    if P_grid.size == 0 or L_grid.size == 0:
-        raise ConfigError("delay_map grids must be nonempty")
-    delta = float(delta)
-    ep, flags = effective_grid(cfg, branch, P=P_grid[:, None], L=L_grid[None, :])
-    _, res, flags = _delays(ep, np.full((P_grid.size, L_grid.size), delta),
-                            method, flags=flags)
-    return DelayMap(P_grid=P_grid, L_grid=L_grid, delta=delta,
-                    flags=flags.tolist(), tau_g=res.tau_g,
-                    classification=res.classification,
-                    t_p_magnitude=res.t_p_magnitude, method=res.method,
-                    step=res.step)

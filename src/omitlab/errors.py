@@ -46,6 +46,10 @@ class IllConditionedFit(NumericalError):
     """Demodulation window too short, fit basis nearly collinear."""
 
 
+class MissingBranch(NumericalError):
+    """The requested steady-state branch does not exist at this drive."""
+
+
 class RootRefinementError(NumericalError):
     """Newton polish of a steady-state root did not reach the residual target."""
 

@@ -239,6 +239,8 @@ def _periodic_orbit(cfg, delta, tol):
     if delta == 0:
         raise IllConditionedFit("no probe beat period at delta = 0")
     run, y_ss, eps_p, floor = _flow(cfg, delta, tol)
+    if eps_p == 0:
+        raise IllConditionedFit("no probe to demodulate: P_p = 0")
     period = 2 * math.pi / abs(delta)
     eps_ps = (eps_p, 0.5 * eps_p)
     n = len(eps_ps)
@@ -298,7 +300,9 @@ def demodulate(series, delta, eps_p):
     sel = t >= t_start
     tw, aw = t[sel], a[sel]
     window = (float(tw[0]), float(tw[-1]))
-    if eps_p == 0 or window[1] - window[0] < period:
+    if eps_p == 0:
+        raise IllConditionedFit("no probe sidebands to fit: eps_p = 0")
+    if window[1] - window[0] < period:
         raise IllConditionedFit(
             f"demodulation basis collinear over window {window} at "
             f"delta = {delta!r}")

@@ -19,7 +19,7 @@ Both solvers broadcast over a ``config_grid`` and flag failed cells.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,19 +207,17 @@ def _states(cfg, dc, br, where):
 
 
 def _solve(cfg, dc, branch):
-    """Branches in cfg's detuning mode; ConfigError unless every cell that
-    did not fail has the requested branch."""
+    """Branches in cfg's detuning mode, with MissingBranch flagged in every
+    cell that did not fail and has fewer than branch + 1 branches."""
     mode = cfg.detuning_mode
     if mode.mode == "fixed_effective":
         if branch != 0:
             raise ConfigError("fixed effective detuning has a single branch (0)")
         return fixed_branches(cfg, dc, mode.value)
+    if branch < 0:
+        raise ConfigError(f"branch {branch} out of range: branches count from 0")
     br = self_consistent_branches(cfg, dc, mode.value)
-    missing = (br.flags == "") & ~((0 <= branch) & (branch < br.count))
-    if np.any(missing):
-        raise ConfigError(f"branch {branch} out of range: {br.count[missing][0]} "
-                          f"branch(es) at this drive")
-    return br
+    return replace(br, flags=flag_cells(br.flags, br.count <= branch, errors.MissingBranch))
 
 
 def steady_states(cfg):
@@ -237,13 +235,17 @@ def solve_steady(cfg, branch=0):
     (branch must be 0), in self-consistent mode the branch-th of the
     ascending-n roots (default 0, the lowest branch)."""
     dc = derive_constants(cfg)
-    return _states(cfg, dc, _solve(cfg, dc, branch), repr(cfg.detuning_mode))[branch]
+    br = _solve(cfg, dc, branch)
+    if br.flags == "MissingBranch":
+        raise ConfigError(f"branch {branch} out of range: {br.count} "
+                          f"branch(es) at this drive")
+    return _states(cfg, dc, br, repr(cfg.detuning_mode))[branch]
 
 
 def effective_grid(cfg, branch=0, **axes):
     """EffectiveParams and per-cell flags over config_grid(cfg, **axes),
-    from one batched steady-state solve; branch as in solve_steady. A failed
-    cell keeps its error name in flags and placeholder parameters (a0 = 0)."""
+    from one batched steady-state solve; a failed cell (MissingBranch where
+    it lacks the branch) keeps its error name and parameters with a0 = 0."""
     c = config_grid(cfg, **axes)
     dc = derive_constants(c)
     br = _solve(c, dc, branch)

@@ -1,5 +1,5 @@
 """Spectra over detuning grids, transparency-dip detection and 2-D parameter
-maps, plus the CSV renderings of all of them.
+maps (the (P, L) group-delay map among them), plus their CSV renderings.
 
 The default detuning grid is 4001 uniform points over [0.5, 1.5] omega_m with
 automatic refinement to gamma_j/4 spacing within +-10 gamma_j of each mirror
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import _delays, unwrap_phase
+from .delay import _classify, _delays, unwrap_phase
 from .errors import ConfigError
 from .model import config_fingerprint, effective_params
 from .steadystate import effective_grid, solve_steady
@@ -224,16 +224,17 @@ class Map2D:
     config_fingerprint: str
 
 
-def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
+def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0, method="analytic"):
     """Observable over a 2-D parameter grid.
 
     axis1/axis2 are (name, grid) pairs with names among P, L, kappa, Q1, Q2,
     Delta; the Delta axis feeds the response detuning directly instead of the
     configuration. observable is "nu_p" or "tau_g", evaluated at the Delta
-    axis values or at the fixed delta argument. L grids are rounded to
-    integer quantum numbers, and the map holds the rounded grid. The whole
-    grid is one batched evaluation; per-cell numerical failures are flagged,
-    not raised.
+    axis values or at the fixed delta argument; tau_g by method, as in
+    group_delay. branch is as in solve_steady; a cell without it is flagged
+    MissingBranch. L grids are rounded to integer quantum numbers, and the
+    map holds the rounded grid. The whole grid is one batched evaluation;
+    per-cell numerical failures are flagged, not raised.
     """
     (n1, g1), (n2, g2) = axis1, axis2
     for n in (n1, n2):
@@ -243,6 +244,8 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
         raise ConfigError("the two axes must differ")
     if observable not in ("nu_p", "tau_g"):
         raise ConfigError(f"observable must be nu_p or tau_g, got {observable!r}")
+    if observable == "nu_p" and method != "analytic":
+        raise ConfigError(f"group-delay method {method!r} applies to tau_g only")
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     g1, g2 = (np.round(g) if n == "L" else g for n, g in ((n1, g1), (n2, g2)))
@@ -257,7 +260,7 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0):
     dlt = axes.pop("Delta") if "Delta" in axes else float(delta)
     dlt = np.broadcast_to(dlt, (g1.size, g2.size))
     ep, flags = effective_grid(cfg, branch, **axes)
-    pr, res, flags = _delays(ep, dlt, flags=flags)
+    pr, res, flags = _delays(ep, dlt, method, flags=flags)
     values = np.where(flags == "", pr.nu_p if observable == "nu_p" else res.tau_g,
                       np.nan)
     return Map2D(axis1_name=n1, axis1_grid=g1, axis2_name=n2, axis2_grid=g2,
@@ -308,7 +311,9 @@ def map_csv(m):
         m.flags, m.values))
 
 
-def delay_map_csv(dm):
+def delay_map_csv(m):
+    if (m.axis1_name, m.axis2_name, m.observable) != ("P", "L", "tau_g"):
+        raise ConfigError("delay_map_csv renders only a (P, L) tau_g map")
     return render_csv(DELAY_MAP_HEADER, _map_rows(
-        dm.P_grid * 1e3, dm.L_grid.astype(int), dm.flags, dm.tau_g * 1e6,
-        dm.classification))
+        m.axis1_grid * 1e3, m.axis2_grid.astype(int), m.flags, m.values * 1e6,
+        _classify(m.values)))

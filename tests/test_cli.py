@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from omitlab import (config_fingerprint, config_from_json, config_to_json,
-                     default_config, effective_params, group_delay,
-                     solve_steady)
+from omitlab import (ConfigError, SelfConsistent, config_fingerprint,
+                     config_from_json, config_to_json, default_config,
+                     effective_params, group_delay, solve_steady)
 from omitlab.cli import build_parser, main
 
 
@@ -227,9 +229,79 @@ def test_branch_and_detuning_flags(tmp_path, capsys):
     P_mW, L, tau_us, kind, _ = dm_rows[1]
     assert (P_mW, L, kind) == ("1.9", "100", "fast")
     assert float(tau_us) == pytest.approx(-0.172, abs=1e-3)
-    # the default grid reaches powers with a single branch
+    # the default grid reaches powers with a single branch: those cells are
+    # flagged and the map is written
     assert main(["delay-map", *grid, "--p-points", "2", "--l-points", "2",
-                 "--out", str(dm)]) == 1
+                 "--out", str(dm)]) == 0
+    _, dm_rows = _rows(_read(dm))
+    assert [r[2:] for r in dm_rows] == [["nan", "", "MissingBranch"]] * 4
+
+
+def test_delay_map_flags_cells_without_the_branch(tmp_path):
+    """At --branch 1 a map that crosses the bistable region flags the cells
+    with a single branch as MissingBranch instead of exiting 1. The other
+    cells are the scalar group delay on branch 1, and the manifest counts
+    the flagged ones."""
+    out = tmp_path / "dm.csv"
+    with pytest.warns(UserWarning, match="bistable"):
+        assert main(["delay-map", "--delta0", "1.5", "--branch", "1",
+                     "--p-start", "1", "--p-stop", "4", "--p-points", "3",
+                     "--l-points", "3", "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    flags = [r[4] for r in rows]
+    assert set(flags) == {"", "MissingBranch"}
+    cfg = default_config()
+    sc = replace(cfg, detuning_mode=SelfConsistent(1.5 * cfg.omega_m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bistable points
+        for P_mW, L, tau_us, kind, flag in rows:
+            c = replace(sc, P=float(P_mW) * 1e-3, L=int(L))
+            if flag:
+                assert (tau_us, kind) == ("nan", "")
+                with pytest.raises(ConfigError, match="branch 1 out of range"):
+                    solve_steady(c, branch=1)
+                continue
+            ss = solve_steady(c, branch=1)
+            ref = group_delay(effective_params(c, ss), ss.a0, 1.1 * cfg.omega_m)
+            assert float(tau_us) * 1e-6 == pytest.approx(ref.tau_g, rel=1e-12)
+            assert kind == ref.classification
+    stats = json.loads(_read(tmp_path / "dm.manifest.json"))["stats"]
+    assert stats["n_error"] == flags.count("MissingBranch")
+
+
+@pytest.mark.parametrize("mode", [[], ["--delta0", "1.5"],
+                                  ["--delta0", "1.5", "--branch", "1"]],
+                         ids=["fixed", "branch0", "branch1"])
+def test_delay_map_and_map2d_agree(tmp_path, mode):
+    """delay-map and map2d --axis1 P --axis2 L --observable tau_g on one
+    grid (P in mW and in W) give the same tau_g within 1e-12 relative and
+    the same flags, cell by cell: in fixed mode, and in self-consistent mode
+    on branches 0 and 1 across the edge of the bistable region. The
+    classification column is the sign of tau_g against 1e-12 s."""
+    dm, m = tmp_path / "dm.csv", tmp_path / "m.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["delay-map", *mode, "--p-start", "1", "--p-stop", "4",
+                     "--p-points", "4", "--l-start", "0", "--l-stop", "200",
+                     "--l-points", "5", "--delta", "1.1", "--out", str(dm)]) == 0
+        assert main(["map2d", *mode, "--axis1", "P", "--grid1", "0.001:0.004:4",
+                     "--axis2", "L", "--grid2", "0:200:5", "--observable", "tau_g",
+                     "--delta", "1.1", "--out", str(m)]) == 0
+    assert any("bistable" in str(w.message) for w in caught) == bool(mode)
+    _, dm_rows = _rows(_read(dm))
+    _, m_rows = _rows(_read(m))
+    assert len(dm_rows) == len(m_rows) == 20
+    flags = {r[4] for r in dm_rows}
+    assert flags == ({"", "MissingBranch"} if "--branch" in mode else {""})
+    for (P_mW, L, tau_us, kind, flag), (P, L2, tau, flag2) in zip(dm_rows, m_rows):
+        assert float(P_mW) * 1e-3 == pytest.approx(float(P), rel=1e-12)
+        assert (float(L), flag) == (float(L2), flag2)
+        if flag:
+            assert (tau_us, tau, kind) == ("nan", "nan", "")
+            continue
+        t = float(tau)
+        assert float(tau_us) * 1e-6 == pytest.approx(t, rel=1e-12)
+        assert kind == ("slow" if t > 1e-12 else "fast" if t < -1e-12 else "neutral")
 
 
 _DELAY_MAP_STATS = {"max_abs_tau_g_us", "min_tau_g_us", "max_tau_g_us",

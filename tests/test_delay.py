@@ -1,4 +1,5 @@
-"""Phase unwrapping, group delay by both methods, and the (P, L) delay map."""
+"""Phase unwrapping, group delay by both methods, and the (P, L) delay map
+through sweep_2d."""
 
 import math
 import warnings
@@ -9,9 +10,10 @@ import pytest
 
 from omitlab import (ConfigError, DegenerateDenominator, DelayResult,
                      EffectiveParams, NearZeroTransmission, NumericalError,
-                     StepTooLarge, default_config, delay_map, effective_params,
+                     StepTooLarge, default_config, effective_params,
                      group_delay, probe_response, solve_steady, spectrum_sweep,
                      sweep_2d, tau_g_analytic, unwrap_phase)
+from omitlab.delay import _classify
 
 OMEGA_M = default_config().omega_m
 
@@ -233,41 +235,44 @@ def test_classification_thresholds():
 
 
 # ---------------------------------------------------------------------------
-# delay map
+# the (P, L) delay map, a sweep_2d map
+
+def _delay_map(cfg, P, L, delta, method="analytic"):
+    return sweep_2d(cfg, ("P", P), ("L", L), observable="tau_g", delta=delta,
+                    method=method)
+
 
 def test_delay_map_undriven_row_is_bare_cavity():
     cfg = default_config()
     delta = 1.1 * cfg.omega_m
-    dm = delay_map(cfg, [0.0], [0, 100], delta)
+    m = _delay_map(cfg, [0.0], [0, 100], delta)
     bare = 2.0 * cfg.kappa / (cfg.kappa ** 2 + (cfg.omega_m - delta) ** 2)
-    for cell in dm.cells[0]:
-        assert cell.tau_g == pytest.approx(bare, rel=1e-12)
-    assert dm.tau_g.shape == (1, 2)
+    assert m.values.shape == (1, 2)
+    np.testing.assert_allclose(m.values[0], bare, rtol=1e-12)
 
 
 def test_delay_map_single_cell_reference():
     cfg = default_config()
-    dm = delay_map(cfg, [0.0], [50], cfg.omega_m)
-    assert dm.cells[0][0].tau_g == pytest.approx(2.0 / cfg.kappa, rel=1e-12)
+    m = _delay_map(cfg, [0.0], [50], cfg.omega_m)
+    assert m.values[0, 0] == pytest.approx(2.0 / cfg.kappa, rel=1e-12)
 
 
 def test_delay_map_rounds_oam():
     cfg = default_config()
-    dm = delay_map(cfg, [1e-6], [99.6], 1.1 * cfg.omega_m)
-    direct = delay_map(cfg, [1e-6], [100], 1.1 * cfg.omega_m)
-    assert dm.cells[0][0].tau_g == direct.cells[0][0].tau_g
-    assert dm.L_grid.tolist() == [100.0]
+    m = _delay_map(cfg, [1e-6], [99.6], 1.1 * cfg.omega_m)
+    direct = _delay_map(cfg, [1e-6], [100], 1.1 * cfg.omega_m)
+    assert m.values[0, 0] == direct.values[0, 0]
+    assert m.axis2_grid.tolist() == [100.0]
 
 
 def test_delay_map_sign_change_along_oam():
     """At microwatt drive the delay at Delta = 1.1 omega_m changes sign as
     the angular momentum grows."""
     cfg = default_config()
-    dm = delay_map(cfg, [1e-6], np.linspace(0, 200, 9), 1.1 * cfg.omega_m)
-    taus = dm.tau_g[0]
+    m = _delay_map(cfg, [1e-6], np.linspace(0, 200, 9), 1.1 * cfg.omega_m)
+    taus = m.values[0]
     assert np.any(taus > 0) and np.any(taus < 0)
-    kinds = {c.classification for c in dm.cells[0]}
-    assert {"slow", "fast"} <= kinds
+    assert {"slow", "fast"} <= set(_classify(taus))
 
 
 def test_delay_map_captures_cell_failures(monkeypatch):
@@ -277,30 +282,30 @@ def test_delay_map_captures_cell_failures(monkeypatch):
 
     # with the floor raised to 0.9 the driven cell (P = 1e-6 W, L = 100,
     # |t_p| = 0.633) fails; the three bare cells (|t_p| ~ 1) do not
+    delta = 1.1 * cfg.omega_m
     monkeypatch.setattr(dmod, "_TP_FLOOR", 0.9)
-    dm = dmod.delay_map(cfg, [0.0, 1e-6], [0, 100], 1.1 * cfg.omega_m)
-    assert dm.flags == [["", ""], ["", "NearZeroTransmission"]]
-    assert dm.cells[1][1] is None
-    assert np.isnan(dm.tau_g[1][1])
-    assert dm.t_p_magnitude[1][1] == pytest.approx(0.633, abs=1e-3)
+    m = _delay_map(cfg, [0.0, 1e-6], [0, 100], delta)
+    assert m.flags == [["", ""], ["", "NearZeroTransmission"]]
+    assert np.isnan(m.values[1, 1])
+    driven = replace(cfg, P=1e-6, L=100)
+    ep = effective_params(driven, solve_steady(driven))
+    assert abs(probe_response(ep, delta).t_p) == pytest.approx(0.633, abs=1e-3)
     for i, j in ((0, 0), (0, 1), (1, 0)):
-        assert np.isfinite(dm.tau_g[i][j])
-        assert dm.cells[i][j].tau_g == dm.tau_g[i][j]
+        assert np.isfinite(m.values[i, j])
 
     # with the floor back and the degeneracy threshold raised to 2 the bare
     # cells (|d| = |A A' L1 L2|) count as degenerate and the driven one
-    # (|d| = 4.8 |A A' L1 L2|) does not, in both maps and for either
-    # observable; the spectrum flags its rows with the same name
+    # (|d| = 4.8 |A A' L1 L2|) does not, for either observable; the
+    # spectrum flags its rows with the same name
     monkeypatch.undo()
     monkeypatch.setattr(rmod, "_DEGENERATE_RTOL", 2.0)
     want = [["DegenerateDenominator"] * 2, ["DegenerateDenominator", ""]]
-    maps = [dmod.delay_map(cfg, [0.0, 1e-6], [0, 100], 1.1 * cfg.omega_m)]
-    maps += [sweep_2d(cfg, ("P", [0.0, 1e-6]), ("L", [0.0, 100.0]), observable=obs,
-                      delta=1.1 * cfg.omega_m) for obs in ("nu_p", "tau_g")]
-    for m, values in zip(maps, (maps[0].tau_g, maps[1].values, maps[2].values)):
+    for obs in ("nu_p", "tau_g"):
+        m = sweep_2d(cfg, ("P", [0.0, 1e-6]), ("L", [0, 100]), observable=obs,
+                     delta=delta)
         assert m.flags == want
-        assert np.isnan(values[0]).all() and np.isnan(values[1, 0])
-        assert np.isfinite(values[1, 1])
+        assert np.isnan(m.values[0]).all() and np.isnan(m.values[1, 0])
+        assert np.isfinite(m.values[1, 1])
     with pytest.raises(DegenerateDenominator):
         group_delay(_bare_ep(), 0.0, OMEGA_M)
     series = spectrum_sweep(replace(cfg, P=0.0), np.linspace(0.9, 1.1, 5) * OMEGA_M)
@@ -310,19 +315,21 @@ def test_delay_map_captures_cell_failures(monkeypatch):
 
 def test_delay_map_rejects_empty_grid():
     with pytest.raises(ConfigError):
-        delay_map(default_config(), [], [0], OMEGA_M)
+        _delay_map(default_config(), [], [0], OMEGA_M)
 
 
 def test_delay_map_matches_group_delay(references):
-    """Every cell against the scalar group_delay, flags included, and the
-    analytic cells against the finite difference at a fine step."""
+    """Every cell against the scalar group_delay, flags and classification
+    included, and the analytic cells against the finite difference at a fine
+    step."""
     cfg = default_config()
     P = np.linspace(1e-7, 2e-6, 5)
     L = np.linspace(0, 200, 5)
     delta = 1.1 * cfg.omega_m
     seen = set()
     for method in ("analytic", "fd"):
-        dm = delay_map(cfg, P, L, delta, method=method)
+        m = _delay_map(cfg, P, L, delta, method)
+        kinds = _classify(m.values)
         for i, Pi in enumerate(P):
             for j, Lj in enumerate(L):
                 c = replace(cfg, P=float(Pi), L=int(round(Lj)))
@@ -331,18 +338,14 @@ def test_delay_map_matches_group_delay(references):
                 try:
                     ref = group_delay(ep, ss.a0, delta, method=method)
                 except NumericalError as e:
-                    assert dm.flags[i][j] == type(e).__name__
-                    assert dm.cells[i][j] is None and np.isnan(dm.tau_g[i, j])
-                    seen.add(dm.flags[i][j])
+                    assert m.flags[i][j] == type(e).__name__
+                    assert np.isnan(m.values[i, j]) and kinds[i, j] == ""
+                    seen.add(m.flags[i][j])
                     continue
-                assert dm.flags[i][j] == ""
-                cell = dm.cells[i][j]
-                assert cell.tau_g == pytest.approx(ref.tau_g, rel=1e-12)
-                assert cell.tau_g == dm.tau_g[i, j]
-                assert (cell.classification, cell.method, cell.step) == \
-                    (ref.classification, ref.method, ref.step)
-                assert cell.t_p_magnitude == pytest.approx(ref.t_p_magnitude, rel=1e-12)
+                assert m.flags[i][j] == ""
+                assert m.values[i, j] == pytest.approx(ref.tau_g, rel=1e-12)
+                assert kinds[i, j] == ref.classification
                 if method == "analytic":
-                    references(ep, ss.a0, delta, tau_g=cell.tau_g)
+                    references(ep, ss.a0, delta, tau_g=m.values[i, j])
     # the default fd step is too coarse at this resonance for part of the grid
     assert seen == {"StepTooLarge"}

@@ -101,14 +101,27 @@ def test_demodulation_matches_lstsq(cfg, which):
 def test_demodulation_rejects_short_window():
     # fewer than one beat period across the fit window
     s = _synthetic_series(delta=1e3)
-    with pytest.raises(IllConditionedFit):
+    with pytest.raises(IllConditionedFit, match="collinear"):
         demodulate(s, s.delta, s.eps_p)
 
 
 def test_demodulation_rejects_zero_probe():
     s = _synthetic_series()
-    with pytest.raises(IllConditionedFit):
+    with pytest.raises(IllConditionedFit, match="eps_p = 0"):
         demodulate(s, s.delta, 0.0)
+
+
+def test_oracle_without_probe_refuses_before_integrating(monkeypatch):
+    """With P_p = 0 there are no sidebands to find: the oracle says so,
+    naming the probe, before its first integration."""
+    calls = []
+    solve_ivp = om.solve_ivp
+    monkeypatch.setattr(om, "solve_ivp",
+                        lambda *a, **k: calls.append(a) or solve_ivp(*a, **k))
+    cfg = replace(default_config(), P_p=0.0)
+    with pytest.raises(IllConditionedFit, match="probe.*P_p = 0"):
+        oracle_check(cfg, cfg.omega_m, tol=1e-9)
+    assert calls == []
 
 
 def test_integrate_validates_inputs(cfg):

@@ -9,9 +9,10 @@ import pytest
 
 from omitlab import (ConfigError, NumericalError, SelfConsistent,
                      SpectrumSeries, default_config, default_delta_grid,
-                     delay_map, delay_map_csv, effective_params, find_dips,
-                     group_delay, map_csv, probe_response, solve_steady,
-                     spectrum_csv, spectrum_sweep, sweep_2d, tau_g_analytic)
+                     delay_map_csv, effective_params, find_dips, group_delay,
+                     map_csv, probe_response, solve_steady, spectrum_csv,
+                     spectrum_sweep, sweep_2d, tau_g_analytic)
+from omitlab.delay import _classify
 from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER, _peaks
 
 
@@ -195,14 +196,24 @@ def test_sweep2d_validation(cfg):
         sweep_2d(cfg, ("P", np.array([1e-3])), ("Delta", d), delta=d[0])
     with pytest.raises(ConfigError, match="nonempty"):
         sweep_2d(cfg, ("P", np.array([])), ("Delta", d))
+    # the group-delay method applies to tau_g only and is "analytic" or "fd"
+    with pytest.raises(ConfigError, match="tau_g only"):
+        sweep_2d(cfg, ("P", np.array([1e-3])), ("Delta", d), method="fd")
+    with pytest.raises(ConfigError, match="method"):
+        sweep_2d(cfg, ("P", np.array([1e-3])), ("Delta", d), observable="tau_g",
+                 method="secret")
+    sc = replace(cfg, detuning_mode=SelfConsistent(cfg.omega_m))
+    with pytest.raises(ConfigError, match="branch -1"):
+        sweep_2d(sc, ("P", np.array([1e-3])), ("Delta", d), branch=-1)
 
 
 def _scalar_route(cfg, axis1, axis2, observable, delta, branch, references):
     """values and flags of sweep_2d, one cell at a time through the scalar
     API: replace -> solve_steady -> effective_params -> probe_response /
     tau_g_analytic, with the flag of a raising group_delay (nan where
-    flagged) for either observable; each unflagged value is also checked
-    with references against the linear solve or the finite difference."""
+    flagged) for either observable, and MissingBranch where solve_steady
+    refuses the branch; each unflagged value is also checked with references
+    against the linear solve or the finite difference."""
     (n1, g1), (n2, g2) = axis1, axis2
     values = np.empty((len(g1), len(g2)))
     flags = []
@@ -215,7 +226,13 @@ def _scalar_route(cfg, axis1, axis2, observable, delta, branch, references):
                     dlt = v
                 else:
                     c = replace(c, **{name: int(round(v)) if name == "L" else v})
-            ss = solve_steady(c, branch=branch)
+            try:
+                ss = solve_steady(c, branch=branch)
+            except ConfigError as e:  # a map flags a cell without the branch
+                assert "out of range" in str(e)
+                values[i, j] = np.nan
+                flags[-1].append("MissingBranch")
+                continue
             ep = effective_params(c, ss)
             flag = ""
             try:
@@ -283,8 +300,14 @@ def test_sweep2d_matches_scalar_route(cfg, references):
             values, flags = _scalar_route(c, ax1, ax2, obs, delta, branch, references)
             assert m.flags == flags
             np.testing.assert_allclose(m.values, values, rtol=1e-12, atol=0)
-        with pytest.raises(ConfigError, match="branch"):
-            sweep_2d(sc, *cases[2][1:3], observable="tau_g", delta=1.1 * om, branch=2)
+        # the top branch over the grid that crosses the edge of the bistable
+        # region: the cells with a single branch are flagged, not the map
+        # refused, and the others match the scalar route
+        top = sweep_2d(sc, *cases[2][1:3], observable="tau_g", delta=1.1 * om, branch=2)
+        values, flags = _scalar_route(sc, *cases[2][1:3], "tau_g", 1.1 * om, 2, references)
+        assert top.flags == flags
+        assert {f for row in flags for f in row} == {"", "MissingBranch"}
+        np.testing.assert_allclose(top.values, values, rtol=1e-12, atol=0)
     assert m.flags == [["", ""], ["", "NearZeroTransmission"]]
     assert np.isnan(m.values[1, 1])
 
@@ -326,9 +349,12 @@ def test_map_csv_long_format(cfg):
     assert lines[1].split(",")[3] == ""
 
 
+def _delay_map(cfg, P, L):
+    return sweep_2d(cfg, ("P", P), ("L", L), observable="tau_g", delta=1.1 * cfg.omega_m)
+
+
 def test_delay_map_csv_schema(cfg):
-    dm = delay_map(cfg, [1e-6, 2e-6], [0, 100], 1.1 * cfg.omega_m)
-    text = delay_map_csv(dm)
+    text = delay_map_csv(_delay_map(cfg, [1e-6, 2e-6], [0, 100]))
     lines = text.splitlines()
     assert lines[0] == ",".join(DELAY_MAP_HEADER)
     assert len(lines) == 5
@@ -336,6 +362,13 @@ def test_delay_map_csv_schema(cfg):
     assert cells[0] == "0.001"          # 1e-6 W rendered in mW
     assert cells[1] == "0"              # integer angular momentum
     assert cells[3] in ("slow", "fast", "neutral")
+    # only a (P, L) tau_g map has this schema
+    for axes, obs in (((("P", [1e-6]), ("L", [0])), "nu_p"),
+                      ((("L", [0]), ("P", [1e-6])), "tau_g"),
+                      ((("P", [1e-6]), ("kappa", [cfg.kappa])), "tau_g")):
+        m = sweep_2d(cfg, *axes, observable=obs, delta=cfg.omega_m)
+        with pytest.raises(ConfigError, match="delay_map_csv"):
+            delay_map_csv(m)
 
 
 def _meshgrid_csv(header, axis1, axis2, *columns):
@@ -352,7 +385,7 @@ def test_map_csvs_match_the_meshgrid_rendering(cfg):
     flagged cells."""
     m = sweep_2d(cfg, ("L", np.array([0.0, 50.0, 125.0])),
                  ("Delta", np.linspace(0.9, 1.1, 4) * cfg.omega_m))
-    dm = delay_map(cfg, [1e-6, 2e-6], [0, 100, 200], 1.1 * cfg.omega_m)
+    dm = _delay_map(cfg, [1e-6, 2e-6], [0, 100, 200])
     flagged_m = replace(m, flags=[["", "NumericalError", "", ""],
                                   ["NearZeroTransmission", "", "", ""],
                                   ["", "", "", "DegenerateDenominator"]])
@@ -363,5 +396,5 @@ def test_map_csvs_match_the_meshgrid_rendering(cfg):
                                            a.values, a.flags)
     for d in (dm, flagged_dm):
         assert delay_map_csv(d) == _meshgrid_csv(
-            DELAY_MAP_HEADER, d.P_grid * 1e3, d.L_grid.astype(int),
-            d.tau_g * 1e6, d.classification, d.flags)
+            DELAY_MAP_HEADER, d.axis1_grid * 1e3, d.axis2_grid.astype(int),
+            d.values * 1e6, _classify(d.values), d.flags)
