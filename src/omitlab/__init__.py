@@ -21,8 +21,7 @@ from .model import (C_LIGHT, HBAR, DerivedConstants, EffectiveParams,
                     config_fingerprint, config_from_dict, config_from_json,
                     config_to_dict, config_to_json, default_config,
                     derive_constants, effective_params)
-from .oracle import (DemodulationReport, OdeSeries, OracleReport, demodulate,
-                     integrate, oracle_check)
+from .oracle import OracleReport, oracle_check
 from .response import (ProbeResponse, SidebandAmplitudes, eps_out_zero,
                        lambda_j, probe_response, sideband_amplitudes,
                        sideband_linear_solve)
@@ -46,8 +45,7 @@ __all__ = [
     "ProbeResponse", "SidebandAmplitudes", "eps_out_zero", "lambda_j",
     "probe_response", "sideband_amplitudes", "sideband_linear_solve",
     "DelayResult", "group_delay", "tau_g_analytic", "unwrap_phase",
-    "DemodulationReport", "OdeSeries", "OracleReport", "demodulate",
-    "integrate", "oracle_check",
+    "OracleReport", "oracle_check",
     "DipReport", "Map2D", "SpectrumSeries", "default_delta_grid",
     "delay_map_csv", "find_dips", "map_csv", "spectrum_csv", "spectrum_sweep",
     "sweep_2d",

@@ -1,7 +1,7 @@
 """Explicit Runge-Kutta integration of order 8 with error estimators of
-orders 5 and 3 and a dense output of order 7: DOP853 (E. Hairer,
-S. P. Norsett and G. Wanner, Solving Ordinary Differential Equations I,
-2nd ed., Springer 1993, Sec. II.10), the integrator of the oracle.
+orders 5 and 3: DOP853 (E. Hairer, S. P. Norsett and G. Wanner, Solving
+Ordinary Differential Equations I, 2nd ed., Springer 1993, Sec. II.10), the
+integrator of the oracle.
 
 solve_ivp takes the steps of scipy.integrate.solve_ivp(method="DOP853"),
 on the same arithmetic: the same tableau, the same error norm
@@ -9,10 +9,10 @@ on the same arithmetic: the same tableau, the same error norm
 scaled by atol + rtol max(|y|, |y_new|), the same step controller (safety
 0.9, step factors within 0.2-10 from the exponent -1/8, no growth right
 after a rejection), the last step clipped to the end time, the same
-minimum step of ten units in the last place of t, and the same order-7
-interpolant for t_eval. Given the same problem, the two return the same
-states and the same right-hand-side count, nfev. Only what the oracle uses
-is kept: a forward span, a given first step and a componentwise atol.
+minimum step of ten units in the last place of t. Given the same problem,
+the two return the same states and the same right-hand-side count, nfev.
+Only what the oracle uses is kept: a forward span, a given first step, a
+componentwise atol and the states at the accepted steps (no dense output).
 
 The coefficients are those of scipy's dop853_coefficients.py, under this
 license:
@@ -53,10 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the 12 stages of a step, the 13th (the derivative at its end, shared with
-# the next step) and the 3 more stages of the dense output
+# the 12 stages of a step and the 13th (the derivative at its end, shared
+# with the next step)
 _N_STAGES = 12
-_N_EXTENDED = 16
 
 _C = np.array([
     0.0,
@@ -71,10 +70,7 @@ _C = np.array([
     0.6,
     0.857142857142857142857142857142,
     1.0,
-    1.0,
-    0.1,
-    0.2,
-    0.777777777777777777777777777778])
+    1.0])
 
 # row s of the lower triangle: the weights of stages 0..s-1 in stage s
 _A_ROWS = (
@@ -113,23 +109,8 @@ _A_ROWS = (
      -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
      -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
      4.47106157277725905176885569043e-2),
-    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
-     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
-     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
-     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
-     -8.298e-3),
-    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
-     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
-     -5.49237485713909884646569340306e-2, 0.0, 0.0,
-     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
-     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
-    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
-     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
-     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1,
-     0.0, 0.0, 0.0, -1.39902416515901462129418009734e-3,
-     2.9475147891527723389556272149, -9.15095847217987001081870187138),
 )
-_A = np.zeros((_N_EXTENDED, _N_EXTENDED))
+_A = np.zeros((_N_STAGES + 1, _N_STAGES))
 for _s, _row in enumerate(_A_ROWS):
     _A[_s, :_s] = _row
 _B = _A[_N_STAGES, :_N_STAGES]
@@ -147,39 +128,8 @@ _E3[[0, 8, 11]] -= (0.244094488188976377952755905512,
                     0.733846688281611857341361741547,
                     0.220588235294117647058823529412e-1)
 
-# the four highest coefficients of the order-7 interpolant, over all 16
-# stages (stages 1-4 do not enter)
-_D = np.zeros((4, _N_EXTENDED))
-_D[:, [0] + list(range(5, 16))] = (
-    (-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
-     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
-     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
-     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
-     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
-     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
-    (0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
-     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
-     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
-     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
-     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
-     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
-    (0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
-     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
-     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
-     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
-     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
-     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
-    (-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
-     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
-     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
-     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
-     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
-     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
-)
-
-# (weights, node) of stages 1-11 of a step and of stages 13-15 of the dense output
+# (weights, node) of stages 1-11 of a step
 _STEP_STAGES = [(_A[s, :s], _C[s]) for s in range(1, _N_STAGES)]
-_DENSE_STAGES = [(_A[s, :s], _C[s]) for s in range(_N_STAGES + 1, _N_EXTENDED)]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -201,38 +151,15 @@ class IvpResult:
     message: str
 
 
-def _dense(fun, K, t_old, h, y_old, y, f, t):
-    """The order-7 interpolant of the step from (t_old, y_old) to
-    (t_old + h, y), with f the derivative at its end, at the times t, one
-    column per time; K holds the step's 13 stages and receives the 3 more
-    that the interpolant needs."""
-    for s, (a, c) in enumerate(_DENSE_STAGES, start=_N_STAGES + 1):
-        K[s] = fun(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
-    delta_y = y - y_old
-    F = np.empty((7, y.size), dtype=complex)
-    F[0] = delta_y
-    F[1] = h * K[0] - delta_y
-    F[2] = 2 * delta_y - h * (f + K[0])
-    F[3:] = h * np.dot(_D, K)
-    x = ((t - t_old) / h)[:, None]
-    out = np.zeros((len(x), y.size), dtype=complex)
-    for i, row in enumerate(F[::-1]):
-        out += row
-        out *= x if i % 2 == 0 else 1 - x
-    out += y_old
-    return out.T
-
-
-def solve_ivp(fun, t_span, y0, rtol, atol, first_step, t_eval=None):
+def solve_ivp(fun, t_span, y0, rtol, atol, first_step):
     """Integrate y' = fun(t, y), y complex, from y(t_span[0]) = y0 to
     t_span[1] > t_span[0], starting with the step first_step, with local
     errors kept below atol + rtol |y| (atol a scalar or one value per
     component).
 
-    The result holds the states at every step, or with t_eval (increasing
-    times within t_span) at those times from the dense output. A step that
-    would have to be shorter than ten units in the last place of t ends the
-    integration with success False and message TOO_SMALL_STEP.
+    The result holds the start and the state after every accepted step. A
+    step that would have to be shorter than ten units in the last place of
+    t ends the integration with success False and message TOO_SMALL_STEP.
     """
     t, t_end = map(float, t_span)
     y = np.asarray(y0, dtype=complex)
@@ -242,11 +169,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step, t_eval=None):
         raise ValueError(f"first_step {first_step!r} is not within (0, {t_end - t!r}]")
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise ValueError("y0 must be a 1-d array of finite values")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval[0] < t or t_eval[-1] > t_end
-                            or np.any(np.diff(t_eval) <= 0)):
-            raise ValueError("t_eval must increase within t_span")
 
     nfev = 0
 
@@ -255,11 +177,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step, t_eval=None):
         nfev += 1
         return np.asarray(fun(t, y), dtype=complex)
 
-    K = np.empty((_N_EXTENDED, y.size), dtype=complex)
+    K = np.empty((_N_STAGES + 1, y.size), dtype=complex)
     f = f_of(t, y)
     h_abs = first_step
-    ts, ys = ([], []) if t_eval is not None else ([t], [y])
-    i_eval = 0
+    ts, ys = [t], [y]
     message = _REACHED_END
     while t < t_end:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -275,8 +196,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step, t_eval=None):
             f_new = K[_N_STAGES] = f_of(t + h, y_new)
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.linalg.norm(np.dot(K[:_N_STAGES + 1].T, _E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K[:_N_STAGES + 1].T, _E3) / scale) ** 2
+            e5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
             error_norm = (0.0 if e5 == 0 and e3 == 0 else
                           h * e5 / np.sqrt((e5 + 0.01 * e3) * y.size))
             if error_norm < 1:
@@ -290,21 +211,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step, t_eval=None):
             message = TOO_SMALL_STEP
             break
 
-        if t_eval is None:
-            ts.append(t_new)
-            ys.append(y_new)
-        else:
-            i_new = np.searchsorted(t_eval, t_new, side="right")
-            if i_new > i_eval:
-                ts.append(t_eval[i_eval:i_new])
-                ys.append(_dense(f_of, K, t, h, y, y_new, f_new, ts[-1]))
-                i_eval = i_new
+        ts.append(t_new)
+        ys.append(y_new)
         t, y, f = t_new, y_new, f_new
 
-    if t_eval is None:
-        ts, ys = np.array(ts), np.vstack(ys).T
-    else:
-        ts = np.hstack(ts) if ts else np.empty(0)
-        ys = np.hstack(ys) if ys else np.empty((y.size, 0), dtype=complex)
-    return IvpResult(t=ts, y=ys, nfev=nfev, success=message == _REACHED_END,
-                     message=message)
+    return IvpResult(t=np.array(ts), y=np.vstack(ys).T, nfev=nfev,
+                     success=message == _REACHED_END, message=message)

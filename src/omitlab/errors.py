@@ -43,7 +43,7 @@ class StepFailure(NumericalError):
 
 
 class IllConditionedFit(NumericalError):
-    """Demodulation window too short, fit basis nearly collinear."""
+    """No probe sidebands to demodulate: the probe amplitude is zero."""
 
 
 class MissingBranch(NumericalError):

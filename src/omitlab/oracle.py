@@ -6,14 +6,14 @@ with the closed-form response.
 With a stable steady state the probe drive e^{-i delta t} has period
 T = 2 pi/|delta|, and the late-time state is the system's T-periodic orbit.
 oracle_check finds that orbit by shooting (a monodromy matrix from finite
-differences over one period, then Newton steps on y(T) = y(0)) and fits one
-more period of it, so a check costs a few periods of integration whatever
-the damping: under 2k right-hand-side calls at Q = 50 and at the production
+differences over one period, then Newton steps on y(T) = y(0)) and
+integrates one more period of it together with the quadratures that
+demodulate it, so a check costs a few periods of integration whatever the
+damping: under 2k right-hand-side calls at Q = 50 and at the production
 Q = 1.2e5 alike. A largest Floquet multiplier |mu| >= 1 means the steady
 state is unstable and has no steady sidebands; the oracle raises Unstable.
 The closed form enters only the final comparison, so the time domain stays
-an independent route. integrate is the transient integrator of the same
-equations, from the steady state over tens of damping times.
+an independent route.
 
 Every integration goes through solve_ivp, the package's DOP853 stepper
 (dop853.py), which takes the steps of scipy's; the package needs numpy only.
@@ -33,52 +33,17 @@ from .response import sideband_amplitudes
 from .steadystate import solve_steady
 
 _TOL_RANGE = (1e-12, 1e-6)
-# default integration length in units of the slowest bare mechanical damping
-# time 1/gamma: a bound, since optical damping makes probe transients decay
-# faster than gamma/2 (e^-20 residual after 40 damping times at gamma/2)
-_DEFAULT_DAMPING_TIMES = 40.0
-_MIN_DAMPING_TIMES = 20.0
+# the longest beat period 2 pi/|delta| integrated, in periods of the flow's
+# fastest rate: the steps of a check grow like that ratio
+_MAX_BEAT_PERIODS = 100.0
 # Newton steps on the periodic orbit before StepFailure
 _MAX_NEWTON = 30
-# uniform samples (plus the closing endpoint) of the demodulated period
-_PERIOD_SAMPLES = 4096
 # oracle pass thresholds on relative errors of (a0, a_plus, a_minus) and on
 # the linearity check: (label, OracleReport field, threshold)
 _THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
                ("a_plus", "a_plus_rel_err", 1e-3),
                ("a_minus", "a_minus_rel_err", 1e-2),
                ("linearity", "linearity_rel_change", 1e-3))
-
-
-@dataclass(frozen=True)
-class OdeSeries:
-    """Sampled trajectory of the mean-value equations.
-
-    Arrays are aligned with t; a is complex, the mechanical coordinates are
-    real. eps_p records the probe amplitude actually used (after scaling);
-    rhs_evals counts the right-hand-side evaluations of the integration that
-    produced the series, shared by every copy of a stacked run.
-    """
-
-    t: object
-    a: object
-    phi1: object
-    phi2: object
-    lz1: object
-    lz2: object
-    delta: float
-    eps_p: float
-    duration: float
-    rhs_evals: int = 0
-
-
-@dataclass(frozen=True)
-class DemodulationReport:
-    a0_est: complex
-    a_plus_est: complex
-    a_minus_est: complex
-    fit_residual: float
-    window: tuple
 
 
 def _flow(cfg, delta, tol):
@@ -89,13 +54,20 @@ def _flow(cfg, delta, tol):
     that the steady state reproduces the configured effective detuning
     (fixed mode) or equals the configured value (self-consistent mode).
     y_ss is that probe-off steady state (phi1, lz1, phi2, lz2, a) and eps_p
-    the probe amplitude. run(y0s, eps_ps, t_end, t_eval=None) integrates one
-    copy of the system per row of y0s, copy j at probe amplitude eps_ps[j],
-    from t = 0 to t_end as one stacked state in one solve_ivp (DOP853) call
-    (the copies share their steps, so the per-step overhead is paid once)
-    and returns its result, with t, y and nfev; it raises StepFailure where
-    the stepper stops short and BlowUp on a non-finite state. Copy j's
-    absolute tolerance is tol times max(|y0s[j]|, floor), componentwise.
+    the probe amplitude. run(y0s, eps_ps, t_end) integrates one copy of the
+    system per row of y0s, copy j at probe amplitude eps_ps[j], from t = 0
+    to t_end as one stacked state in one solve_ivp (DOP853) call (the
+    copies share their steps, so the per-step overhead is paid once) and
+    returns its result, with t, y and nfev; it raises StepFailure where the
+    stepper stops short and BlowUp on a non-finite state. Copy j's absolute
+    tolerance is tol times max(|y0s[j]|, floor), componentwise. Rows of 9
+    components rather than 5 also carry the quadratures q' = (a, a w^*,
+    a w, |a - a_ss|^2)/T, w = e^{-i delta t}, T = 2 pi/|delta|, that
+    _demodulate reads after one period.
+
+    Raises ConfigError for a tol outside _TOL_RANGE, a non-finite delta, or
+    a |delta| whose beat period spans more than _MAX_BEAT_PERIODS periods of
+    the flow's fastest rate (delta = 0 included).
     """
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ConfigError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
@@ -111,10 +83,21 @@ def _flow(cfg, delta, tol):
     om1, om2 = cfg.omega_phi1, cfg.omega_phi2
     gam1, gam2 = dc.gamma1, dc.gamma2
     kappa = cfg.kappa
-    floor = max(abs(ss.a0), 1.0)
-    first_step = 0.01 / max(om1, om2, abs(delta), abs(delta0), kappa)
+    a_ss = ss.a0
+    floor = max(abs(a_ss), 1.0)
+    rate = max(om1, om2, abs(delta), abs(delta0), kappa)
+    if rate > _MAX_BEAT_PERIODS * abs(delta):
+        raise ConfigError(
+            f"|delta| = {abs(delta):.4g} rad/s is below 1/{_MAX_BEAT_PERIODS:g} "
+            f"of the flow's fastest rate {rate:.4g} rad/s: its beat period "
+            f"2 pi/|delta| is too long to integrate")
+    first_step = 0.01 / rate
+    period = 2 * math.pi / abs(delta)
 
-    def run(y0s, eps_ps, t_end, t_eval=None):
+    def run(y0s, eps_ps, t_end):
+        y0s = np.asarray(y0s, dtype=complex)
+        width = y0s.shape[1]
+
         # Python-scalar arithmetic: on a few copies of 5 components, numpy's
         # per-call overhead would cost more than the arithmetic itself
         def rhs(t, y):
@@ -122,7 +105,7 @@ def _flow(cfg, delta, tol):
             y = y.tolist()
             out = []
             for j, eps in enumerate(eps_ps):
-                phi1, lz1, phi2, lz2, a = y[5 * j:5 * j + 5]
+                phi1, lz1, phi2, lz2, a = y[width * j:width * j + 5]
                 phi1, lz1, phi2, lz2 = phi1.real, lz1.real, phi2.real, lz2.real
                 inten = a.real * a.real + a.imag * a.imag
                 out += [om1 * lz1,
@@ -131,70 +114,24 @@ def _flow(cfg, delta, tol):
                         -om2 * phi2 + g2 * inten - gam2 * lz2,
                         ((-1j * (delta0 + g1 * phi1 - g2 * phi2) - kappa) * a
                          + eps_c + eps * probe)]
+                if width == 9:
+                    d = a - a_ss
+                    out += [a / period, a * probe.conjugate() / period,
+                            a * probe / period,
+                            (d.real * d.real + d.imag * d.imag) / period]
             return out
 
-        y0s = np.asarray(y0s, dtype=complex)
         sol = solve_ivp(rhs, (0.0, t_end), y0s.ravel(),
                         rtol=tol, atol=tol * np.maximum(np.abs(y0s), floor).ravel(),
-                        t_eval=t_eval, first_step=first_step)
+                        first_step=first_step)
         if not sol.success:
             raise StepFailure(f"integrator failed: {sol.message}")
         if not np.all(np.isfinite(sol.y)):
             raise BlowUp("non-finite state encountered during integration")
         return sol
 
-    y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, ss.a0], dtype=complex)
+    y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, a_ss], dtype=complex)
     return run, y_ss, eps_p, floor
-
-
-def _series(sol, delta, eps_ps, duration):
-    """One OdeSeries per copy of a stacked run."""
-    return tuple(OdeSeries(
-        t=sol.t, a=y[4], phi1=y[0].real, phi2=y[2].real,
-        lz1=y[1].real, lz2=y[3].real, delta=delta, eps_p=eps_p,
-        duration=float(duration), rhs_evals=int(sol.nfev))
-        for eps_p, y in zip(eps_ps, np.split(sol.y, len(eps_ps))))
-
-
-def integrate(cfg, delta, duration=None, tol=1e-10, eps_p_scale=(1.0,), y0=None):
-    """Integrate the mean-value equations with both drives on, from t = 0.
-
-    Initial state defaults to the probe-off steady state so only
-    probe-induced transients must decay. duration defaults to 40 slowest
-    damping times and must be at least 20.
-
-    The k scales of eps_p_scale integrate k copies of the system, one per
-    probe amplitude, as one stacked 5k-component state in a single DOP853
-    run (each copy starts from y0), and return a tuple of k OdeSeries.
-    """
-    if not eps_p_scale:
-        raise ConfigError("eps_p_scale must be a non-empty sequence")
-    delta = float(delta)
-    run, y_ss, eps_p, _ = _flow(cfg, delta, tol)
-    dc = derive_constants(cfg)
-    gamma_min = min(dc.gamma1, dc.gamma2)
-    if duration is None:
-        duration = _DEFAULT_DAMPING_TIMES / gamma_min
-    if duration < _MIN_DAMPING_TIMES / gamma_min:
-        raise ConfigError(
-            f"duration {duration!r} shorter than {_MIN_DAMPING_TIMES} damping "
-            f"times ({_MIN_DAMPING_TIMES / gamma_min:.3e} s)")
-    if y0 is None:
-        y0 = y_ss
-    else:
-        y0 = np.asarray(y0, dtype=complex)
-        if y0.shape != (5,):
-            raise ConfigError("y0 must have shape (5,): phi1, lz1, phi2, lz2, a")
-
-    # >= 40 samples per probe beat period over the demodulation (final) half
-    if delta > 0:
-        n_half = max(8192, int(math.ceil(40.0 * (duration / 2) * delta / (2 * math.pi))))
-    else:
-        n_half = 8192
-    t_eval = np.linspace(0.0, duration, 2 * n_half)
-    eps_ps = [eps_p * s for s in eps_p_scale]
-    sol = run(np.tile(y0, (len(eps_ps), 1)), eps_ps, duration, t_eval)
-    return _series(sol, delta, eps_ps, duration)
 
 
 def _real(y):
@@ -236,8 +173,6 @@ def _periodic_orbit(cfg, delta, tol):
     largest |eigenvalue| of M) is >= 1, and StepFailure if Newton has not
     converged after _MAX_NEWTON steps.
     """
-    if delta == 0:
-        raise IllConditionedFit("no probe beat period at delta = 0")
     run, y_ss, eps_p, floor = _flow(cfg, delta, tol)
     if eps_p == 0:
         raise IllConditionedFit("no probe to demodulate: P_p = 0")
@@ -279,48 +214,22 @@ def _periodic_orbit(cfg, delta, tol):
                   rhs_evals=int(rhs_evals))
 
 
-def _norm2(z):
-    """Squared 2-norm of a complex array, summed elementwise."""
-    return float(np.sum(z.real * z.real + z.imag * z.imag))
+def _demodulate(q, eps_p, a_ss):
+    """(a0, a_plus, a_minus, fit residual) of one closed period of the
+    orbit from its quadratures q = (1/T) int_0^T (a, a w^*, a w,
+    |a - a_ss|^2) dt, w = e^{-i delta t}, at the real probe amplitude eps_p.
 
-
-def demodulate(series, delta, eps_p):
-    """Least-squares fit of a(t) over the final half of the series, or over
-    its final beat period 2 pi/|delta| where that is longer, against the
-    basis {1, eps_p e^{-i delta t}, eps_p^* e^{+i delta t}}.
-
-    The fitted coefficients are the estimates of a0, a_plus, a_minus. The
-    final half discards the transients of a run from the steady state; a
-    series of exactly one period of the periodic orbit is fitted whole.
+    Over a closed period the basis {1, w, w^*} is orthonormal, so the first
+    three are the coefficients c0 = a0, c1 = eps_p a_plus and
+    c2 = eps_p a_minus, and by Parseval the part of a outside the basis has
+    mean power r^2 = q3 - |c0 - a_ss|^2 - |c1|^2 - |c2|^2. The residual is
+    r over the rms of a. Taking the power about the steady state a_ss
+    rather than about 0 keeps r^2 clear of the cancellation of |a0|^2.
     """
-    t = np.asarray(series.t, dtype=float)
-    a = np.asarray(series.a, dtype=complex)
-    period = 2 * math.pi / abs(delta) if delta else math.inf
-    t_start = max(t[0], min(t[0] + 0.5 * (t[-1] - t[0]), t[-1] - period))
-    sel = t >= t_start
-    tw, aw = t[sel], a[sel]
-    window = (float(tw[0]), float(tw[-1]))
-    if eps_p == 0:
-        raise IllConditionedFit("no probe sidebands to fit: eps_p = 0")
-    if window[1] - window[0] < period:
-        raise IllConditionedFit(
-            f"demodulation basis collinear over window {window} at "
-            f"delta = {delta!r}")
-
-    # the 3x3 normal equations of the basis {1, w, w*}, w = e^{-i delta t},
-    # from sums over the window; the coefficients of w and w* are
-    # eps_p a_plus and eps_p^* a_minus
-    w = np.exp(-1j * delta * tw)
-    wc = w.conj()
-    s1, s2 = complex(w.sum()), complex((w * w).sum())
-    s1c, n = s1.conjugate(), float(tw.size)
-    gram = np.array([[n, s1, s1c], [s1c, n, s2.conjugate()], [s1, s2, n]])
-    c0, c1, c2 = np.linalg.solve(gram, [aw.sum(), (wc * aw).sum(), (w * aw).sum()])
-    miss = aw - (c0 + c1 * w + c2 * wc)
-    resid = math.sqrt(_norm2(miss)) / max(math.sqrt(_norm2(aw)), 1e-300)
-    return DemodulationReport(
-        a0_est=complex(c0), a_plus_est=complex(c1 / eps_p),
-        a_minus_est=complex(c2 / np.conj(eps_p)), fit_residual=resid, window=window)
+    c0, c1, c2, power = q
+    r2 = max(power.real - abs(c0 - a_ss) ** 2 - abs(c1) ** 2 - abs(c2) ** 2, 0.0)
+    total = abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2 + r2
+    return c0, c1 / eps_p, c2 / eps_p, math.sqrt(r2 / total)
 
 
 @dataclass(frozen=True)
@@ -367,8 +276,8 @@ def oracle_check(cfg, delta, q_override=50.0, tol=1e-10):
     both mirrors' Q set to q_override.
 
     The periodic orbit is found by shooting (_periodic_orbit) for the full
-    and the half probe amplitude together; one more period of each, on
-    uniform samples, is demodulated. Thresholds: a0 within 1e-6, a_plus
+    and the half probe amplitude together; one more period of each carries
+    the quadratures that demodulate it. Thresholds: a0 within 1e-6, a_plus
     within 1e-3, a_minus within 1e-2 relative; halving eps_p must change
     the a_plus estimate by < 1e-3 relative (linearity). rhs_evals counts
     the right-hand-side calls of every integration of the check. Raises
@@ -377,29 +286,30 @@ def oracle_check(cfg, delta, q_override=50.0, tol=1e-10):
     c = dc_replace(cfg, Q1=float(q_override), Q2=float(q_override))
     delta = float(delta)
     orbit = _periodic_orbit(c, delta, tol)
-    t = np.linspace(0.0, orbit.period, _PERIOD_SAMPLES + 1)
-    sol = orbit.run(orbit.states, orbit.eps_ps, orbit.period, t_eval=t)
-    series, series_half = _series(sol, delta, orbit.eps_ps, orbit.period)
-    rep = demodulate(series, delta, series.eps_p)
-    rep_half = demodulate(series_half, delta, series_half.eps_p)
+    n = len(orbit.eps_ps)
+    sol = orbit.run(np.hstack([orbit.states, np.zeros((n, 4))]), orbit.eps_ps,
+                    orbit.period)
+    ss = solve_steady(c)
+    eps_p, eps_half = orbit.eps_ps
+    q, q_half = sol.y[:, -1].reshape(n, 9)[:, 5:].tolist()
+    a0_est, a_plus_est, a_minus_est, fit_residual = _demodulate(q, eps_p, ss.a0)
+    a_plus_half = _demodulate(q_half, eps_half, ss.a0)[1]
 
     # the closed form enters here, for the comparison only
-    ss = solve_steady(c)
     sb = sideband_amplitudes(effective_params(c, ss), delta, a0=ss.a0)
     # undriven configurations have a0 = a_minus = 0 exactly; judge those
     # estimates against the field scale actually present in the trace
-    errs = {"a0_rel_err": _rel(rep.a0_est, ss.a0,
-                               scale=abs(series.eps_p) * abs(sb.a_plus)),
-            "a_plus_rel_err": _rel(rep.a_plus_est, sb.a_plus),
-            "a_minus_rel_err": _rel(rep.a_minus_est, sb.a_minus,
+    errs = {"a0_rel_err": _rel(a0_est, ss.a0, scale=abs(eps_p) * abs(sb.a_plus)),
+            "a_plus_rel_err": _rel(a_plus_est, sb.a_plus),
+            "a_minus_rel_err": _rel(a_minus_est, sb.a_minus,
                                     scale=abs(sb.a_plus)),
-            "linearity_rel_change": _rel(rep_half.a_plus_est, rep.a_plus_est)}
+            "linearity_rel_change": _rel(a_plus_half, a_plus_est)}
     return OracleReport(
         delta=delta, q_override=float(q_override), **errs,
-        fit_residual=rep.fit_residual,
+        fit_residual=fit_residual,
         passed=all(errs[field] < thr for _, field, thr in _THRESHOLDS),
-        a_plus_est=rep.a_plus_est, a_plus_closed=sb.a_plus,
-        a_minus_est=rep.a_minus_est, a_minus_closed=sb.a_minus,
+        a_plus_est=a_plus_est, a_plus_closed=sb.a_plus,
+        a_minus_est=a_minus_est, a_minus_closed=sb.a_minus,
         rhs_evals=orbit.rhs_evals + int(sol.nfev),
         newton_iterations=orbit.newton_iterations,
         floquet_max=orbit.floquet_max)

@@ -357,6 +357,8 @@ def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
       "--out", "dm.csv"], 1),
     (["spectrum", "--delta-min", "nan", "--out", "s.csv"], 1),
     (["oracle", "--delta", "nan", "--out", "o.json"], 1),
+    # a beat period too long to integrate
+    (["oracle", "--delta", "1e-9", "--out", "o.json"], 1),
 ])
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code):
     """An output path that its SVG would overwrite, or one in a directory

@@ -1,4 +1,5 @@
-"""Time-domain integration, lock-in demodulation and the end-to-end oracle."""
+"""Time-domain integration, demodulation by quadrature and the end-to-end
+oracle."""
 
 import math
 import re
@@ -8,107 +9,120 @@ import numpy as np
 import pytest
 
 import omitlab.oracle as om
-from omitlab import (BlowUp, ConfigError, IllConditionedFit, OdeSeries,
-                     SelfConsistent, StepFailure, Unstable, default_config,
-                     demodulate, derive_constants, effective_params, integrate,
-                     oracle_check, sideband_amplitudes, solve_steady)
+from omitlab import (BlowUp, ConfigError, IllConditionedFit, SelfConsistent,
+                     StepFailure, Unstable, default_config, derive_constants,
+                     effective_params, oracle_check, sideband_amplitudes,
+                     solve_steady)
 from omitlab.dop853 import TOO_SMALL_STEP
 from omitlab.response import _drift_matrix
 
 
-def _synthetic_series(delta=1e6, eps_p=7.0, a0=2.0 - 1.5j,
-                      ap=0.3 + 0.1j, am=-0.05 + 0.02j, n=4096, T=1e-3):
-    t = np.linspace(0.0, T, n)
-    a = (a0 + ap * eps_p * np.exp(-1j * delta * t)
-         + am * np.conj(eps_p) * np.exp(+1j * delta * t))
-    z = np.zeros_like(t)
-    return OdeSeries(t=t, a=a, phi1=z, phi2=z, lz1=z, lz2=z,
-                     delta=delta, eps_p=eps_p, duration=T)
+def _synthetic(delta=1e6, eps_p=7.0, a0=2.0 - 1.5j, ap=0.3 + 0.1j,
+               am=-0.05 + 0.02j, n=4096):
+    """n uniform samples t of one closed period 2 pi/delta (its end left
+    out), w = e^{-i delta t} and a = a0 + ap eps_p w + am eps_p w^*."""
+    t = np.arange(n) * (2 * math.pi / delta / n)
+    w = np.exp(-1j * delta * t)
+    return t, w, a0 + ap * eps_p * w + am * eps_p * np.conj(w)
 
 
-def test_demodulation_recovers_exact_components():
-    s = _synthetic_series()
-    rep = demodulate(s, s.delta, s.eps_p)
-    assert rep.a0_est == pytest.approx(2.0 - 1.5j, rel=1e-12)
-    assert rep.a_plus_est == pytest.approx(0.3 + 0.1j, rel=1e-12)
-    assert rep.a_minus_est == pytest.approx(-0.05 + 0.02j, rel=1e-12)
-    assert rep.fit_residual < 1e-12
-    # the fit window is the final half
-    assert rep.window[0] == pytest.approx(0.5e-3, rel=1e-3)
+def _quadratures(a, w, a_ss):
+    """The means of (a, a w^*, a w, |a - a_ss|^2) over the samples: on a
+    closed period, the exact quadratures of a trigonometric polynomial of
+    degree below half the sample count."""
+    return [np.mean(a), np.mean(a * np.conj(w)), np.mean(a * w),
+            np.mean(np.abs(a - a_ss) ** 2)]
 
 
-def test_demodulation_fits_a_single_period_whole():
-    # one closed period of a periodic orbit has no transient to discard
-    s = _synthetic_series(T=2 * math.pi / 1e6, n=1025)
-    rep = demodulate(s, s.delta, s.eps_p)
-    assert rep.window == (0.0, s.t[-1])
-    assert rep.a0_est == pytest.approx(2.0 - 1.5j, rel=1e-12)
-    assert rep.a_plus_est == pytest.approx(0.3 + 0.1j, rel=1e-12)
-    assert rep.a_minus_est == pytest.approx(-0.05 + 0.02j, rel=1e-12)
-
-
-def test_demodulation_tolerates_noise():
-    s = _synthetic_series()
-    rng = np.random.default_rng(7)
-    noisy = s.a + 1e-6 * (rng.standard_normal(s.a.size)
-                          + 1j * rng.standard_normal(s.a.size))
-    s = OdeSeries(t=s.t, a=noisy, phi1=s.phi1, phi2=s.phi2, lz1=s.lz1,
-                  lz2=s.lz2, delta=s.delta, eps_p=s.eps_p, duration=s.duration)
-    rep = demodulate(s, s.delta, s.eps_p)
-    assert rep.a0_est == pytest.approx(2.0 - 1.5j, rel=1e-6)
-    assert rep.a_plus_est == pytest.approx(0.3 + 0.1j, rel=1e-5)
-
-
-def _lstsq_fit(series, delta, eps_p, window):
-    """The least-squares fit over the window by np.linalg.lstsq on the
-    stacked basis: (a0, a_plus, a_minus, residual)."""
-    sel = series.t >= window[0]
-    t, a = series.t[sel], series.a[sel]
-    M = np.column_stack([np.ones_like(t, dtype=complex),
-                         eps_p * np.exp(-1j * delta * t),
-                         np.conj(eps_p) * np.exp(+1j * delta * t)])
+def _lstsq_fit(t, a, delta, eps_p):
+    """The least-squares fit of the samples a(t) by np.linalg.lstsq on the
+    stacked basis {1, eps_p w, eps_p w^*}: (a0, a_plus, a_minus, residual)."""
+    w = np.exp(-1j * delta * t)
+    M = np.column_stack([np.ones_like(w), eps_p * w, eps_p * np.conj(w)])
     coef = np.linalg.lstsq(M, a, rcond=None)[0]
     return (*coef, np.linalg.norm(a - M @ coef) / np.linalg.norm(a))
 
 
-def _oracle_series(cfg, x):
-    """The uniformly sampled period of the periodic orbit that oracle_check
-    demodulates at x omega_m."""
-    c, delta = replace(cfg, Q1=50.0, Q2=50.0), x * cfg.omega_m
-    orbit = om._periodic_orbit(c, delta, 1e-10)
-    t = np.linspace(0.0, orbit.period, om._PERIOD_SAMPLES + 1)
-    sol = orbit.run(orbit.states, orbit.eps_ps, orbit.period, t_eval=t)
-    return om._series(sol, delta, orbit.eps_ps, orbit.period)[0]
+def test_demodulation_recovers_exact_components():
+    """The quadratures of a field in the basis give its components, and a
+    residual at the rounding floor of the power subtraction, whatever the
+    steady state the power is taken about."""
+    t, w, a = _synthetic()
+    for a_ss in (2.0 - 1.5j, 2.1 - 1.4j):
+        a0, a_plus, a_minus, resid = om._demodulate(_quadratures(a, w, a_ss), 7.0, a_ss)
+        assert a0 == pytest.approx(2.0 - 1.5j, rel=1e-12)
+        assert a_plus == pytest.approx(0.3 + 0.1j, rel=1e-12)
+        assert a_minus == pytest.approx(-0.05 + 0.02j, rel=1e-12)
+        assert resid < 1e-7
+
+
+def test_demodulation_tolerates_noise():
+    """White noise outside the basis moves the components by its projection
+    only, and the residual is its rms relative to that of the field."""
+    t, w, a = _synthetic()
+    rng = np.random.default_rng(7)
+    noise = 1e-6 * (rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size))
+    a0, a_plus, _, resid = om._demodulate(_quadratures(a + noise, w, 2.0 - 1.5j),
+                                          7.0, 2.0 - 1.5j)
+    assert a0 == pytest.approx(2.0 - 1.5j, rel=1e-6)
+    assert a_plus == pytest.approx(0.3 + 0.1j, rel=1e-5)
+    rms = math.sqrt(np.mean(np.abs(noise) ** 2) / np.mean(np.abs(a) ** 2))
+    assert resid == pytest.approx(rms, rel=1e-3)
+
+
+def _oracle_runs(cfg, delta, monkeypatch, **kwargs):
+    """The report of one oracle_check and the (fun, t_span, y0, options) of
+    each of its integrations: the shooting runs on the stacked flow, then
+    the period that carries the quadratures."""
+    runs = []
+    solve_ivp = om.solve_ivp
+
+    def recording(fun, t_span, y0, **options):
+        runs.append((fun, t_span, y0, options))
+        return solve_ivp(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(om, "solve_ivp", recording)
+    rep = oracle_check(cfg, delta, **kwargs)
+    monkeypatch.undo()
+    return rep, runs
+
+
+# largest relative difference, over the band 0.9-1.1 omega_m at Q = 50 and
+# Q = 1.2e5, of the oracle's quadrature estimates (a0, a_plus, a_minus, fit
+# residual) from a lstsq fit of 4096 samples of the same period: 2.1e-15,
+# 1.5e-8, 5.5e-8 and 9.2e-2 (the residual's power is the difference of
+# integrals 1e5 times larger, so the integration error shows in it)
+_QUADRATURE_VS_SAMPLES = (1e-14, 1e-7, 1e-7, 0.1)
 
 
 @pytest.mark.parametrize("which", ["harmonics", "oracle"])
-def test_demodulation_matches_lstsq(cfg, which):
-    """The normal equations give the coefficients and the residual of
-    np.linalg.lstsq within 1e-12 relative: on a signal with 2nd and 3rd
-    harmonics outside the basis, and on a period of the oracle's orbit."""
+def test_demodulation_matches_lstsq(cfg, monkeypatch, which):
+    """The quadratures give the coefficients and the residual of
+    np.linalg.lstsq on uniform samples of the same closed period: within
+    1e-12 relative on a signal with 2nd and 3rd harmonics outside the
+    basis; and within the measured _QUADRATURE_VS_SAMPLES on the period the
+    oracle integrates at 0.93 omega_m, sampled by scipy's dense output."""
     if which == "harmonics":
-        s = _synthetic_series(T=1.37e-3)
-        w = np.exp(-1j * s.delta * s.t)
-        s = replace(s, a=s.a + (0.2 - 0.1j) * w ** 2 + 0.05j * np.conj(w) ** 3)
+        delta, eps_p, a_ss = 1e6, 7.0, 2.0 - 1.5j
+        t, w, a = _synthetic(delta, eps_p)
+        a = a + (0.2 - 0.1j) * w ** 2 + 0.05j * np.conj(w) ** 3
+        q, tols = _quadratures(a, w, a_ss), (1e-12,) * 4
     else:
-        s = _oracle_series(cfg, 0.93)
-    rep = demodulate(s, s.delta, s.eps_p)
-    ref = _lstsq_fit(s, s.delta, s.eps_p, rep.window)
-    est = (rep.a0_est, rep.a_plus_est, rep.a_minus_est, rep.fit_residual)
-    assert est == pytest.approx(ref, rel=1e-12)
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-
-def test_demodulation_rejects_short_window():
-    # fewer than one beat period across the fit window
-    s = _synthetic_series(delta=1e3)
-    with pytest.raises(IllConditionedFit, match="collinear"):
-        demodulate(s, s.delta, s.eps_p)
-
-
-def test_demodulation_rejects_zero_probe():
-    s = _synthetic_series()
-    with pytest.raises(IllConditionedFit, match="eps_p = 0"):
-        demodulate(s, s.delta, 0.0)
+        delta = 0.93 * cfg.omega_m
+        _, runs = _oracle_runs(cfg, delta, monkeypatch)
+        _, y_ss, eps_p, _ = om._flow(replace(cfg, Q1=50.0, Q2=50.0), delta, 1e-10)
+        a_ss = y_ss[4]
+        fun, t_span, y0, options = runs[-1]
+        q = om.solve_ivp(fun, t_span, y0, **options).y[5:9, -1].tolist()
+        t = np.linspace(*t_span, 4096, endpoint=False)
+        a = scipy_solve_ivp(fun, t_span, y0, method="DOP853", t_eval=t, **options).y[4]
+        tols = _QUADRATURE_VS_SAMPLES
+    est = om._demodulate(q, eps_p, a_ss)
+    ref = _lstsq_fit(t, a, delta, eps_p)
+    for x, r, tol in zip(est, ref, tols):
+        assert abs(x - r) <= tol * abs(r)
 
 
 def test_oracle_without_probe_refuses_before_integrating(monkeypatch):
@@ -124,28 +138,39 @@ def test_oracle_without_probe_refuses_before_integrating(monkeypatch):
     assert calls == []
 
 
-def test_integrate_validates_inputs(cfg):
-    with pytest.raises(ConfigError):
-        integrate(cfg, cfg.omega_m, tol=1e-3)
-    with pytest.raises(ConfigError):
-        integrate(cfg, cfg.omega_m, tol=1e-14)
-    relaxed = replace(cfg, Q1=50.0, Q2=50.0)
-    rdc = derive_constants(relaxed)
-    gamma_min = min(rdc.gamma1, rdc.gamma2)
-    with pytest.raises(ConfigError, match="damping"):
-        integrate(relaxed, cfg.omega_m, duration=10.0 / gamma_min)
-    with pytest.raises(ConfigError, match="y0"):
-        integrate(relaxed, cfg.omega_m, y0=np.zeros(3))
-    with pytest.raises(ConfigError, match="eps_p_scale"):
-        integrate(relaxed, cfg.omega_m, eps_p_scale=())
+@pytest.mark.parametrize("x", [1e-9, 0.0])
+def test_oracle_at_a_tiny_detuning_refuses_before_integrating(cfg, monkeypatch, x):
+    """A check integrates a beat period 2 pi/|delta| in steps of the flow's
+    fastest rate, so its work grows like 1/|delta|: beyond
+    _MAX_BEAT_PERIODS periods of that rate (delta = 0 included) the oracle
+    refuses the detuning before its first integration."""
+    calls = []
+    solve_ivp = om.solve_ivp
+    monkeypatch.setattr(om, "solve_ivp",
+                        lambda *a, **k: calls.append(a) or solve_ivp(*a, **k))
+    with pytest.raises(ConfigError, match="fastest rate"):
+        oracle_check(cfg, x * cfg.omega_m)
+    assert calls == []
+
+
+def test_oracle_validates_tol(cfg):
+    for tol in (1e-3, 1e-14):
+        with pytest.raises(ConfigError, match="tol must lie"):
+            oracle_check(cfg, cfg.omega_m, tol=tol)
+
+
+def _gamma_min(c):
+    dc = derive_constants(c)
+    return min(dc.gamma1, dc.gamma2)
 
 
 def test_probe_off_state_stays_at_steady_state():
     cfg = replace(default_config(), Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
-    series, = integrate(cfg, cfg.omega_m)
-    assert series.eps_p == 0.0
-    dev = np.max(np.abs(series.a - ss.a0)) / abs(ss.a0)
+    run, y_ss, eps_p, _ = om._flow(cfg, cfg.omega_m, 1e-10)
+    assert eps_p == 0.0
+    sol = run(y_ss[None], (eps_p,), 40.0 / _gamma_min(cfg))
+    dev = np.max(np.abs(sol.y[4] - ss.a0)) / abs(ss.a0)
     assert dev < 1e-8
 
 
@@ -153,17 +178,20 @@ def test_cavity_relaxation_matches_exact_solution():
     """With L = 0 the cavity decouples and relaxes analytically; the
     integrator must track the exact exponential."""
     cfg = replace(default_config(), L=0, Q1=50.0, Q2=50.0, P_p=0.0)
-    dc = derive_constants(cfg)
     ss = solve_steady(cfg)
-    gamma_min = min(dc.gamma1, dc.gamma2)
-    duration = 20.0 / gamma_min
     y0 = np.array([0.0, 0.0, 0.0, 0.0, 1.5 * ss.a0], dtype=complex)
-    series, = integrate(cfg, 0.9 * cfg.omega_m, duration=duration, y0=y0)
+    run, _, eps_p, _ = om._flow(cfg, 0.9 * cfg.omega_m, 1e-10)
+    sol = run(y0[None], (eps_p,), 20.0 / _gamma_min(cfg))
     # delta0 equals delta_prime here (no static displacement at L = 0)
     lam = -(1j * ss.delta_prime + cfg.kappa)
-    expect = ss.a0 + (y0[4] - ss.a0) * np.exp(lam * series.t)
-    np.testing.assert_allclose(series.a, expect, rtol=0,
-                               atol=1e-7 * abs(ss.a0))
+    expect = ss.a0 + (y0[4] - ss.a0) * np.exp(lam * sol.t)
+    np.testing.assert_allclose(sol.y[4], expect, rtol=0, atol=1e-7 * abs(ss.a0))
+
+
+def _one_period(c):
+    """One beat period at omega_m of c's flow, from its steady state."""
+    run, y_ss, eps_p, _ = om._flow(c, c.omega_m, 1e-10)
+    return run(y_ss[None], (eps_p,), 2 * math.pi / c.omega_m)
 
 
 def test_integrator_failure_is_reported(cfg, monkeypatch):
@@ -172,9 +200,9 @@ def test_integrator_failure_is_reported(cfg, monkeypatch):
         message = "step size underflow"
 
     monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: Fake())
-    for route in (integrate, oracle_check):
+    for route in (_one_period, lambda c: oracle_check(c, c.omega_m)):
         with pytest.raises(StepFailure):
-            route(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
+            route(replace(cfg, Q1=50.0, Q2=50.0))
 
 
 def test_nonfinite_state_is_reported(cfg, monkeypatch):
@@ -185,16 +213,16 @@ def test_nonfinite_state_is_reported(cfg, monkeypatch):
         t = np.linspace(0, 1, 8)
 
     monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: Fake())
-    for route in (integrate, oracle_check):
+    for route in (_one_period, lambda c: oracle_check(c, c.omega_m)):
         with pytest.raises(BlowUp):
-            route(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
+            route(replace(cfg, Q1=50.0, Q2=50.0))
 
 
 def test_stacked_run_matches_separate_runs(monkeypatch):
-    """The two probe amplitudes integrated as one stacked state give, copy by
-    copy, the trajectories of two separate runs, for about half their
-    right-hand-side evaluations; oracle_check's rhs_evals counts every call
-    of all its integrations."""
+    """The two probe amplitudes integrated as one stacked state end, copy by
+    copy, where two separate runs end, for about half their right-hand-side
+    evaluations; oracle_check's rhs_evals counts every call of all its
+    integrations."""
     solve_ivp = om.solve_ivp
     calls = []
 
@@ -205,17 +233,15 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     monkeypatch.setattr(om, "solve_ivp", counting)
     cfg = replace(default_config(), Q1=50.0, Q2=50.0)
     delta = 0.93 * cfg.omega_m
-    stacked = integrate(cfg, delta, eps_p_scale=(1.0, 0.5))
-    singles = [integrate(cfg, delta, eps_p_scale=(s,))[0] for s in (1.0, 0.5)]
-    assert isinstance(stacked, tuple) and len(stacked) == 2
+    run, y_ss, eps_p, _ = om._flow(cfg, delta, 1e-10)
+    duration = 20 * 2 * math.pi / delta
+    eps_ps = (eps_p, 0.5 * eps_p)
+    stacked = run(np.tile(y_ss, (2, 1)), eps_ps, duration).y[:, -1].reshape(2, 5)
+    singles = [run(y_ss[None], (eps,), duration).y[:, -1] for eps in eps_ps]
     a0 = abs(solve_steady(cfg).a0)
     for copy, single in zip(stacked, singles):
-        assert copy.eps_p == single.eps_p
-        np.testing.assert_array_equal(copy.t, single.t)
-        window = single.t >= single.t[-1] / 2
-        assert np.max(np.abs(copy.a[window] - single.a[window])) < 1e-8 * a0
+        assert np.max(np.abs(copy - single)) < 1e-8 * a0
     nfev = [sol.nfev for sol in calls]
-    assert stacked[0].rhs_evals == stacked[1].rhs_evals == nfev[0]
     assert nfev[0] <= 0.6 * (nfev[1] + nfev[2])
 
     calls.clear()
@@ -223,32 +249,16 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     assert rep.rhs_evals == sum(sol.nfev for sol in calls) < 2000
 
 
-def _oracle_runs(cfg, delta, monkeypatch):
-    """(fun, t_span, y0, options) of every integration of one oracle_check:
-    the shooting runs on the stacked flow, then the sampled period."""
-    runs = []
-    solve_ivp = om.solve_ivp
-
-    def recording(fun, t_span, y0, **options):
-        runs.append((fun, t_span, y0, options))
-        return solve_ivp(fun, t_span, y0, **options)
-
-    monkeypatch.setattr(om, "solve_ivp", recording)
-    oracle_check(cfg, delta)
-    monkeypatch.undo()
-    return runs
-
-
 def test_stepper_matches_scipy_dop853(cfg, monkeypatch):
     """On the oracle's stacked flow the package's DOP853 takes the steps of
     scipy.integrate.solve_ivp(method="DOP853"): the same right-hand-side
-    count and times, and end states and t_eval samples within 1e-12 of each
-    component's scale; also from an oversized first step, which the step
-    controller must reject."""
+    count and times, and states within 1e-12 of each component's scale, on
+    every run of a check (the last one carrying the quadratures); also from
+    an oversized first step, which the step controller must reject."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-    runs = _oracle_runs(cfg, 0.93 * cfg.omega_m, monkeypatch)
-    assert runs[-1][3]["t_eval"] is not None
+    _, runs = _oracle_runs(cfg, 0.93 * cfg.omega_m, monkeypatch)
+    assert runs[-1][2].size == 2 * 9
     fun, t_span, y0, options = runs[0]
     oversized = (fun, t_span, y0, {**options, "first_step": t_span[1]})
     for fun, t_span, y0, options in runs + [oversized]:
@@ -259,8 +269,8 @@ def test_stepper_matches_scipy_dop853(cfg, monkeypatch):
         np.testing.assert_array_equal(ours.t, ref.t)
         scale = np.max(np.abs(ref.y), axis=1, keepdims=True)
         assert np.all(np.abs(ours.y - ref.y) <= 1e-12 * scale)
-    # without t_eval a step costs 12 calls, plus 1 for the start: more
-    # attempts than accepted steps means a rejection
+    # a step costs 12 calls, plus 1 for the start: more attempts than
+    # accepted steps means a rejection
     assert (ours.nfev - 1) // 12 > len(ours.t) - 1
 
 
@@ -286,7 +296,7 @@ def test_too_small_step_is_a_step_failure(cfg, monkeypatch):
     monkeypatch.setattr(om, "solve_ivp", lambda fun, t_span, y0, **o: solve_ivp(
         blowup, (0.0, 2.0), np.ones_like(y0), **{**o, "first_step": 1e-3}))
     with pytest.raises(StepFailure, match="spacing between numbers"):
-        integrate(replace(cfg, Q1=50.0, Q2=50.0), cfg.omega_m)
+        _one_period(replace(cfg, Q1=50.0, Q2=50.0))
 
 
 @pytest.fixture(scope="module")
@@ -342,21 +352,33 @@ def _growth_rate(c):
 
 
 @pytest.mark.parametrize("x", [0.93, 1.1])
-def test_periodic_orbit_matches_the_long_run(cfg, x):
-    """Integrating 40 damping times from the steady state and demodulating
-    the final half gives the verdict and the a0 error of the shooting route."""
-    rep = oracle_check(cfg, x * cfg.omega_m)
-    c = replace(cfg, Q1=50.0, Q2=50.0)
+def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
+    """scipy's DOP853 on the oracle's right-hand side for both amplitudes,
+    run for 40 damping times from the steady state, with the final period
+    fitted by least squares, gives the verdict and the a0 error of the
+    shooting route."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
     delta = x * cfg.omega_m
-    series, half = integrate(c, delta, eps_p_scale=(1.0, 0.5))
-    fit = demodulate(series, delta, series.eps_p)
-    fit_half = demodulate(half, delta, half.eps_p)
+    rep, runs = _oracle_runs(cfg, delta, monkeypatch)
+    # a Newton step's run: the full and the half amplitude, 5 components each
+    fun, _, y0, options = runs[1]
+    assert y0.size == 2 * 5
+    c = replace(cfg, Q1=50.0, Q2=50.0)
+    _, y_ss, eps_p, _ = om._flow(c, delta, 1e-10)
+    duration = 40.0 / _gamma_min(c)
+    period = 2 * math.pi / delta
+    t = np.linspace(duration - period, duration, 4096, endpoint=False)
+    sol = scipy_solve_ivp(fun, (0.0, duration), np.tile(y_ss, 2), method="DOP853",
+                          t_eval=t, **options)
+    fit = _lstsq_fit(t, sol.y[4], delta, eps_p)
+    fit_half = _lstsq_fit(t, sol.y[9], delta, 0.5 * eps_p)
     ss = solve_steady(c)
     sb = sideband_amplitudes(effective_params(c, ss), delta, a0=ss.a0)
-    errs = {"a0_rel_err": om._rel(fit.a0_est, ss.a0),
-            "a_plus_rel_err": om._rel(fit.a_plus_est, sb.a_plus),
-            "a_minus_rel_err": om._rel(fit.a_minus_est, sb.a_minus),
-            "linearity_rel_change": om._rel(fit_half.a_plus_est, fit.a_plus_est)}
+    errs = {"a0_rel_err": om._rel(fit[0], ss.a0),
+            "a_plus_rel_err": om._rel(fit[1], sb.a_plus),
+            "a_minus_rel_err": om._rel(fit[2], sb.a_minus),
+            "linearity_rel_change": om._rel(fit_half[1], fit[1])}
     assert rep.passed == all(errs[f] < thr for _, f, thr in om._THRESHOLDS)
     assert rep.a0_rel_err == pytest.approx(errs["a0_rel_err"], rel=1e-3)
 
