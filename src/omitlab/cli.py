@@ -333,7 +333,7 @@ def build_parser():
                     help="detuning [units of omega_m]")
     sp.add_argument("--method", choices=("analytic", "fd"), default="analytic")
     sp.add_argument("--fd-step", type=float, default=None,
-                    help="finite-difference step [units of omega_m]")
+                    help="finite-difference step [units of omega_m], --method fd only")
     sp.set_defaults(func=_cmd_delay)
 
     sp = sub.add_parser("delay-map", help="group delay over a (P, L) grid")

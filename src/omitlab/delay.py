@@ -17,7 +17,7 @@ import numpy as np
 from . import errors
 from .errors import ConfigError
 from .response import probe_response
-from .util import flag_cells, scalar_in_scalar_out
+from .util import flag_cells, scalar_in_scalar_out, stacklevel_outside
 
 # |t_p| below this leaves the phase (and its derivative) undefined
 _TP_FLOOR = 1e-14
@@ -40,8 +40,8 @@ def unwrap_phase(phases):
         raise ConfigError("unwrap_phase expects a 1-d sequence")
     out = np.unwrap(ph)
     if out.size > 1 and np.max(np.abs(np.diff(out))) > 0.95 * np.pi:
-        warnings.warn("phase grid undersampled: a successive difference "
-                      "exceeds 0.95*pi after unwrapping", stacklevel=2)
+        warnings.warn("phase grid undersampled: a successive difference exceeds "
+                      "0.95*pi after unwrapping", stacklevel=stacklevel_outside())
     return out
 
 
@@ -91,6 +91,8 @@ def _delays(ep, delta, method="analytic", h=None, flags=""):
     """
     if method not in ("analytic", "fd"):
         raise ConfigError(f"unknown group-delay method {method!r}")
+    if method == "analytic" and h is not None:
+        raise ConfigError("a finite-difference step applies to method 'fd' only")
     if not np.isfinite(delta).all():
         raise ConfigError("the detuning must be finite")
     pr = probe_response(ep, delta)
@@ -126,11 +128,11 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
 
     method "analytic" differentiates the closed form exactly; "fd" uses the
     centered stencil with branch-consistent phases at steps h and h/2 and one
-    Richardson extrapolation (default h = 1e-6 * omega_m). Raises
-    DegenerateDenominator where d is degenerate, NearZeroTransmission when
-    |t_p| < 1e-14 and StepTooLarge when the Richardson pair disagrees beyond
-    1e-4 relative. a0 sets only the phase of the a_minus sideband, so it
-    does not enter t_p or tau_g.
+    Richardson extrapolation (default h = 1e-6 * omega_m; with "analytic" an
+    h is a ConfigError). Raises DegenerateDenominator where d is degenerate,
+    NearZeroTransmission when |t_p| < 1e-14 and StepTooLarge when the
+    Richardson pair disagrees beyond 1e-4 relative. a0 sets only the phase
+    of the a_minus sideband, so it does not enter t_p or tau_g.
     """
     delta = float(delta)
     _, res, flag = _delays(ep, delta, method, h)

@@ -16,7 +16,6 @@ frequency-valued fields and converts at the boundary.
 
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -24,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError
-from .util import fingerprint_dict, with_python_scalars
+from .util import fingerprint_dict, stacklevel_outside, with_python_scalars
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
@@ -125,19 +124,7 @@ class PhysicalConfig:
             warnings.warn(
                 f"omega_m = {self.omega_m:g} differs from the mirror-frequency "
                 f"midpoint {mid:g} by more than 1e-9 relative",
-                stacklevel=_stacklevel_outside())
-
-
-def _stacklevel_outside():
-    """The stacklevel, for warnings.warn in the function that calls this
-    one, of the first frame outside this module and dataclasses: the line
-    that built the configuration, directly, through dataclasses.replace or
-    through a constructor here. The generated __init__ runs in this
-    module's globals, so it is passed over too."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
-        frame, level = frame.f_back, level + 1
-    return level
+                stacklevel=stacklevel_outside())
 
 
 # the rule of each numeric field, in declaration order (config_to_dict's key order)

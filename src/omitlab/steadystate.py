@@ -27,11 +27,13 @@ from . import errors
 from .errors import ConfigError, NumericalError, RootRefinementError
 from .model import (config_fingerprint, config_grid, derive_constants,
                     fold_steady_state)
-from .util import flag_cells, with_python_scalars
+from .util import flag_cells, stacklevel_outside, with_python_scalars
 
-# Newton polish of the cubic roots: hard iteration cap and relative residual target
+# Newton polish of the cubic roots: hard iteration cap, relative residual
+# target, and the relative step that ends it as well
 _POLISH_MAX_ITER = 50
 _POLISH_RTOL = 1e-12
+_POLISH_STEP_RTOL = 4.0 * np.finfo(float).eps
 # the angles 0, 2 pi/3 and 4 pi/3 of the trigonometric roots of a cubic
 _THIRDS = np.array([0.0, 2.0, 4.0]) * (math.pi / 3.0)
 
@@ -100,18 +102,19 @@ def fixed_branches(cfg, dc, delta_prime):
 
 def _polish(n, active, kappa, delta0, chi, eps2):
     """Newton iterations on the cubic residual where active, at most
-    _POLISH_MAX_ITER; returns n and where it meets the residual target."""
+    _POLISH_MAX_ITER; returns n and where it has converged: the residual
+    meets its target, or the step is within 4 eps of n (where no float meets
+    the target, the steps alternate between the two around the root)."""
     target = _POLISH_RTOL * eps2
-    for _ in range(_POLISH_MAX_ITER):
+    for k in range(_POLISH_MAX_ITER + 1):
         det = delta0 - chi * n
         f = n * (kappa * kappa + det * det) - eps2
         fp = kappa * kappa + det * det - 2.0 * chi * n * det
-        active = active & (np.abs(f) > target) & (fp != 0)
-        if not active.any():
-            break
+        converged = np.abs(f) <= np.maximum(target, _POLISH_STEP_RTOL * np.abs(n * fp))
+        active = active & ~converged & (fp != 0)
+        if k == _POLISH_MAX_ITER or not active.any():
+            return n, converged
         n = np.where(active, n - f / np.where(active, fp, 1.0), n)
-    det = delta0 - chi * n
-    return n, np.abs(n * (kappa * kappa + det * det) - eps2) <= target
 
 
 def _cubic_roots(kappa, chi, eps2, delta0, cubic):
@@ -182,10 +185,9 @@ def self_consistent_branches(cfg, dc, delta0):
                     np.where(eps2 == 0.0, 0.0, eps2 / (kappa * kappa + delta0 * delta0)))
 
     count = np.where(cubic, keep.sum(axis=0), 1)
-    # stacklevel 4 names the line that called solve_steady, steady_states or
-    # effective_grid, each of which reaches this function through _solve
     if np.any((count == 3) & ~stalled):
-        warnings.warn("bistable point: three steady-state branches", stacklevel=4)
+        warnings.warn("bistable point: three steady-state branches",
+                      stacklevel=stacklevel_outside())
     flags = flag_cells("", stalled, RootRefinementError)
     return _branches(cfg, dc, delta0 - chi * n, flag_cells(flags, count == 0, NumericalError))
 

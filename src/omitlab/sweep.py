@@ -5,6 +5,10 @@ The default detuning grid is 4001 uniform points over [0.5, 1.5] omega_m with
 automatic refinement to gamma_j/4 spacing within +-10 gamma_j of each mirror
 resonance: at Q = 1.2e5 the transparency windows are gamma-narrow and a
 uniform grid would step right over them.
+
+Dips are the peaks of -nu_p, found as scipy.signal's find_peaks/peak_widths
+find them (bit for bit) and refined in one array pass to the vertices of
+their three-point parabolas.
 """
 
 import itertools
@@ -96,22 +100,6 @@ class DipReport:
     count: int
 
 
-def _parabolic_refine(x, y, i):
-    """Vertex of the parabola through the three samples around index i.
-
-    Falls back to the grid point when the fit is not a minimum or the vertex
-    escapes the bracket (flat or asymmetric data).
-    """
-    xs, ys = x[i - 1:i + 2], y[i - 1:i + 2]
-    a, b, c = np.polyfit(xs - x[i], ys, 2)
-    if a <= 0:
-        return x[i], y[i]
-    xv = -b / (2.0 * a)
-    if not (xs[0] - x[i] < xv < xs[2] - x[i]):
-        return x[i], y[i]
-    return x[i] + xv, c - b * b / (4.0 * a)
-
-
 def _local_maxima(x):
     """Midpoints of the local maxima of x: runs of equal samples with a lower
     sample on each side (so no run at either edge, and no NaN)."""
@@ -121,22 +109,6 @@ def _local_maxima(x):
     v = x[starts]
     r = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
     return (starts[r] + starts[r + 1] - 1) // 2
-
-
-def _walk(x, i, step, level):
-    """x[i], x[i + step], ... up to the sample before the first one that is
-    not <= level (NaN included), or to the end of x. The window grows
-    geometrically, so the cost follows the length of the walk, not of x."""
-    run = x[i:] if step > 0 else x[i::-1]
-    w = 256
-    while True:
-        seg = run[:w]
-        stop = ~(seg <= level)
-        if stop.any():
-            return seg[:np.argmax(stop)]
-        if seg.size == run.size:
-            return seg
-        w *= 16
 
 
 def _crossing(walk, base, height):
@@ -163,7 +135,9 @@ def _peaks(x):
     """
     rows = []
     for p in _local_maxima(x):
-        left, right = _walk(x, p, -1, x[p]), _walk(x, p, 1, x[p])
+        # from the peak outwards, up to the first sample not <= x[p] (NaN too)
+        left, right = (run[:np.argmax(np.append(~(run <= x[p]), True))]
+                       for run in (x[p::-1], x[p:]))
         lb, rb = int(np.argmin(left)), int(np.argmin(right))
         prominence = x[p] - max(left[lb], right[rb])
         if not prominence >= _DIP_PROMINENCE:
@@ -181,32 +155,30 @@ def _peaks(x):
 def find_dips(series):
     """Transparency dips of a spectrum.
 
-    Minima are detected on -nu_p with absolute prominence 1e-3, their
-    positions and depths refined with a 3-point parabola, and widths taken at
-    half prominence (half depth relative to the flanking maxima), with
-    fractional sample indices interpolated back onto the detuning grid so a
-    non-uniform grid is handled correctly.
+    Minima are detected on -nu_p with absolute prominence 1e-3. Each is
+    refined to the vertex of the parabola through it and its two neighbours,
+    all at once; where that parabola is not convex or its vertex leaves the
+    bracket of the neighbours (a flat or asymmetric minimum), the grid point
+    stays. Widths are taken at half prominence (half depth relative to the
+    flanking maxima), with fractional sample indices interpolated back onto
+    the detuning grid so a non-uniform grid is handled correctly.
     """
     x = np.asarray(series.delta_grid, dtype=float)
     y = np.asarray(series.nu_p, dtype=float)
-    idx, _, _, _, left_ips, right_ips = _peaks(-y)
-    if idx.size == 0:
-        return DipReport(np.array([]), np.array([]), np.array([]), 0)
-
-    positions, depths = [], []
-    for i in idx:
-        if 0 < i < x.size - 1:
-            xv, yv = _parabolic_refine(x, y, i)
-        else:
-            xv, yv = x[i], y[i]
-        positions.append(xv)
-        depths.append(yv)
+    i, _, _, _, left_ips, right_ips = _peaks(-y)  # never at an edge
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat or infinite minima
+        h1, h2 = x[i] - x[i - 1], x[i + 1] - x[i]
+        s1, s2 = (y[i] - y[i - 1]) / h1, (y[i + 1] - y[i]) / h2
+        a = (s2 - s1) / (h1 + h2)
+        b = s1 + a * h1
+        offset = -b / (2.0 * a)
+        vertex = (a > 0) & (-h1 < offset) & (offset < h2)
+        positions = np.where(vertex, x[i] + offset, x[i])
+        depths = np.where(vertex, y[i] - b * b / (4.0 * a), y[i])
 
     samples = np.arange(x.size, dtype=float)
     widths = np.interp(right_ips, samples, x) - np.interp(left_ips, samples, x)
-
-    return DipReport(np.asarray(positions), np.asarray(depths),
-                     np.asarray(widths), int(idx.size))
+    return DipReport(positions, depths, widths, int(i.size))
 
 
 @dataclass(frozen=True)

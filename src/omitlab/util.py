@@ -1,12 +1,12 @@
 """Small shared helpers: per-cell flag masks, Python scalars out of batched
-results, atomic file output, config hashing and CSV rendering."""
+results, warning stacklevels, atomic file output, hashing and CSV rendering."""
 
 import dataclasses
 import functools
 import hashlib
 import json
 import os
-import tempfile
+import sys
 
 import numpy as np
 
@@ -44,11 +44,25 @@ def scalar_in_scalar_out(func):
     return run
 
 
+def stacklevel_outside():
+    """The stacklevel, for warnings.warn in the function that calls this
+    one, of the first frame outside this package and dataclasses: the line
+    that called into the package, directly, through dataclasses.replace or
+    through a generated __init__ (which runs in its module's globals)."""
+    inside = (__name__.partition(".")[0], "dataclasses")
+    frame, level = sys._getframe(1), 1
+    while frame and frame.f_globals.get("__name__", "").partition(".")[0] in inside:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def atomic_write(path, text):
-    """Write text to path via a temp file and rename, never a partial file."""
+    """Write text to path via a temp file and rename, never a partial file.
+    The file gets the mode open() would give it: 0o666 less the umask."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -163,6 +163,13 @@ def test_map2d_delta_axis_units(tmp_path):
                  "--axis2", "Delta", "--grid2", "0.9:1.1:2",
                  "--out", str(out)]) == 0
     assert [r[0] for r in _rows(_read(out))[1][::2]] == ["0.0", "3.0", "7.0", "10.0"]
+    # a Delta first axis too, cell for cell the transpose of the map above
+    first = tmp_path / "first.csv"
+    assert main(["map2d", "--axis1", "Delta", "--grid1", "0.9:1.1:2",
+                 "--axis2", "L", "--grid2", "0:10:4", "--out", str(first)]) == 0
+    rows_first = _rows(_read(first))[1]
+    assert [r[0] for r in rows_first] == ["0.9"] * 4 + ["1.1"] * 4
+    assert sorted([r[1], r[0], *r[2:]] for r in rows_first) == sorted(_rows(_read(out))[1])
 
 
 def test_map2d_grid_validation():
@@ -173,6 +180,18 @@ def test_map2d_grid_validation():
     # a fixed --delta next to a Delta axis would be ignored
     assert main(["map2d", "--axis1", "L", "--grid1", "0:100:2",
                  "--axis2", "Delta", "--grid2", "0.9:1.1:3", "--delta", "0.3"]) == 1
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
+    """Outputs and manifests get the mode open() would give them."""
+    old = os.umask(umask)
+    try:
+        assert main(["spectrum", "--points", "101", "--svg",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    finally:
+        os.umask(old)
+    assert [p.stat().st_mode & 0o777 for p in sorted(tmp_path.iterdir())] == [mode] * 3
 
 
 def test_oracle_json(tmp_path, capsys):
@@ -206,6 +225,10 @@ def test_flag_overrides_config(tmp_path, capsys):
 
 
 def test_branch_and_detuning_flags(tmp_path, capsys):
+    assert main(["steady", "--delta-prime", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[4] == "0.500000000000000"
+    assert main(["steady", "--delta-prime", "0.5", "--delta0", "1.0"]) == 1
+    assert "mutually exclusive" in capsys.readouterr().err
     with pytest.warns(UserWarning, match="bistable"):
         assert main(["steady", "--delta0", "2.0", "--P", "0.005"]) == 0
     out = capsys.readouterr().out
@@ -359,6 +382,16 @@ def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
     (["oracle", "--delta", "nan", "--out", "o.json"], 1),
     # a beat period too long to integrate
     (["oracle", "--delta", "1e-9", "--out", "o.json"], 1),
+    # a step the analytic method would ignore
+    (["delay", "--delta", "1.1", "--fd-step", "0.5", "--out", "d.json"], 1),
+    # malformed grids
+    (["delay-map", "--p-points", "0", "--out", "dm.csv"], 1),
+    (["map2d", "--axis1", "P", "--grid1", "0:1:x", "--axis2", "L",
+      "--grid2", "0:100:2", "--delta", "1.1", "--out", "m.csv"], 1),
+    (["map2d", "--axis1", "P", "--grid1", "a:1:2", "--axis2", "L",
+      "--grid2", "0:100:2", "--delta", "1.1", "--out", "m.csv"], 1),
+    (["map2d", "--axis1", "P", "--grid1", "0:1:0", "--axis2", "L",
+      "--grid2", "0:100:2", "--delta", "1.1", "--out", "m.csv"], 1),
 ])
 def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code):
     """An output path that its SVG would overwrite, or one in a directory

@@ -193,6 +193,9 @@ def test_method_and_step_validation(ep, ss):
             group_delay(ep, ss.a0, OMEGA_M, method=method)
     with pytest.raises(ConfigError):
         group_delay(ep, ss.a0, OMEGA_M, method="fd", h=-1.0)
+    # the analytic derivative takes no step: one given would be ignored
+    with pytest.raises(ConfigError, match="method 'fd' only"):
+        group_delay(ep, ss.a0, OMEGA_M, method="analytic", h=1e-3 * OMEGA_M)
 
 
 def test_near_zero_transmission_raises():

@@ -162,6 +162,26 @@ def test_json_round_trip_with_notes(cfg):
     assert config_from_dict(d) == cfg
 
 
+def test_json_self_consistent_mode(cfg):
+    """A config file can set the bare detuning of the self-consistent
+    mode, in units of omega_m as in rad/s."""
+    d = config_to_dict(cfg)
+    d["detuning_mode"] = {"mode": "self_consistent",
+                          "value": {"value": 1.5, "unit": "units_of_omega_m"}}
+    back = config_from_json(json.dumps(d))
+    assert back == replace(cfg, detuning_mode=SelfConsistent(1.5 * cfg.omega_m))
+    assert config_from_json(config_to_json(back)) == back
+
+
+def test_effective_params_rejects_bad_rates(ep):
+    for change, match in (({"kappa": 0.0}, "kappa must be > 0"),
+                          ({"kappa": -ep.kappa}, "kappa must be > 0"),
+                          ({"G1": -1.0}, "G1, G2 must be >= 0"),
+                          ({"G2": -1e-3}, "G1, G2 must be >= 0")):
+        with pytest.raises(ConfigError, match=match):
+            replace(ep, **change)
+
+
 def test_unit_conversions(cfg):
     d = config_to_dict(cfg)
     d["kappa"] = {"value": cfg.kappa / (2 * math.pi), "unit": "Hz"}

@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import omitlab.steadystate as steadystate
 from omitlab import (ConfigError, FixedEffective, SelfConsistent,
                      default_config, derive_constants, solve_steady,
-                     steady_states)
+                     spectrum_sweep, steady_states, sweep_2d)
+from omitlab.cli import main
 from omitlab.model import config_grid
 
 
@@ -246,9 +248,13 @@ def test_solve_steady_dispatch(cfg):
 
 
 def test_bistable_warning_names_the_caller():
+    """Whichever route reaches the solver, the warning names the line that
+    called into the package, not one inside it."""
     cfg = replace(default_config(), P=5e-3,
                   detuning_mode=SelfConsistent(2.0 * default_config().omega_m))
-    for solve in (solve_steady, steady_states):
+    axes = (("P", [5e-3]), ("Delta", [cfg.omega_m]))
+    for solve in (solve_steady, steady_states, spectrum_sweep,
+                  lambda c: sweep_2d(c, *axes)):
         with pytest.warns(UserWarning, match="bistable") as record:
             solve(cfg)
         assert [w.filename for w in record] == [__file__]
@@ -257,3 +263,32 @@ def test_bistable_warning_names_the_caller():
 def test_fingerprint_travels_with_state(cfg, ss):
     from omitlab import config_fingerprint
     assert ss.config_fingerprint == config_fingerprint(cfg)
+
+
+def test_root_no_float_polishes_further_is_accepted(capsys, monkeypatch):
+    """On the upper branch here Newton's first step lands within one ulp of
+    the root, then alternates between the floats on either side of it,
+    neither of which meets the 1e-12 eps_c^2 residual target. The command
+    reports the three branches, and each polished root lies within 1e-15
+    (3.5e-16 measured) of the exact root of the same cubic."""
+    polish, calls = steadystate._polish, []
+
+    def spy(*args):
+        calls.append((args, polish(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(steadystate, "_polish", spy)
+    argv = ["steady", "--P", "0.01", "--kappa", "942477.796076938", "--delta0", "40"]
+    with pytest.warns(UserWarning, match="bistable"):
+        assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+    [((_, active, kappa, delta0, chi, eps2), (roots, converged))] = calls
+    assert active.all() and converged.all()
+    kappa2 = Fraction(float(kappa)) ** 2
+    delta0, chi, eps2 = (Fraction(float(v)) for v in (delta0, chi, eps2))
+    for root in roots:
+        n = Fraction(float(root))
+        for _ in range(3):  # Newton in exact arithmetic
+            det = delta0 - chi * n
+            n -= (n * (kappa2 + det * det) - eps2) / (kappa2 + det * det - 2 * chi * n * det)
+        assert abs(Fraction(float(root)) - n) <= Fraction(1e-15) * n

@@ -3,6 +3,7 @@
 import time
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from omitlab import (ConfigError, NumericalError, SelfConsistent,
                      SpectrumSeries, default_config, default_delta_grid,
                      delay_map_csv, effective_params, find_dips, group_delay,
                      map_csv, probe_response, solve_steady, spectrum_csv,
-                     spectrum_sweep, sweep_2d, tau_g_analytic)
+                     spectrum_sweep, sweep_2d, tau_g_analytic, unwrap_phase)
 from omitlab.delay import _classify
 from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER, _peaks
 
@@ -97,6 +98,60 @@ def test_dip_refinement_is_subgrid():
     assert rep.depths[0] == pytest.approx(1.0, abs=1e-6)
 
 
+def _exact_vertex(x, y, i):
+    """find_dips' refinement of the minimum at sample i in exact rational
+    arithmetic: the vertex of the parabola through samples i - 1, i and
+    i + 1, or the grid point where that parabola is not convex or its vertex
+    leaves the bracket."""
+    x0, x1, x2 = map(Fraction, x[i - 1:i + 2])
+    y0, y1, y2 = map(Fraction, y[i - 1:i + 2])
+    h1, h2 = x1 - x0, x2 - x1
+    s1, s2 = (y1 - y0) / h1, (y2 - y1) / h2
+    a = (s2 - s1) / (h1 + h2)
+    b = s1 + a * h1
+    if a > 0 and -h1 < -b / (2 * a) < h2:
+        return x1 - b / (2 * a), y1 - b * b / (4 * a)
+    return x1, y1
+
+
+def test_dips_are_the_exact_three_point_vertices():
+    """Seeded spectra over wide P, kappa, Q1, Q2 and L on the default grid
+    and 101-, 500- and 4001-point user grids: each dip lies within 1e-14
+    omega_m, and its depth within 1e-14 max|nu_p|, of the exact vertex of
+    its three samples. np.polyfit missed the depth bound by up to 1.8e-11.
+    On a flat minimum the grid point stays."""
+    rng = np.random.default_rng(17)
+    base = default_config()
+    dips = 0
+    for k in range(40):
+        cfg = replace(base, P=base.P * 10 ** rng.uniform(-3.0, 1.0),
+                      kappa=base.kappa * 10 ** rng.uniform(-0.7, 0.7),
+                      Q1=10 ** rng.uniform(2.5, 6.0), Q2=10 ** rng.uniform(2.5, 6.0),
+                      L=int(rng.integers(0, 301)))
+        points = (None, 101, 500, 4001)[k % 4]
+        grid = None if points is None else np.linspace(0.5, 1.5, points) * base.omega_m
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # phase undersampled on coarse grids
+            series = spectrum_sweep(cfg, grid)
+        x, y = series.delta_grid, series.nu_p
+        rep = find_dips(series)
+        idx = _peaks(-y)[0]
+        assert rep.count == idx.size
+        for i, pos, depth in zip(idx, rep.positions, rep.depths):
+            xv, yv = _exact_vertex(x, y, i)
+            assert abs(Fraction(pos) - xv) <= 1e-14 * base.omega_m
+            assert abs(Fraction(depth) - yv) <= 1e-14 * np.max(np.abs(y))
+        dips += rep.count
+    assert dips > 50
+
+    x = np.linspace(0.0, 1.0, 78)
+    y = np.full(x.size, 0.05)
+    y[11:14] = 0.018
+    z = np.zeros_like(x)
+    rep = find_dips(SpectrumSeries(x, 1.0, y, z, z, z, [""] * x.size, "fp"))
+    assert (rep.count, rep.positions[0], rep.depths[0]) == (1, x[12], 0.018)
+
+
 def _scipy_peaks(x):
     """The reference route find_dips used to take, through scipy.signal."""
     from scipy.signal import find_peaks, peak_widths
@@ -144,6 +199,16 @@ def test_dip_finder_matches_scipy_signal():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         found += ref[0].size
     assert found > 1000
+
+
+def test_undersampled_warning_names_the_caller(cfg):
+    """The phase warning names the line that called into the package, from
+    a spectrum on a coarse grid as from unwrap_phase itself."""
+    narrow = replace(cfg, kappa=cfg.kappa / 20.0)
+    with pytest.warns(UserWarning, match="undersampled") as record:
+        spectrum_sweep(narrow, np.linspace(0.5, 1.5, 11) * cfg.omega_m)
+        unwrap_phase([0.0, 0.96 * np.pi])
+    assert [w.filename for w in record] == [__file__] * 2
 
 
 def test_dip_finder_cost_on_noise():
