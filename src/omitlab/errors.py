@@ -51,7 +51,7 @@ class MissingBranch(NumericalError):
 
 
 class RootRefinementError(NumericalError):
-    """Newton polish of a steady-state root did not reach the residual target."""
+    """Newton's method on a steady-state root still moved after its step cap."""
 
 
 class Unstable(NumericalError):

@@ -171,11 +171,13 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     if z.shape != (y.size, x.size):
         raise ValueError(f"z shape {z.shape} does not match grids "
                          f"({y.size}, {x.size})")
+    if not (x.size and y.size):
+        raise ValueError("heat map grids must not be empty")
     # the ticks run from the minimum up, so a descending axis is reversed
     # together with its cells
-    if x.size and x[-1] < x[0]:
+    if x[-1] < x[0]:
         x, z = x[::-1], z[:, ::-1]
-    if y.size and y[-1] < y[0]:
+    if y[-1] < y[0]:
         y, z = y[::-1], z[::-1]
     finite = z[np.isfinite(z)]
     vmax = float(np.max(np.abs(finite))) if finite.size else 1.0

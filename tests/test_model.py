@@ -234,6 +234,24 @@ def test_json_schema_errors(cfg):
             config_from_dict(d)
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"kappa": {"value": 1.0, "unit": "Hz", "scale": 2}}, "value/unit object malformed"),
+    ({"kappa": {"unit": "Hz"}}, "value/unit object malformed"),
+    ({"detuning_mode": "fixed_effective"}, "detuning_mode must be"),
+    ({"detuning_mode": {"value": 1.0}}, "detuning_mode must be"),
+    ({"detuning_mode": {"mode": "locked", "value": 1.0}}, "detuning_mode.mode must be")])
+def test_json_object_shape_errors(cfg, change, match):
+    d = config_to_dict(cfg)
+    d.update(change)
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(d)
+
+
+def test_config_must_be_an_object():
+    with pytest.raises(ConfigError, match="config must be a JSON object, got list"):
+        config_from_json("[1, 2]")
+
+
 def test_fingerprint_sensitivity(cfg):
     fp = config_fingerprint(cfg)
     assert fp != config_fingerprint(replace(cfg, P=cfg.P * (1 + 1e-12)))

@@ -422,3 +422,15 @@ def test_unconverged_orbit_is_reported(cfg, monkeypatch):
     monkeypatch.setattr(om, "_MAX_NEWTON", 1)
     with pytest.raises(StepFailure, match="Newton steps.*times atol"):
         oracle_check(cfg, 0.93 * cfg.omega_m)
+
+
+@pytest.mark.parametrize("t_span, y0, first_step, match", [
+    ((1.0, 1.0), [1.0], 0.1, "t_span must increase"),
+    ((0.0, 1.0), [1.0], 2.0, "first_step"),
+    ((0.0, 1.0), [1.0], 0.0, "first_step"),
+    ((0.0, 1.0), [[1.0]], 0.1, "y0 must be"),
+    ((0.0, 1.0), [np.nan], 0.1, "y0 must be")])
+def test_solve_ivp_rejects_bad_arguments(t_span, y0, first_step, match):
+    with pytest.raises(ValueError, match=match):
+        om.solve_ivp(lambda t, y: -y, t_span, y0, rtol=1e-9, atol=1e-12,
+                     first_step=first_step)

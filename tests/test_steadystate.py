@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,8 @@ from omitlab import (ConfigError, FixedEffective, SelfConsistent,
                      default_config, derive_constants, solve_steady,
                      spectrum_sweep, steady_states, sweep_2d)
 from omitlab.cli import main
-from omitlab.model import config_grid
+from omitlab.model import config_grid, effective_params
+from omitlab.response import _drift_matrix
 
 
 def test_fixed_point_reference_value(ss):
@@ -164,23 +166,50 @@ def test_saddle_node_edge_reports_merged_roots_once():
     assert ns[1] == pytest.approx(n_double, rel=1e-12)
 
 
-def _eigvals_roots(kappa, chi, eps2, delta0, cubic):
+def _eigvals_roots(kappa, chi, eps2, delta0):
     """The roots of the cubic as the eigenvalues of the stacked companion
-    matrices, the solve the closed form replaced."""
+    matrices (placeholders where chi = 0)."""
+    cubic = chi != 0.0
     coeffs = (chi * chi, -2.0 * delta0 * chi, kappa * kappa + delta0 * delta0, -eps2)
     lead = np.where(cubic, coeffs[0], 1.0)
     companion = np.zeros(kappa.shape + (3, 3))
     for k in range(3):
         companion[..., 0, k] = np.where(cubic, -coeffs[k + 1] / lead, 0.0)
     companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    return np.moveaxis(np.linalg.eigvals(companion), -1, 0)
+    return np.linalg.eigvals(companion)
 
 
-def test_closed_form_roots_match_the_eigenvalue_solve(monkeypatch):
-    """The closed-form roots give the branch counts, flags and polished n of
-    the companion-matrix eigenvalues, n within 1e-12 relative: on a seeded
-    P x L grid with P = 0 and L = 0 cells at bare detunings across the
-    bistable band, and at the saddle-node edge."""
+def _reference_roots(kappa, chi, eps2, delta0, roots):
+    """Ascending roots n >= 0 of one cubic from its three eigenvalue roots.
+    Two within 1e-7 relative of each other are a double root that rounding
+    split (by about sqrt(eps)) or made complex: they count once, at their
+    mean, which is well conditioned. Another root z is real where
+    |Im z| <= 1e-7 |z|, and gets three Newton steps in float."""
+    if chi == 0.0:
+        return [eps2 / (kappa * kappa + delta0 * delta0)]
+    r = sorted(roots, key=lambda z: (z.real, z.imag))
+    out, i = [], 0
+    while i < 3:
+        if i < 2 and abs(r[i + 1] - r[i]) <= 1e-7 * abs(r[i + 1]):
+            out.append(0.5 * (r[i] + r[i + 1]).real)
+            i += 2
+            continue
+        z, i = r[i], i + 1
+        if abs(z.imag) <= 1e-7 * abs(z) and z.real >= 0.0:
+            n = z.real
+            for _ in range(3):
+                det = delta0 - chi * n
+                n -= _cubic(n, kappa, delta0, chi, eps2) / (
+                    kappa * kappa + det * det - 2.0 * chi * n * det)
+            out.append(n)
+    return sorted(out)
+
+
+def test_branches_match_the_eigenvalue_solve():
+    """The fold-sign count and the Newton roots give the branch counts and n
+    of the companion-matrix eigenvalues, n within 1e-12 relative, and flag
+    no cell: on a seeded P x L grid with P = 0 and L = 0 cells at bare
+    detunings across the bistable band, and at the saddle-node edge."""
     rng = np.random.default_rng(1018)
     base = default_config()
     P = np.concatenate([[0.0], np.sort(rng.uniform(1e-5, 1e-2, 24))])
@@ -195,12 +224,15 @@ def test_closed_form_roots_match_the_eigenvalue_solve(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = steadystate.self_consistent_branches(c, dc, delta0)
-            monkeypatch.setattr(steadystate, "_cubic_roots", _eigvals_roots)
-            ref = steadystate.self_consistent_branches(c, dc, delta0)
-            monkeypatch.undo()
-        assert np.array_equal(got.count, ref.count)
-        assert np.array_equal(got.flags, ref.flags)
-        np.testing.assert_allclose(np.abs(got.a0) ** 2, np.abs(ref.a0) ** 2, rtol=1e-12)
+        assert (got.flags == "").all()
+        kappa, chi, eps2 = np.broadcast_arrays(c.kappa, *_chi_eps2(c, dc))
+        roots = _eigvals_roots(kappa, chi, eps2, delta0)
+        for i in np.ndindex(kappa.shape):
+            ref = _reference_roots(kappa[i], chi[i], eps2[i], delta0, roots[i])
+            assert got.count[i] == len(ref), (i, ref)
+            n = got.n[(slice(None),) + i]
+            np.testing.assert_allclose(n[:len(ref)], ref, rtol=1e-12)
+            assert np.isnan(n[len(ref):]).all()
         bistable += np.count_nonzero(got.count == 3)
     assert bistable > 0
 
@@ -266,29 +298,154 @@ def test_fingerprint_travels_with_state(cfg, ss):
 
 
 def test_root_no_float_polishes_further_is_accepted(capsys, monkeypatch):
-    """On the upper branch here Newton's first step lands within one ulp of
-    the root, then alternates between the floats on either side of it,
-    neither of which meets the 1e-12 eps_c^2 residual target. The command
-    reports the three branches, and each polished root lies within 1e-15
-    (3.5e-16 measured) of the exact root of the same cubic."""
-    polish, calls = steadystate._polish, []
+    """On the upper branch here Newton's steps from eps_c^2/kappa^2 shrink
+    until the root is within an ulp, where the residual is rounding noise
+    and a step no longer shrinks. The command reports the three branches,
+    no root reaches the step cap, and each lies within 1e-15 of the exact
+    root of the same cubic."""
+    newton, calls = steadystate._newton, []
 
     def spy(*args):
-        calls.append((args, polish(*args)))
+        calls.append((args, newton(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(steadystate, "_polish", spy)
+    monkeypatch.setattr(steadystate, "_newton", spy)
     argv = ["steady", "--P", "0.01", "--kappa", "942477.796076938", "--delta0", "40"]
     with pytest.warns(UserWarning, match="bistable"):
         assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3
-    [((_, active, kappa, delta0, chi, eps2), (roots, converged))] = calls
-    assert active.all() and converged.all()
-    kappa2 = Fraction(float(kappa)) ** 2
-    delta0, chi, eps2 = (Fraction(float(v)) for v in (delta0, chi, eps2))
+    [((start, kappa, delta0, chi, eps2), (roots, stalled))] = calls
+    assert np.isfinite(start).all() and not stalled.any()
     for root in roots:
-        n = Fraction(float(root))
-        for _ in range(3):  # Newton in exact arithmetic
-            det = delta0 - chi * n
-            n -= (n * (kappa2 + det * det) - eps2) / (kappa2 + det * det - 2 * chi * n * det)
+        n = _exact_root(root, kappa, delta0, chi, eps2)
         assert abs(Fraction(float(root)) - n) <= Fraction(1e-15) * n
+
+
+def _chi_eps2(c, dc):
+    return dc.g1 ** 2 / c.omega_phi1 + dc.g2 ** 2 / c.omega_phi2, dc.eps_c ** 2
+
+
+def _exact_root(n, kappa, delta0, chi, eps2):
+    """The root of the cubic next to n, by Newton's method in exact
+    arithmetic on the float coefficients."""
+    n, kappa, delta0, chi, eps2 = (Fraction(float(v)) for v in (n, kappa, delta0, chi, eps2))
+    for _ in range(3):
+        det = delta0 - chi * n
+        n -= (n * (kappa ** 2 + det * det) - eps2) / (kappa ** 2 + det * det - 2 * chi * n * det)
+    return n
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["--P", "0.01", "--kappa", "942477.796076938", "--delta0", "40"], 1e-15),
+    (["--P", "0.02180270416773971", "--kappa", "9424.77796076938", "--L", "419",
+      "--delta0", "802.7276018574377"], 1e-12)])
+def test_steady_prints_the_roots_of_the_cubic(capsys, argv, tol):
+    """The n column of `steady` is the solver's root, not |a0|^2 rebuilt
+    from Delta' = Delta_0 - chi n, which rounds at eps |Delta_0| (6.3e-13
+    and 1.0e-12 off on the upper branches of the first point). At the
+    second point the two upper roots lie 2.4e-6 relative apart, far below
+    eps_c^2/kappa^2: still three branches."""
+    with pytest.warns(UserWarning, match="bistable"):
+        assert main(["steady", *argv]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    opt = dict(zip(argv[::2], map(float, argv[1::2])))
+    base = default_config()
+    cfg = replace(base, P=opt["--P"], kappa=opt["--kappa"], L=int(opt.get("--L", base.L)),
+                  detuning_mode=SelfConsistent(opt["--delta0"] * base.omega_m))
+    chi, eps2 = _chi_eps2(cfg, derive_constants(cfg))
+    for row in rows:
+        n = float(row.split()[1])
+        exact = _exact_root(n, cfg.kappa, cfg.detuning_mode.value, chi, eps2)
+        assert abs(Fraction(n) - exact) <= Fraction(tol) * exact
+
+
+@pytest.mark.parametrize("P, rel", [(5e-3, 1e-12), (40e-3, 1e-11)])
+def test_branch_count_never_rises_across_the_upper_edge(P, rel):
+    """Over 2001 bare detunings within rel of the upper saddle-node edge the
+    count falls from 3 to 1 and never rises again: it rests on the signs of
+    the cubic at its folds, not on a tolerance between computed roots."""
+    cfg = replace(default_config(), P=P)
+    dc = derive_constants(cfg)
+    edge = _upper_edge(cfg)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        counts = [int(steadystate.self_consistent_branches(cfg, dc, d0).count)
+                  for d0 in edge * (1.0 + np.linspace(-rel, rel, 2001))]
+    assert counts[0] == 3 and counts[-1] == 1
+    assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+def _fold_sign_count(kappa, chi, eps2, delta0):
+    """The branch count from the signs of the cubic at its folds, in
+    60-digit decimal arithmetic on the float coefficients."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        kappa, chi, eps2, delta0 = (Decimal(float(v)) for v in (kappa, chi, eps2, delta0))
+        disc = delta0 * delta0 - 3 * kappa * kappa
+        if disc <= 0:
+            return 1
+        f = [n * (kappa * kappa + (delta0 - chi * n) ** 2) - eps2
+             for n in ((2 * delta0 - disc.sqrt()) / (3 * chi),
+                       (2 * delta0 + disc.sqrt()) / (3 * chi))]
+        return (f[0] >= 0) + (f[0] > 0 > f[1]) + (f[1] <= 0)
+
+
+def test_branch_counts_match_fold_signs_in_decimal():
+    """On a seeded grid at extreme drive and linewidth (P from 1e-7 to 1 W,
+    kappa from 1e-4 to 1e-3 of the reference, L = 355, Delta_0 = 682
+    omega_m), where twin upper roots can lie far closer than
+    eps_c^2/kappa^2, every count is the fold-sign rule in exact decimals
+    and no cell is flagged."""
+    rng = np.random.default_rng(355)
+    base = default_config()
+    c = config_grid(replace(base, L=355), P=np.sort(10 ** rng.uniform(-7, 0, 40))[:, None],
+                    kappa=np.sort(10 ** rng.uniform(-4, -3, 40))[None, :] * base.kappa)
+    dc = derive_constants(c)
+    delta0 = 682.0 * base.omega_m
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        br = steadystate.self_consistent_branches(c, dc, delta0)
+    kappa, chi, eps2 = np.broadcast_arrays(c.kappa, *_chi_eps2(c, dc))
+    ref = [[_fold_sign_count(kappa[i, j], chi[i, j], eps2[i, j], delta0)
+            for j in range(40)] for i in range(40)]
+    np.testing.assert_array_equal(br.count, ref)
+    assert np.count_nonzero(br.count == 3) > 0
+    assert (br.flags == "").all()
+
+
+def test_slope_sign_matches_the_drift_determinant():
+    """On every branch of 300 seeded self-consistent configurations the sign
+    of f'(n) is that of det K, the drift matrix of the linearized dynamics:
+    + on branches 0 and 2, - on branch 1, where K has a zero eigenvalue at
+    each saddle-node edge. The check shares no algebra with the solver."""
+    rng = np.random.default_rng(424)
+    base = default_config()
+    signs = {0: set(), 1: set(), 2: set()}
+    for _ in range(300):
+        cfg = replace(base, P=10 ** rng.uniform(-4, -2), L=int(rng.integers(1, 300)),
+                      kappa=10 ** rng.uniform(-0.7, 0.7) * base.kappa,
+                      detuning_mode=SelfConsistent(rng.uniform(-1.0, 3.0) * base.omega_m))
+        chi, _ = _chi_eps2(cfg, derive_constants(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            states = steady_states(cfg)
+        for s in states:
+            det = cfg.detuning_mode.value - chi * s.n
+            slope = cfg.kappa ** 2 + det * det - 2.0 * chi * s.n * det
+            det_k = np.linalg.det(_drift_matrix(effective_params(cfg, s), s.a0))
+            assert np.sign(slope) == np.sign(det_k.real), (cfg, s)
+            signs[s.branch_index].add(np.sign(slope))
+    assert signs == {0: {1.0}, 1: {-1.0}, 2: {1.0}}
+
+
+def test_step_cap_flags_the_cell(capsys, monkeypatch):
+    """A root still moving at the step cap is a RootRefinementError: the
+    command exits 2 and names it, and a map flags the cell and completes."""
+    monkeypatch.setattr(steadystate, "_MAX_STEPS", 1)
+    assert main(["steady", "--P", "5e-3", "--delta0", "2"]) == 2
+    assert "RootRefinementError" in capsys.readouterr().err
+    cfg = replace(default_config(), detuning_mode=SelfConsistent(2.0 * default_config().omega_m))
+    m = sweep_2d(cfg, ("P", [1e-6, 5e-3]), ("Delta", [cfg.omega_m]))
+    assert m.flags == [["RootRefinementError"]] * 2
+    assert np.isnan(m.values).all()

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from omitlab.svgplot import _diverging_colors, _fmt_tick, heatmap_svg, line_svg
+from omitlab.svgplot import (_diverging_colors, _finite_range, _fmt_tick, heatmap_svg,
+                             line_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -106,6 +107,16 @@ def test_heatmap_svg_ticks_sit_on_cell_centres(grid, axis):
 def test_heatmap_svg_shape_mismatch():
     with pytest.raises(ValueError):
         heatmap_svg(np.array([0.0, 1.0]), np.array([0.0]), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("x, y", [([], [1.0]), ([1.0], [])])
+def test_heatmap_svg_rejects_an_empty_axis(x, y):
+    with pytest.raises(ValueError, match="empty"):
+        heatmap_svg(x, y, np.zeros((len(y), len(x))))
+
+
+def test_finite_range_pads_a_constant_series():
+    assert _finite_range([np.full(3, 2.0), [np.nan]]) == (1.5, 2.5)
 
 
 def _cell_fills(text, n):
