@@ -108,18 +108,23 @@ def _newton(n, kappa, delta0, chi, eps2):
     """Newton's method on f from starts n where f has the sign of f'' on
     the way to the root (Fourier's condition), so each step is shorter than
     the last; a root stops at the first step that is not (a nan start at
-    once). Returns the roots and where they still moved after _MAX_STEPS."""
-    last = np.inf
+    once). Each step evaluates only the roots still moving. Returns the
+    roots and where they still moved after _MAX_STEPS."""
+    flat = n.flatten()
+    coeffs = [np.broadcast_to(c, n.shape).ravel() for c in (kappa, delta0, chi, eps2)]
+    active, last = np.arange(flat.size), np.inf
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at a fold root
         for k in range(_MAX_STEPS + 1):
-            f, slope = _cubic(n, kappa, delta0, chi, eps2)
+            f, slope = _cubic(flat[active], *(c[active] for c in coeffs))
             step = f / slope
-            size = np.abs(step)
-            going = size < last
-            if k == _MAX_STEPS or not going.any():
-                return n, going
-            n = np.where(going, n - step, n)
-            last = np.where(going, size, 0.0)
+            going = np.abs(step) < last
+            active, last, step = active[going], np.abs(step[going]), step[going]
+            if k == _MAX_STEPS or not active.size:
+                break
+            flat[active] -= step
+    moving = np.zeros(flat.size, bool)
+    moving[active] = True
+    return flat.reshape(n.shape), moving.reshape(n.shape)
 
 
 def self_consistent_branches(cfg, dc, delta0):
@@ -168,8 +173,9 @@ def _states(cfg, dc, br, where):
                 else "residual exceeds tolerance")
         raise getattr(errors, flag)(f"steady state at {where}: {what} ({flag})")
     fp = config_fingerprint(cfg)
-    a2 = np.abs(br.a0) ** 2
+    # fixed mode: n and the displacements from |a0|^2; else from the root
     n = [abs(a) ** 2 for a in br.a0.tolist()] if br.n is None else br.n
+    a2 = np.abs(br.a0) ** 2 if br.n is None else br.n
     return [with_python_scalars(
         SteadyState, a0=br.a0[k], n=n[k], phi10=dc.g_alpha1 * a2[k] / cfg.omega_phi1,
         phi20=dc.g_alpha2 * a2[k] / cfg.omega_phi2, lz1=0.0, lz2=0.0,

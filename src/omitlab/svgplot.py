@@ -6,10 +6,11 @@ the renderers add their marks, computed over whole arrays and formatted
 once. Sizes are fixed: 720x460 for a line plot, 720x520 for a heat map.
 """
 
-import itertools
 import math
 
 import numpy as np
+
+from .util import fixed_cells, table_text, text_cells
 
 _WIDTH = 720
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 28, 46
@@ -33,10 +34,6 @@ def _fmt_tick(v):
     if 1e-3 <= a < 1e4:
         return f"{v:.4g}"
     return f"{v:.2e}"
-
-
-def _fmt(a):
-    return [f"{v:.2f}" for v in np.asarray(a).tolist()]
 
 
 def _finite_range(arrs):
@@ -73,8 +70,8 @@ def _figure(height, iw, title, xlabel, ylabel, under, axes, marks):
                      f'font-family="sans-serif" font-size="11" '
                      f'transform="rotate(-90 14 {yc})">{_esc(ylabel)}</text>')
     parts += marks
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
 
 
 def line_svg(x, series, title="", xlabel="", ylabel=""):
@@ -112,18 +109,17 @@ def line_svg(x, series, title="", xlabel="", ylabel=""):
                     f'text-anchor="end" dominant-baseline="middle" '
                     f'font-family="sans-serif" font-size="10">{_fmt_tick(tv)}</text>')
 
-    xs = _fmt(px(x))
+    xs = fixed_cells(px(x))
     marks = []
     for k, (label, y) in enumerate(series):
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)[:x.size]
         color = _PALETTE[k % len(_PALETTE)]
-        pts = [f"{a},{b:.2f}" for a, b in zip(xs, py(y).tolist())]
+        ys = fixed_cells(py(y))
         # the runs of finite samples start and stop where the mask flips
-        edges = np.flatnonzero(np.diff(np.isfinite(y[:len(pts)]),
-                                       prepend=False, append=False)).tolist()
+        edges = np.flatnonzero(np.diff(np.isfinite(y), prepend=False, append=False)).tolist()
         for a, b in zip(edges[::2], edges[1::2]):
-            marks.append(f'<polyline points="{" ".join(pts[a:b])}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.3"/>')
+            marks.append(f'<polyline points="{table_text(xs[a:b], b",", ys[a:b], b" ")[:-1]}" '
+                         f'fill="none" stroke="{color}" stroke-width="1.3"/>')
         if label:
             ly = _MARGIN_T + 14 + 14 * k
             lx = _MARGIN_L + iw - 120
@@ -146,8 +142,8 @@ def _color(key):
 
 def _diverging_colors(v):
     """Blue through white to red over v in [-1, 1], grey where v is not
-    finite: one color per element of v, in C order, each distinct color
-    formatted once."""
+    finite: the cells of one color per element of v, in C order, each
+    distinct color formatted once."""
     v = np.ravel(v)
     ok = np.isfinite(v)
     # 1 - |v| is 1 + v exactly for v < 0, and the channels are positive, so
@@ -157,9 +153,15 @@ def _diverging_colors(v):
     mid = (76 + t * 179).astype(int)
     # one integer per color: 0 for grey, else +-(256 outer + mid + 1) with
     # the sign of v
-    keys = np.where(ok, np.where(v < 0, -1, 1) * (256 * outer + mid + 1), 0).tolist()
-    table = {k: _color(k) for k in set(keys)}
-    return list(map(table.__getitem__, keys))
+    keys = np.where(ok, np.where(v < 0, -1, 1) * (256 * outer + mid + 1), 0)
+    table, index = np.unique(keys, return_inverse=True)
+    return text_cells([_color(k) for k in table.tolist()]).take(index, axis=0)
+
+
+def _rects(x, y, size, colors):
+    """The <rect> lines of cells x, y (or bytes, the same in each) and colors."""
+    return table_text(b'<rect x="', x, b'" y="', y, f'" {size} fill="'.encode(), colors,
+                      b'"/>\n')[:-1]
 
 
 def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
@@ -190,11 +192,10 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     cw, ch = iw / x.size, ih / y.size
 
     size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
-    rows = _fmt(_MARGIN_T + ih - np.arange(1, y.size + 1) * ch)
-    cols = _fmt(_MARGIN_L + np.arange(x.size) * cw)
+    rows = fixed_cells(_MARGIN_T + ih - np.arange(1, y.size + 1) * ch)
+    cols = fixed_cells(_MARGIN_L + np.arange(x.size) * cw)
     colors = _diverging_colors((z if signed else np.abs(z)) / vmax)
-    axes = [f'<rect x="{cx}" y="{cy}" {size} fill="{c}"/>'
-            for (cy, cx), c in zip(itertools.product(rows, cols), colors)]
+    axes = [_rects(np.tile(cols, (y.size, 1)), np.repeat(rows, x.size, axis=0), size, colors)]
     axes.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw:.2f}" '
                 f'height="{ih}" fill="none" stroke="#333"/>')
     # ticks run from the centre of the first cell (the minimum) to the
@@ -213,10 +214,9 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     # color bar: 64 segments from the bottom of the scale to its top
     bx = _MARGIN_L + iw + 16
     frac = np.arange(64) / 63
-    seg = _fmt(_MARGIN_T + ih * (1 - np.arange(1, 65) / 64))
-    marks = [f'<rect x="{bx}" y="{cy}" width="14" height="{ih / 64 + 0.5:.2f}" '
-             f'fill="{c}"/>'
-             for cy, c in zip(seg, _diverging_colors(2 * frac - 1 if signed else frac))]
+    seg = fixed_cells(_MARGIN_T + ih * (1 - np.arange(1, 65) / 64))
+    marks = [_rects(f"{bx}".encode(), seg, f'width="14" height="{ih / 64 + 0.5:.2f}"',
+                    _diverging_colors(2 * frac - 1 if signed else frac))]
     marks.append(f'<text x="{bx + 18}" y="{_MARGIN_T + 4}" '
                  f'font-family="sans-serif" font-size="10">{_fmt_tick(vmax)}</text>')
     marks.append(f'<text x="{bx + 18}" y="{_MARGIN_T + ih}" font-family="sans-serif" '

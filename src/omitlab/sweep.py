@@ -11,7 +11,6 @@ find them (bit for bit) and refined in one array pass to the vertices of
 their three-point parabolas.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .delay import _classify, _delays, unwrap_phase
 from .errors import ConfigError
 from .model import config_fingerprint, effective_params
 from .steadystate import effective_grid, solve_steady
-from .util import render_csv
+from .util import render_csv, repr_cells, text_cells
 
 _DIP_PROMINENCE = 1e-3
 _AXIS_NAMES = ("P", "L", "kappa", "Q1", "Q2", "Delta")
@@ -249,43 +248,28 @@ MAP_HEADER = ("axis1", "axis2", "value", "flag")
 DELAY_MAP_HEADER = ("P_mW", "L", "tau_g_us", "classification", "flag")
 
 
-def _cells(column):
-    """A column's cells as strings, formatted with str: floats in their
-    shortest round-trip form."""
-    return map(str, np.asarray(column).ravel().tolist())
-
-
-def _rows(flags, *columns):
-    """Rows of cell strings from equal-length columns, then the flag, taken
-    from the list of strings as it is."""
-    return list(zip(*map(_cells, columns), flags))
-
-
-def _map_rows(axis1, axis2, flags, *columns):
-    """Rows of a map: the two axis values in C order (axis1 slowest), each
-    formatted once, the cells of the (n1, n2) columns, then the flag from
-    the nested lists as they are."""
-    s1, s2 = list(_cells(axis1)), list(_cells(axis2))
-    return list(zip([s for s in s1 for _ in s2], s2 * len(s1), *map(_cells, columns),
-                    itertools.chain.from_iterable(flags)))
+def _map_csv(header, m, axis1, axis2, *columns):
+    """CSV text of map m: its axes' cells, each formatted once, in C order
+    (axis1 slowest), the cells of the (n1, n2) columns, then the flags."""
+    return render_csv(header, np.repeat(axis1, len(axis2), axis=0),
+                      np.tile(axis2, (len(axis1), 1)), *columns, text_cells(m.flags))
 
 
 def spectrum_csv(series):
     grid = np.asarray(series.delta_grid, dtype=float)
-    return render_csv(SPECTRUM_HEADER, _rows(
-        series.flags, grid / series.omega_m, series.nu_p, series.u_p,
-        series.phase_unwrapped, np.asarray(series.tau_g) * 1e6))
+    return render_csv(SPECTRUM_HEADER, *map(repr_cells, (
+        grid / series.omega_m, series.nu_p, series.u_p, series.phase_unwrapped,
+        np.asarray(series.tau_g) * 1e6)), text_cells(series.flags))
 
 
 def map_csv(m):
-    return render_csv(MAP_HEADER, _map_rows(
-        np.asarray(m.axis1_grid, dtype=float), np.asarray(m.axis2_grid, dtype=float),
-        m.flags, m.values))
+    return _map_csv(MAP_HEADER, m, repr_cells(m.axis1_grid), repr_cells(m.axis2_grid),
+                    repr_cells(m.values))
 
 
 def delay_map_csv(m):
     if (m.axis1_name, m.axis2_name, m.observable) != ("P", "L", "tau_g"):
         raise ConfigError("delay_map_csv renders only a (P, L) tau_g map")
-    return render_csv(DELAY_MAP_HEADER, _map_rows(
-        m.axis1_grid * 1e3, m.axis2_grid.astype(int), m.flags, m.values * 1e6,
-        _classify(m.values)))
+    return _map_csv(DELAY_MAP_HEADER, m, repr_cells(m.axis1_grid * 1e3),
+                    text_cells(m.axis2_grid.astype(int)), repr_cells(m.values * 1e6),
+                    text_cells(_classify(m.values)))

@@ -1,5 +1,9 @@
 """Small shared helpers: per-cell flag masks, Python scalars out of batched
-results, warning stacklevels, atomic file output, hashing and CSV rendering."""
+results, warning stacklevels, atomic file output, hashing, and the text
+of the CSV and SVG writers: columns of cells, (rows, width) uint8 arrays of
+ASCII padded with NUL bytes anywhere, read side by side without the NULs.
+``repr_cells`` and ``fixed_cells`` format whole float arrays as repr and
+``.2f`` do, byte for byte."""
 
 import dataclasses
 import functools
@@ -75,9 +79,6 @@ def atomic_write(path, text):
         raise
 
 
-def render_csv(header, rows):
-    """CSV text with a mandatory header; rows are sequences of cell strings."""
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def fingerprint_dict(d):
@@ -85,3 +86,154 @@ def fingerprint_dict(d):
     floats in their shortest round-trip form."""
     text = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Text tables
+
+_ZERO, _DOT, _MINUS = 48, 46, 45
+_POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # all exact
+_QUADS = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+          + _ZERO).astype(np.uint8)
+# the ASCII digits of 0000-9999 as one uint32 each, then again with their
+# trailing zeros as NUL (all four for 0000)
+_QUAD_TEXT = np.concatenate([_QUADS, _QUADS * ~np.logical_and.accumulate(
+    _QUADS[:, ::-1] == _ZERO, axis=1)[:, ::-1]]).view(np.uint32).ravel()
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _two_product(a, p):
+    """(hi, lo): a * 10**p = hi + lo exactly (Dekker), for finite a >= 0."""
+    hi, (ah, al), bh, bl = a * _POW10[p], _split(a), _POW10_HI[p], _POW10_LO[p]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digits(c, groups, trim=False):
+    """(n, 4 groups) ASCII digits of the int64 array c < 10**(4 groups),
+    zero-padded; with trim its trailing zeros are NUL."""
+    out, zero = np.empty((c.size, groups), np.uint32), trim
+    for j in range(groups - 1, -1, -1):
+        q = c // 10000
+        r, c = c - q * 10000, q
+        out[:, j] = _QUAD_TEXT.take(r + 10000 * zero)
+        zero = zero & (r == 0)
+    return out.view(np.uint8)
+
+
+def _fallback(cells, a, slow, fmt):
+    """cells, widened as needed, with the rows slow set to fmt of a[slow]."""
+    if not slow.size:
+        return cells
+    text = text_cells([fmt(v) for v in a[slow].tolist()])
+    cells = np.pad(cells, ((0, 0), (0, max(0, text.shape[1] - cells.shape[1]))))
+    cells[slow] = 0
+    cells[slow, :text.shape[1]] = text
+    return cells
+
+
+def repr_cells(a):
+    """repr of each float of a (raveled), as cells. For finite 1e-4 <= |x|
+    < 1e16, v = |x| 10**p = hi + lo exactly has 17 integer digits, and x's
+    rounding interval is v +- h, 0.5 < h < 11.1 (ends included for an even
+    mantissa): the shortest digits are the multiple of 100 in it if any,
+    else the nearer multiple of 10 if in it, else the nearest integer, by
+    exact comparisons. The rest, a power-of-two mantissa (an asymmetric
+    interval) and two nearest candidates take repr."""
+    a = np.ravel(np.asarray(a, dtype=float))
+    x = np.abs(a)
+    fast = (x >= 1e-4) & (x < 1e16)
+    x = np.where(fast, x, 1.0)
+    e10 = np.floor(np.log10(x)).astype(np.int64).clip(-4, 15)
+    p = 16 - e10
+    hi, lo = _two_product(x, p)
+    floor = np.floor(lo)
+    n, f = hi.astype(np.int64) + floor.astype(np.int64), lo - floor  # v = n + f
+    m, e2 = np.frexp(x)
+    h = np.ldexp(_POW10[p], e2 - 54)
+    half = m * 2.0 ** 52  # half the integer mantissa, exact
+    even = np.floor(half) == half
+    r10, r100 = (n % 10).astype(float), (n % 100).astype(float)
+    t100, t10 = r100 + f, r10 + f  # v - the multiple of 100 and of 10 below it
+    # the distance to the nearer multiple (m - t is exact where it is nearer)
+    in100, in10 = ((d < h) | (d == h) & even for d in (np.minimum(t100, 100.0 - t100),
+                                                       np.minimum(t10, 10.0 - t10)))
+    c = n + np.where(in100, np.where(t100 > 50.0, 100.0 - r100, -r100),
+                     np.where(in10, np.where(t10 > 5.0, 10.0 - r10, -r10), f > 0.5)
+                     ).astype(np.int64)
+    tie = ~in100 & np.where(in10, t10 == 5.0, f == 0.5)
+    fast &= (n >= 10 ** 16) & (c < 10 ** 17) & ~tie & (m != 0.5)
+
+    # the rows of each exponent are laid out with static slices: column 0
+    # for the sign, then the integer digits, '.' and the fraction, or '0.',
+    # zeros and the digits
+    d = _digits(c, 5, trim=True)[:, 3:]
+    cells = np.zeros((a.size, 23), np.uint8)
+    cells[:, 0] = np.signbit(a) * np.uint8(_MINUS)
+    key = np.where(fast, e10, 16)
+    for e in (np.flatnonzero(np.bincount(key + 4, minlength=21)[:20]) - 4).tolist():
+        rows = np.flatnonzero(key == e)
+        g, block = d[rows], cells[rows]
+        if e >= 0:  # NUL (a trimmed zero) is '0' in the integer part and .0
+            np.maximum(g[:, :e + 2], _ZERO, out=block[:, 1:e + 3])
+            block[:, e + 3] = block[:, e + 2]
+            block[:, e + 2] = _DOT
+            block[:, e + 4:19] = g[:, e + 2:]
+        else:
+            block[:, 1:2 - e] = _ZERO
+            block[:, 2] = _DOT
+            block[:, 2 - e:19 - e] = g
+        cells[rows] = block
+    return _fallback(cells, a, np.flatnonzero(~fast), repr)
+
+
+def fixed_cells(a):
+    """f"{v:.2f}" of each float v of a (raveled), as cells: 100 |v| = hi + lo
+    exactly, rounded half to even, '-' wherever the sign bit is set (-0.001
+    gives -0.00); non-finite and |v| >= 1e13 take the f-string."""
+    a = np.ravel(np.asarray(a, dtype=float))
+    x = np.abs(a)
+    fast = x < 1e13
+    hi, lo = _two_product(np.where(fast, x, 0.0), 2)
+    r = np.rint(hi)
+    c = (r + ((hi - r == 0.5) & (lo > 0)) - ((hi - r == -0.5) & (lo < 0))).astype(np.int64)
+    k = max(3, len(str(int(c.max(initial=0)))))
+    d = _digits(c, -(-k // 4))[:, -k:]
+    # the sign, the integer digits with leading zeros as NUL, '.', 2 decimals
+    cells = np.zeros((a.size, k + 2), np.uint8)
+    cells[:, 0] = np.signbit(a) * np.uint8(_MINUS)
+    cells[:, 1:k - 2] = np.where(c[:, None] < 10 ** np.arange(k - 1, 2, -1), 0, d[:, :k - 3])
+    cells[:, k - 2:] = np.insert(d[:, k - 3:], 1, _DOT, axis=1)
+    return _fallback(cells, a, np.flatnonzero(~fast), "{:.2f}".format)
+
+
+def text_cells(strings):
+    """Cells of ASCII strings: a sequence, nested sequences or an array."""
+    b = np.asarray(strings, dtype="S").ravel()
+    return b.view(np.uint8).reshape(b.size, b.itemsize)
+
+
+def table_text(*parts, head=""):
+    """head, then the text of the table of parts side by side ((rows, w)
+    cell arrays, and bytes repeated on every row): its bytes without the
+    NULs, by blocks of rows, so that the whole table is never built."""
+    rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+             if isinstance(p, bytes) else p for p in parts]
+    return "".join([head, *(np.concatenate([p[i:i + 1024] for p in parts], axis=1).tobytes()
+                            .translate(None, b"\0").decode("ascii")
+                            for i in range(0, rows, 1024))])
+
+
+def render_csv(header, *columns):
+    """CSV text: the header line, then a line per row of the cell columns."""
+    parts = [p for c in columns for p in (c, b",")]
+    return table_text(*parts[:-1], b"\n", head=",".join(header) + "\n")

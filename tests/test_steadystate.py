@@ -335,6 +335,24 @@ def _exact_root(n, kappa, delta0, chi, eps2):
     return n
 
 
+def test_displacements_scale_with_the_root():
+    """In self-consistent mode phi10 and phi20 are g_alpha n / omega_phi of
+    the root n itself, not of |a0|^2 rebuilt from Delta' = Delta_0 - chi n,
+    which misses the root by up to 1e-12 here on the upper branches."""
+    cfg = replace(default_config(), P=0.01, kappa=942477.796076938,
+                  detuning_mode=SelfConsistent(40.0 * default_config().omega_m))
+    dc = derive_constants(cfg)
+    with pytest.warns(UserWarning, match="bistable"):
+        states = steady_states(cfg)
+    assert len(states) == 3
+    for s in states:
+        n = _exact_root(s.n, cfg.kappa, cfg.detuning_mode.value, *_chi_eps2(cfg, dc))
+        for phi, g, om in ((s.phi10, dc.g_alpha1, cfg.omega_phi1),
+                           (s.phi20, dc.g_alpha2, cfg.omega_phi2)):
+            exact = Fraction(g) * n / Fraction(om)
+            assert abs(Fraction(phi) - exact) <= Fraction(1e-15) * abs(exact)
+
+
 @pytest.mark.parametrize("argv, tol", [
     (["--P", "0.01", "--kappa", "942477.796076938", "--delta0", "40"], 1e-15),
     (["--P", "0.02180270416773971", "--kappa", "9424.77796076938", "--L", "419",

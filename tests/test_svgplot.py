@@ -7,8 +7,14 @@ import pytest
 
 from omitlab.svgplot import (_diverging_colors, _finite_range, _fmt_tick, heatmap_svg,
                              line_svg)
+from omitlab.util import table_text
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def _colors(v):
+    """The colors _diverging_colors gives v, as strings."""
+    return table_text(_diverging_colors(v), b"\n").splitlines()
 
 
 def _parse(text):
@@ -100,7 +106,7 @@ def test_heatmap_svg_ticks_sit_on_cell_centres(grid, axis):
         centres.setdefault(r.get("fill"), set()).add(
             round(float(r.get(axis)) + (float(r.get(size)) - 0.5) / 2, 2))
     for v in g:
-        (centre,) = centres[_diverging_colors(np.array([v / g.max()]))[0]]
+        (centre,) = centres[_colors(np.array([v / g.max()]))[0]]
         assert at[_fmt_tick(v)] == pytest.approx(centre, abs=0.02)
 
 
@@ -154,7 +160,7 @@ def test_diverging_colors_match_the_per_cell_formatter():
     seeded values over [-1, 1], the ends, both zeros and non-finite values."""
     v = np.random.default_rng(14).uniform(-1.0, 1.0, (50, 41))
     v.flat[:8] = [-1.0, 1.0, 0.0, -0.0, np.nan, np.inf, -np.inf, -1e-300]
-    assert _diverging_colors(v) == _per_cell_colors(v)
+    assert _colors(v) == _per_cell_colors(v)
 
 
 def test_line_svg_draws_the_inner_runs():
