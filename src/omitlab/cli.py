@@ -61,17 +61,10 @@ _OVERRIDES = (("P", float, "coupling power [W]"),
               ("L", int, "orbital angular momentum number"))
 
 
-def _add_output(p):
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--seed", type=int, default=42,
-                   help="value recorded in the manifest only; every computation "
-                        "is deterministic, so nothing is seeded")
-
-
 def _add_common(p, svg=False, branch=False):
-    """--out, --seed, --config and the parameter overrides; --svg and
-    --branch only for the subcommands that read them."""
-    _add_output(p)
+    """--out, --config and the parameter overrides; --svg and --branch
+    only for the subcommands that read them."""
+    p.add_argument("--out", help="output file path")
     p.add_argument("--config", help="JSON config file (defaults to the reference point)")
     for field, type_, help_ in _OVERRIDES:
         p.add_argument("--" + field.replace("_", "-"), type=type_, default=None,
@@ -120,7 +113,6 @@ def _write_manifest(args, cfg, outputs, t0, stats):
         "config_fingerprint": config_fingerprint(cfg),
         "outputs": [os.path.basename(p) for p in outputs],
         "duration_s": time.perf_counter() - t0,
-        "seed": args.seed,
         "stats": stats or {},
     }
     atomic_write(f"{os.path.splitext(outputs[0])[0]}.manifest.json", _json(manifest))
@@ -259,8 +251,7 @@ def _cmd_map2d(args, cfg):
 
 
 def _cmd_oracle(args, cfg):
-    rep = oracle_check(cfg, args.delta * cfg.omega_m,
-                       q_override=args.relax_q, tol=args.tol)
+    rep = oracle_check(cfg, args.delta * cfg.omega_m)
     lines = [f"{'quantity':<12} {'rel_error':>12} {'threshold':>12}"]
     lines += [f"{name:<12} {getattr(rep, field):>12.3e} {thr:>12.0e}"
               for name, field, thr in _THRESHOLDS]
@@ -308,7 +299,7 @@ def build_parser():
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("defaults", help="print the reference config as JSON")
-    _add_output(sp)
+    sp.add_argument("--out", help="output file path")
     sp.set_defaults(func=_cmd_defaults)
 
     sp = sub.add_parser("steady", help="steady-state branch table")
@@ -365,17 +356,13 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--delta", type=float, default=1.0,
                     help="detuning [units of omega_m]")
-    sp.add_argument("--relax-q", type=float, default=50.0,
-                    help="quality factor override for the integration")
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="integrator relative tolerance")
     sp.set_defaults(func=_cmd_oracle)
 
     return p
 
 
 # one parser per process, built by the first main() rather than at import:
-# building it (about 145 add_argument calls) takes 3-5 ms, far longer than
+# building it (about 135 add_argument calls) takes 3-5 ms, far longer than
 # a parse
 _parser = functools.lru_cache(maxsize=None)(build_parser)
 

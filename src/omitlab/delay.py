@@ -74,11 +74,6 @@ def _local_unwrap(center, value):
     return value - k * two_pi
 
 
-def _fd_slope(ep, delta, h):
-    pc, pp, pm = probe_response(ep, np.stack([delta, delta + h, delta - h])).phase
-    return (_local_unwrap(pc, pp) - _local_unwrap(pc, pm)) / (2.0 * h)
-
-
 @scalar_in_scalar_out
 def _delays(ep, delta, method="analytic", h=None, flags=""):
     """The ProbeResponse, the DelayResult and the per-cell flags over the
@@ -107,9 +102,14 @@ def _delays(ep, delta, method="analytic", h=None, flags=""):
         method, step = "central-difference", float(1e-6 * ep.omega_m if h is None else h)
         if not 0 < step < np.inf:
             raise ConfigError(f"finite-difference step must lie in (0, inf), got {step!r}")
-        delta = np.broadcast_to(delta, tp_mag.shape)  # the stencil stacks on axis 0
-        d1 = _fd_slope(ep, delta, step)
-        d2 = _fd_slope(ep, delta, step / 2.0)
+        # the stencil Delta +- h, Delta +- h/2 stacks on axis 0 of one
+        # kernel call; each phase is taken on the centre's branch
+        delta = np.broadcast_to(delta, tp_mag.shape)
+        half = step / 2.0
+        pp, pm, pp2, pm2 = _local_unwrap(pr.phase, probe_response(ep, np.stack(
+            [delta + step, delta - step, delta + half, delta - half])).phase)
+        d1 = (pp - pm) / (2.0 * step)
+        d2 = (pp2 - pm2) / (2.0 * half)
         tau = (4.0 * d2 - d1) / 3.0
         flags = flag_cells(flags, np.abs(d1 - d2) > _RICHARDSON_RTOL * np.maximum(
             np.abs(tau), _NEUTRAL_THRESH), errors.StepTooLarge)

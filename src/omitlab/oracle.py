@@ -10,8 +10,10 @@ differences over one period, then Newton steps on y(T) = y(0)) and
 integrates one more period of it together with the quadratures that
 demodulate it, so a check costs a few periods of integration whatever the
 damping: under 2k right-hand-side calls at Q = 50 and at the production
-Q = 1.2e5 alike. A largest Floquet multiplier |mu| >= 1 means the steady
-state is unstable and has no steady sidebands; the oracle raises Unstable.
+Q = 1.2e5 alike. The check integrates the configured system, mirror Q
+included: a relaxed damping is a config with smaller Q1 and Q2. A largest
+Floquet multiplier |mu| >= 1 means the steady state is unstable and has no
+steady sidebands; the oracle raises Unstable.
 The closed form enters only the final comparison, so the time domain stays
 an independent route.
 
@@ -21,7 +23,7 @@ Every integration goes through solve_ivp, the package's DOP853 stepper
 
 import cmath
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from .model import derive_constants, effective_params
 from .response import sideband_amplitudes
 from .steadystate import solve_steady
 
-_TOL_RANGE = (1e-12, 1e-6)
+# the integrator's rtol, and the scale of its atol and of the shooting's
+# convergence test; read at call time
+_TOL = 1e-10
 # the longest beat period 2 pi/|delta| integrated, in periods of the flow's
 # fastest rate: the steps of a check grow like that ratio
 _MAX_BEAT_PERIODS = 100.0
@@ -46,7 +50,7 @@ _THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
                ("linearity", "linearity_rel_change", 1e-3))
 
 
-def _flow(cfg, delta, tol):
+def _flow(cfg, delta):
     """The mean-value equations of cfg at probe detuning delta, with both
     drives on, as (run, y_ss, eps_p, floor).
 
@@ -60,17 +64,15 @@ def _flow(cfg, delta, tol):
     copies share their steps, so the per-step overhead is paid once) and
     returns its result, with t, y and nfev; it raises StepFailure where the
     stepper stops short and BlowUp on a non-finite state. Copy j's absolute
-    tolerance is tol times max(|y0s[j]|, floor), componentwise. Rows of 9
+    tolerance is _TOL times max(|y0s[j]|, floor), componentwise. Rows of 9
     components rather than 5 also carry the quadratures q' = (a, a w^*,
     a w, |a - a_ss|^2)/T, w = e^{-i delta t}, T = 2 pi/|delta|, that
     _demodulate reads after one period.
 
-    Raises ConfigError for a tol outside _TOL_RANGE, a non-finite delta, or
-    a |delta| whose beat period spans more than _MAX_BEAT_PERIODS periods of
-    the flow's fastest rate (delta = 0 included).
+    Raises ConfigError for a non-finite delta or a |delta| whose beat
+    period spans more than _MAX_BEAT_PERIODS periods of the flow's fastest
+    rate (delta = 0 included).
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ConfigError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
     if not math.isfinite(delta):
         raise ConfigError(f"the detuning must be finite, got {delta!r}")
     dc = derive_constants(cfg)
@@ -122,7 +124,7 @@ def _flow(cfg, delta, tol):
             return out
 
         sol = solve_ivp(rhs, (0.0, t_end), y0s.ravel(),
-                        rtol=tol, atol=tol * np.maximum(np.abs(y0s), floor).ravel(),
+                        rtol=_TOL, atol=_TOL * np.maximum(np.abs(y0s), floor).ravel(),
                         first_step=first_step)
         if not sol.success:
             raise StepFailure(f"integrator failed: {sol.message}")
@@ -158,7 +160,7 @@ class _Orbit:
     rhs_evals: int
 
 
-def _periodic_orbit(cfg, delta, tol):
+def _periodic_orbit(cfg, delta):
     """Shoot for the orbit of period T = 2 pi/|delta| that the probe drive
     e^{-i delta t} forces at the full and at half the probe amplitude.
 
@@ -167,19 +169,19 @@ def _periodic_orbit(cfg, delta, tol):
     Im a. Their end states give the residuals y(T) - y(0) and, by finite
     differences, the monodromy matrix M. Newton steps (M - I) s =
     -(y(T) - y(0)), with M held fixed and every amplitude stacked in one run
-    per step, move the initial states until a step is below tol in the
+    per step, move the initial states until a step is below _TOL in the
     integrator's atol scale: the integration's own residual decides, M only
     steers. Raises Unstable if the largest Floquet multiplier |mu| (the
     largest |eigenvalue| of M) is >= 1, and StepFailure if Newton has not
     converged after _MAX_NEWTON steps.
     """
-    run, y_ss, eps_p, floor = _flow(cfg, delta, tol)
+    run, y_ss, eps_p, floor = _flow(cfg, delta)
     if eps_p == 0:
         raise IllConditionedFit("no probe to demodulate: P_p = 0")
     period = 2 * math.pi / abs(delta)
     eps_ps = (eps_p, 0.5 * eps_p)
     n = len(eps_ps)
-    h = math.sqrt(tol) * np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]]
+    h = math.sqrt(_TOL) * np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]]
     kicks = _complex(np.diag(h))
     sol = run(np.vstack([np.tile(y_ss, (n, 1)), y_ss + kicks]),
               eps_ps + (eps_ps[0],) * 6, period)
@@ -199,7 +201,7 @@ def _periodic_orbit(cfg, delta, tol):
     for iteration in range(1, _MAX_NEWTON + 1):
         step = _complex(np.linalg.solve(shooting, -_real(residual).T).T)
         states = states + step
-        atol = tol * np.maximum(np.abs(states), floor)
+        atol = _TOL * np.maximum(np.abs(states), floor)
         if np.all(np.abs(step) <= atol):
             break
         sol = run(states, eps_ps, period)
@@ -234,12 +236,12 @@ def _demodulate(q, eps_p, a_ss):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Closed form vs time domain at one detuning. fit_residual carries the
-    integration error of the power quadrature it is the small difference
-    of (up to 9 % high at the default tol); passed does not use it."""
+    """Closed form vs time domain at one detuning of the configured system.
+    fit_residual carries the integration error of the power quadrature it
+    is the small difference of (up to 9 % high at _TOL = 1e-10); passed
+    does not use it."""
 
     delta: float
-    q_override: float
     a0_rel_err: float
     a_plus_rel_err: float
     a_minus_rel_err: float
@@ -257,7 +259,6 @@ class OracleReport:
     def as_dict(self):
         return {
             "delta": self.delta,
-            "q_override": self.q_override,
             "a0_rel_err": self.a0_rel_err,
             "a_plus_rel_err": self.a_plus_rel_err,
             "a_minus_rel_err": self.a_minus_rel_err,
@@ -273,9 +274,8 @@ def _rel(x, ref, scale=0.0):
     return abs(x - ref) / max(denom, 1e-300)
 
 
-def oracle_check(cfg, delta, q_override=50.0, tol=1e-10):
-    """Compare the closed form with the time domain at one detuning, with
-    both mirrors' Q set to q_override.
+def oracle_check(cfg, delta):
+    """Compare the closed form with the time domain of cfg at one detuning.
 
     The periodic orbit is found by shooting (_periodic_orbit) for the full
     and the half probe amplitude together; one more period of each carries
@@ -284,21 +284,21 @@ def oracle_check(cfg, delta, q_override=50.0, tol=1e-10):
     the a_plus estimate by < 1e-3 relative (linearity). rhs_evals counts
     the right-hand-side calls of every integration of the check. Raises
     Unstable where the steady state has a Floquet multiplier |mu| >= 1.
+    To check at a relaxed damping, pass replace(cfg, Q1=q, Q2=q).
     """
-    c = dc_replace(cfg, Q1=float(q_override), Q2=float(q_override))
     delta = float(delta)
-    orbit = _periodic_orbit(c, delta, tol)
+    orbit = _periodic_orbit(cfg, delta)
     n = len(orbit.eps_ps)
     sol = orbit.run(np.hstack([orbit.states, np.zeros((n, 4))]), orbit.eps_ps,
                     orbit.period)
-    ss = solve_steady(c)
+    ss = solve_steady(cfg)
     eps_p, eps_half = orbit.eps_ps
     q, q_half = sol.y[:, -1].reshape(n, 9)[:, 5:].tolist()
     a0_est, a_plus_est, a_minus_est, fit_residual = _demodulate(q, eps_p, ss.a0)
     a_plus_half = _demodulate(q_half, eps_half, ss.a0)[1]
 
     # the closed form enters here, for the comparison only
-    sb = sideband_amplitudes(effective_params(c, ss), delta, a0=ss.a0)
+    sb = sideband_amplitudes(effective_params(cfg, ss), delta, a0=ss.a0)
     # undriven configurations have a0 = a_minus = 0 exactly; judge those
     # estimates against the field scale actually present in the trace
     errs = {"a0_rel_err": _rel(a0_est, ss.a0, scale=abs(eps_p) * abs(sb.a_plus)),
@@ -307,8 +307,7 @@ def oracle_check(cfg, delta, q_override=50.0, tol=1e-10):
                                     scale=abs(sb.a_plus)),
             "linearity_rel_change": _rel(a_plus_half, a_plus_est)}
     return OracleReport(
-        delta=delta, q_override=float(q_override), **errs,
-        fit_residual=fit_residual,
+        delta=delta, **errs, fit_residual=fit_residual,
         passed=all(errs[field] < thr for _, field, thr in _THRESHOLDS),
         a_plus_est=a_plus_est, a_plus_closed=sb.a_plus,
         a_minus_est=a_minus_est, a_minus_closed=sb.a_minus,

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from omitlab import (ConfigError, SelfConsistent, config_fingerprint,
-                     config_from_json, config_to_json, default_config,
-                     effective_params, group_delay, solve_steady)
+                     config_from_dict, config_from_json, config_to_json,
+                     default_config, effective_params, group_delay,
+                     oracle_check, solve_steady)
 from omitlab.cli import build_parser, main
 
 
@@ -45,7 +46,6 @@ def test_defaults_to_file(tmp_path):
     assert manifest["subcommand"] == "defaults"
     assert manifest["outputs"] == ["cfg.json"]
     assert manifest["config_fingerprint"] == config_fingerprint(default_config())
-    assert manifest["seed"] == 42
 
 
 def test_steady_table(capsys):
@@ -92,7 +92,7 @@ def test_spectrum_grid_validation():
 
 def test_csv_byte_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["spectrum", "--points", "301", "--seed", "42"]
+    args = ["spectrum", "--points", "301"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -196,7 +196,7 @@ def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
 
 def test_oracle_json(tmp_path, capsys):
     out_path = tmp_path / "o.json"
-    assert main(["oracle", "--delta", "1.0", "--tol", "1e-9",
+    assert main(["oracle", "--delta", "1.0", "--Q1", "50", "--Q2", "50",
                  "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "pass: true" in out
@@ -212,6 +212,21 @@ def test_oracle_json(tmp_path, capsys):
     assert stats["rhs_evals"] > 0
     assert stats["newton_iterations"] >= 1
     assert 0 < stats["floquet_max"] < 1
+
+
+def test_oracle_checks_the_configured_q(tmp_path):
+    """The oracle integrates the Q that --Q1 and --Q2 configure, not a
+    relaxed Q = 50, and its manifest records that Q."""
+    out_path = tmp_path / "o.json"
+    assert main(["oracle", "--delta", "0.93", "--Q1", "2e4", "--Q2", "2e4",
+                 "--out", str(out_path)]) == 0
+    cfg = replace(default_config(), Q1=2e4, Q2=2e4)
+    report = json.loads(_read(out_path))
+    assert report == oracle_check(cfg, 0.93 * cfg.omega_m).as_dict()
+    relaxed = replace(cfg, Q1=50.0, Q2=50.0)
+    assert report != oracle_check(relaxed, 0.93 * cfg.omega_m).as_dict()
+    manifest = json.loads(_read(tmp_path / "o.manifest.json"))
+    assert config_from_dict(manifest["config"]) == cfg
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -348,7 +363,7 @@ def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
     manifest = json.loads(_read(tmp_path / "run.manifest.json"))
     assert set(manifest) == {"subcommand", "tool_version", "config",
                              "config_fingerprint", "outputs", "duration_s",
-                             "seed", "stats"}
+                             "stats"}
     assert manifest["subcommand"] == argv[0]
     assert manifest["outputs"][0] == name
     assert len(manifest["outputs"]) == 1 + ("--svg" in argv)
@@ -365,8 +380,7 @@ def test_run_writes_outputs_and_manifest(tmp_path, argv, name, stats):
       "--grid2", "0.9:1.1:3", "--svg", "--out", "m.svg"], 1),
     (["map2d", "--axis1", "L", "--grid1", "0:100:2", "--axis2", "Delta",
       "--grid2", "0.9:1.1:3", "--delta", "0.3", "--out", "m.csv"], 1),
-    (["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0",
-      "--out", "o.json"], 2),
+    (["oracle", "--delta", "1.0", "--P-p", "0", "--out", "o.json"], 2),
     (["steady", "--out", os.path.join("missing", "x.txt")], 1),
     # a non-finite detuning or finite-difference step
     (["delay", "--delta", "nan", "--out", "d.json"], 1),
@@ -433,20 +447,24 @@ def test_infinite_oam_in_config_exits_one(tmp_path, capsys):
 
 def test_exit_code_numerical_error(capsys):
     # zero probe power makes the oracle demodulation ill-conditioned
-    assert main(["oracle", "--delta", "1.0", "--tol", "1e-9", "--P-p", "0"]) == 2
+    assert main(["oracle", "--delta", "1.0", "--P-p", "0"]) == 2
     assert "numerical" in capsys.readouterr().err
 
 
 def test_usage_error_exits_one():
     # --delta is required; then options a subcommand does not read: defaults
-    # takes only --out and --seed, steady prints every branch, oracle always
-    # uses branch 0, and only spectrum, delay-map and map2d draw an SVG
+    # takes only --out, steady prints every branch, oracle always uses
+    # branch 0, and only spectrum, delay-map and map2d draw an SVG; no
+    # subcommand takes a seed, and the oracle neither a Q nor a tolerance
+    # of its own
     for argv in (["delay"], ["nonsense"],
                  ["defaults", "--P", "5e-3"], ["defaults", "--branch", "3"],
                  ["defaults", "--svg"], ["defaults", "--config", "c.json"],
                  ["steady", "--svg"], ["steady", "--branch", "1"],
                  ["dips", "--svg"], ["delay", "--delta", "1.0", "--svg"],
-                 ["oracle", "--svg"], ["oracle", "--branch", "0"]):
+                 ["oracle", "--svg"], ["oracle", "--branch", "0"],
+                 ["defaults", "--seed", "1"], ["spectrum", "--seed", "1"],
+                 ["oracle", "--relax-q", "50"], ["oracle", "--tol", "1e-9"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
@@ -472,7 +490,7 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 1
     r = subprocess.run(
         [sys.executable, "-m", "omitlab", "oracle", "--delta", "1.0",
-         "--tol", "1e-9", "--P-p", "0"],
+         "--P-p", "0"],
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert r.returncode == 2
 

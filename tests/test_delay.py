@@ -102,6 +102,29 @@ def test_fd_matches_analytic_across_spectrum(ep, ss):
         assert f.method == "central-difference" and f.step is not None
 
 
+def test_fd_delay_takes_one_stencil_call(ep, monkeypatch):
+    """The fd delay evaluates the kernel at the centre and, in one more
+    call, at the four stencil points Delta +- h, Delta +- h/2; its tau_g
+    keeps the bits of the Richardson pair of three-point slopes at h and
+    h/2, each of which evaluated the centre again."""
+    import omitlab.delay as dmod
+
+    grid = np.linspace(0.9, 1.1, 7) * OMEGA_M
+    step = 1e-6 * OMEGA_M
+
+    def slope(h):
+        pc, pp, pm = probe_response(ep, np.stack([grid, grid + h, grid - h])).phase
+        return (dmod._local_unwrap(pc, pp) - dmod._local_unwrap(pc, pm)) / (2.0 * h)
+
+    d1, d2 = slope(step), slope(step / 2.0)
+    calls = []
+    monkeypatch.setattr(dmod, "probe_response", lambda ep, x: calls.append(
+        np.shape(x)) or probe_response(ep, x))
+    res = dmod._delays(ep, grid, "fd")[1]
+    assert calls == [(7,), (4, 7)]
+    np.testing.assert_array_equal(res.tau_g, (4.0 * d2 - d1) / 3.0)
+
+
 def test_vectorized_delay_matches_scalar(ep, ss):
     grid = np.linspace(0.7, 1.3, 11) * OMEGA_M
     vec = tau_g_analytic(ep, grid)

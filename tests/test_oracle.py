@@ -70,7 +70,7 @@ def test_demodulation_tolerates_noise():
     assert resid == pytest.approx(rms, rel=1e-3)
 
 
-def _oracle_runs(cfg, delta, monkeypatch, **kwargs):
+def _oracle_runs(cfg, delta, monkeypatch):
     """The report of one oracle_check and the (fun, t_span, y0, options) of
     each of its integrations: the shooting runs on the stacked flow, then
     the period that carries the quadratures."""
@@ -82,7 +82,7 @@ def _oracle_runs(cfg, delta, monkeypatch, **kwargs):
         return solve_ivp(fun, t_span, y0, **options)
 
     monkeypatch.setattr(om, "solve_ivp", recording)
-    rep = oracle_check(cfg, delta, **kwargs)
+    rep = oracle_check(cfg, delta)
     monkeypatch.undo()
     return rep, runs
 
@@ -111,8 +111,9 @@ def test_demodulation_matches_lstsq(cfg, monkeypatch, which):
         from scipy.integrate import solve_ivp as scipy_solve_ivp
 
         delta = 0.93 * cfg.omega_m
-        _, runs = _oracle_runs(cfg, delta, monkeypatch)
-        _, y_ss, eps_p, _ = om._flow(replace(cfg, Q1=50.0, Q2=50.0), delta, 1e-10)
+        c = replace(cfg, Q1=50.0, Q2=50.0)
+        _, runs = _oracle_runs(c, delta, monkeypatch)
+        _, y_ss, eps_p, _ = om._flow(c, delta)
         a_ss = y_ss[4]
         fun, t_span, y0, options = runs[-1]
         q = om.solve_ivp(fun, t_span, y0, **options).y[5:9, -1].tolist()
@@ -134,7 +135,7 @@ def test_oracle_without_probe_refuses_before_integrating(monkeypatch):
                         lambda *a, **k: calls.append(a) or solve_ivp(*a, **k))
     cfg = replace(default_config(), P_p=0.0)
     with pytest.raises(IllConditionedFit, match="probe.*P_p = 0"):
-        oracle_check(cfg, cfg.omega_m, tol=1e-9)
+        oracle_check(cfg, cfg.omega_m)
     assert calls == []
 
 
@@ -153,12 +154,6 @@ def test_oracle_at_a_tiny_detuning_refuses_before_integrating(cfg, monkeypatch, 
     assert calls == []
 
 
-def test_oracle_validates_tol(cfg):
-    for tol in (1e-3, 1e-14):
-        with pytest.raises(ConfigError, match="tol must lie"):
-            oracle_check(cfg, cfg.omega_m, tol=tol)
-
-
 def _gamma_min(c):
     dc = derive_constants(c)
     return min(dc.gamma1, dc.gamma2)
@@ -167,7 +162,7 @@ def _gamma_min(c):
 def test_probe_off_state_stays_at_steady_state():
     cfg = replace(default_config(), Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
-    run, y_ss, eps_p, _ = om._flow(cfg, cfg.omega_m, 1e-10)
+    run, y_ss, eps_p, _ = om._flow(cfg, cfg.omega_m)
     assert eps_p == 0.0
     sol = run(y_ss[None], (eps_p,), 40.0 / _gamma_min(cfg))
     dev = np.max(np.abs(sol.y[4] - ss.a0)) / abs(ss.a0)
@@ -180,7 +175,7 @@ def test_cavity_relaxation_matches_exact_solution():
     cfg = replace(default_config(), L=0, Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
     y0 = np.array([0.0, 0.0, 0.0, 0.0, 1.5 * ss.a0], dtype=complex)
-    run, _, eps_p, _ = om._flow(cfg, 0.9 * cfg.omega_m, 1e-10)
+    run, _, eps_p, _ = om._flow(cfg, 0.9 * cfg.omega_m)
     sol = run(y0[None], (eps_p,), 20.0 / _gamma_min(cfg))
     # delta0 equals delta_prime here (no static displacement at L = 0)
     lam = -(1j * ss.delta_prime + cfg.kappa)
@@ -190,7 +185,7 @@ def test_cavity_relaxation_matches_exact_solution():
 
 def _one_period(c):
     """One beat period at omega_m of c's flow, from its steady state."""
-    run, y_ss, eps_p, _ = om._flow(c, c.omega_m, 1e-10)
+    run, y_ss, eps_p, _ = om._flow(c, c.omega_m)
     return run(y_ss[None], (eps_p,), 2 * math.pi / c.omega_m)
 
 
@@ -233,7 +228,7 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     monkeypatch.setattr(om, "solve_ivp", counting)
     cfg = replace(default_config(), Q1=50.0, Q2=50.0)
     delta = 0.93 * cfg.omega_m
-    run, y_ss, eps_p, _ = om._flow(cfg, delta, 1e-10)
+    run, y_ss, eps_p, _ = om._flow(cfg, delta)
     duration = 20 * 2 * math.pi / delta
     eps_ps = (eps_p, 0.5 * eps_p)
     stacked = run(np.tile(y_ss, (2, 1)), eps_ps, duration).y[:, -1].reshape(2, 5)
@@ -257,7 +252,8 @@ def test_stepper_matches_scipy_dop853(cfg, monkeypatch):
     an oversized first step, which the step controller must reject."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-    _, runs = _oracle_runs(cfg, 0.93 * cfg.omega_m, monkeypatch)
+    _, runs = _oracle_runs(replace(cfg, Q1=50.0, Q2=50.0), 0.93 * cfg.omega_m,
+                           monkeypatch)
     assert runs[-1][2].size == 2 * 9
     fun, t_span, y0, options = runs[0]
     oversized = (fun, t_span, y0, {**options, "first_step": t_span[1]})
@@ -303,7 +299,7 @@ def test_too_small_step_is_a_step_failure(cfg, monkeypatch):
 def oracle_rep(cfg):
     # a weak probe keeps the physical O(eps_p^2) shift of the mean field
     # well under the a0 threshold at this off-window detuning
-    return oracle_check(replace(cfg, P_p=2e-11), 1.05 * cfg.omega_m, tol=1e-9)
+    return oracle_check(replace(cfg, P_p=2e-11, Q1=50.0, Q2=50.0), 1.05 * cfg.omega_m)
 
 
 def test_oracle_passes_at_relaxed_damping(oracle_rep):
@@ -315,7 +311,7 @@ def test_oracle_passes_at_relaxed_damping(oracle_rep):
     assert rep.linearity_rel_change < 1e-3
     d = rep.as_dict()
     assert d["pass"] is True
-    assert set(d) == {"delta", "q_override", "a0_rel_err", "a_plus_rel_err",
+    assert set(d) == {"delta", "a0_rel_err", "a_plus_rel_err",
                       "a_minus_rel_err", "linearity_rel_change",
                       "fit_residual", "pass"}
 
@@ -325,21 +321,20 @@ def test_oracle_estimates_carry_closed_form(oracle_rep, cfg):
     rel = abs(oracle_rep.a_plus_est - oracle_rep.a_plus_closed) / \
         abs(oracle_rep.a_plus_closed)
     assert rel == pytest.approx(oracle_rep.a_plus_rel_err, rel=1e-12)
-    assert oracle_rep.q_override == 50.0
 
 
 def test_oracle_detects_nonlinearity(cfg):
     """A probe 1e4 times stronger drives the system out of the linear-response
     regime; the linearity cross-check must catch it."""
-    rep = oracle_check(replace(cfg, P_p=2e-5), 1.05 * cfg.omega_m, tol=1e-9)
+    rep = oracle_check(replace(cfg, P_p=2e-5, Q1=50.0, Q2=50.0), 1.05 * cfg.omega_m)
     assert rep.linearity_rel_change > 1e-3
     assert not rep.passed
 
 
 def test_oracle_undriven_cavity():
     # L = 0: no mechanics in the loop, the checks reduce to the bare cavity
-    cfg = replace(default_config(), L=0)
-    rep = oracle_check(cfg, 0.95 * cfg.omega_m, tol=1e-9)
+    cfg = replace(default_config(), L=0, Q1=50.0, Q2=50.0)
+    rep = oracle_check(cfg, 0.95 * cfg.omega_m)
     assert rep.passed
     expect = 1.0 / (cfg.kappa + 1j * (cfg.omega_m - 0.95 * cfg.omega_m))
     assert rep.a_plus_closed == pytest.approx(expect, rel=1e-12)
@@ -360,12 +355,12 @@ def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     delta = x * cfg.omega_m
-    rep, runs = _oracle_runs(cfg, delta, monkeypatch)
+    c = replace(cfg, Q1=50.0, Q2=50.0)
+    rep, runs = _oracle_runs(c, delta, monkeypatch)
     # a Newton step's run: the full and the half amplitude, 5 components each
     fun, _, y0, options = runs[1]
     assert y0.size == 2 * 5
-    c = replace(cfg, Q1=50.0, Q2=50.0)
-    _, y_ss, eps_p, _ = om._flow(c, delta, 1e-10)
+    _, y_ss, eps_p, _ = om._flow(c, delta)
     duration = 40.0 / _gamma_min(c)
     period = 2 * math.pi / delta
     t = np.linspace(duration - period, duration, 4096, endpoint=False)
@@ -384,14 +379,13 @@ def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
 
 
 def test_periodic_orbit_closes_over_twenty_periods(cfg):
-    """The converged states return to themselves within tol after 20 more
+    """The converged states return to themselves within _TOL after 20 more
     periods, where the steady state they started from does not."""
     c = replace(cfg, Q1=50.0, Q2=50.0)
-    tol = 1e-10
-    orbit = om._periodic_orbit(c, 0.93 * cfg.omega_m, tol)
+    orbit = om._periodic_orbit(c, 0.93 * cfg.omega_m)
     ss = solve_steady(c)
     y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, ss.a0])
-    atol = tol * np.maximum(np.abs(orbit.states), max(abs(ss.a0), 1.0))
+    atol = om._TOL * np.maximum(np.abs(orbit.states), max(abs(ss.a0), 1.0))
     for start, closes in ((orbit.states, True), (np.tile(y_ss, (2, 1)), False)):
         ends = orbit.run(start, orbit.eps_ps, 20 * orbit.period).y[:, -1]
         assert np.all(np.abs(ends.reshape(2, 5) - start) <= atol) == closes
@@ -406,6 +400,25 @@ def test_floquet_multiplier_matches_the_drift_matrix(oracle_rep, cfg):
     assert 1 <= oracle_rep.newton_iterations <= om._MAX_NEWTON
 
 
+# the detunings [omega_m] of criterion 3's band whose verdicts the maps-oracle
+# benchmark workload draws from: a0 alone fails at the first three
+_A0_FAILS = (0.93, 1.04, 1.08)
+_A0_PASSES = (0.9, 0.97, 1.0, 1.1)
+
+
+@pytest.mark.parametrize("x", _A0_FAILS + _A0_PASSES)
+def test_oracle_at_the_configured_q_across_the_band(cfg, x):
+    """At the configured Q = 1.2e5 the oracle gives the verdicts it gives
+    at Q = 50: a pass, or a failure on a0 alone; and a check takes at most
+    6 Newton steps and 800 right-hand-side calls."""
+    rep = oracle_check(cfg, x * cfg.omega_m)
+    over = [label for label, field, thr in om._THRESHOLDS
+            if not getattr(rep, field) < thr]
+    assert over == ([] if x in _A0_PASSES else ["a0"])
+    assert rep.passed == (not over)
+    assert rep.rhs_evals <= 800 and rep.newton_iterations <= 6
+
+
 def test_unstable_steady_state_is_refused(cfg):
     """Branch 0 of the self-consistent map grows at 0.45 omega_m at 4 mW,
     L = 200 and Delta_0 = 1.2 omega_m: the oracle names its multiplier."""
@@ -413,7 +426,7 @@ def test_unstable_steady_state_is_refused(cfg):
     growth = _growth_rate(c)
     assert growth > 0
     with pytest.raises(Unstable, match="Floquet multiplier") as err:
-        oracle_check(c, cfg.omega_m, q_override=1.2e5)
+        oracle_check(c, cfg.omega_m)
     mu = float(re.search(r"\|mu\| = (\S+)", str(err.value)).group(1))
     assert mu == pytest.approx(math.exp(growth * 2 * math.pi / cfg.omega_m), rel=1e-2)
 
@@ -421,7 +434,7 @@ def test_unstable_steady_state_is_refused(cfg):
 def test_unconverged_orbit_is_reported(cfg, monkeypatch):
     monkeypatch.setattr(om, "_MAX_NEWTON", 1)
     with pytest.raises(StepFailure, match="Newton steps.*times atol"):
-        oracle_check(cfg, 0.93 * cfg.omega_m)
+        oracle_check(replace(cfg, Q1=50.0, Q2=50.0), 0.93 * cfg.omega_m)
 
 
 @pytest.mark.parametrize("t_span, y0, first_step, match", [
