@@ -5,15 +5,17 @@ with the closed-form response.
 
 With a stable steady state the probe drive e^{-i delta t} has period
 T = 2 pi/|delta|, and the late-time state is the system's T-periodic orbit.
-oracle_check finds that orbit by shooting (a monodromy matrix from finite
-differences over one period, then Newton steps on y(T) = y(0)) and
-integrates one more period of it together with the quadratures that
-demodulate it, so a check costs a few periods of integration whatever the
-damping: under 2k right-hand-side calls at Q = 50 and at the production
-Q = 1.2e5 alike. The check integrates the configured system, mirror Q
-included: a relaxed damping is a config with smaller Q1 and Q2. A largest
-Floquet multiplier |mu| >= 1 means the steady state is unstable and has no
-steady sidebands; the oracle raises Unstable.
+oracle_check finds that orbit by shooting: it starts from the linear
+response of the flow's own field, takes a monodromy matrix from finite
+differences over one period, then Newton steps on y(T) = y(0), and
+integrates one more period of the orbit together with the quadratures that
+demodulate it. So a check costs three periods of integration whatever the
+damping (four at some detunings): 447-628 right-hand-side calls across the
+band 0.9-1.1 omega_m, at Q = 50 and at the production Q = 1.2e5 alike. The
+check integrates the configured system, mirror Q included: a relaxed
+damping is a config with smaller Q1 and Q2. A largest Floquet multiplier
+|mu| >= 1 means the steady state is unstable and has no steady sidebands;
+the oracle raises Unstable.
 The closed form enters only the final comparison, so the time domain stays
 an independent route.
 
@@ -52,22 +54,24 @@ _THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
 
 def _flow(cfg, delta):
     """The mean-value equations of cfg at probe detuning delta, with both
-    drives on, as (run, y_ss, eps_p, floor).
+    drives on, as (run, y_ss, eps_p, floor, field).
 
     The frame rotates at the drive frequency; the bare detuning is chosen so
     that the steady state reproduces the configured effective detuning
     (fixed mode) or equals the configured value (self-consistent mode).
-    y_ss is that probe-off steady state (phi1, lz1, phi2, lz2, a) and eps_p
-    the probe amplitude. run(y0s, eps_ps, t_end) integrates one copy of the
-    system per row of y0s, copy j at probe amplitude eps_ps[j], from t = 0
-    to t_end as one stacked state in one solve_ivp (DOP853) call (the
-    copies share their steps, so the per-step overhead is paid once) and
-    returns its result, with t, y and nfev; it raises StepFailure where the
-    stepper stops short and BlowUp on a non-finite state. Copy j's absolute
-    tolerance is _TOL times max(|y0s[j]|, floor), componentwise. Rows of 9
-    components rather than 5 also carry the quadratures q' = (a, a w^*,
-    a w, |a - a_ss|^2)/T, w = e^{-i delta t}, T = 2 pi/|delta|, that
-    _demodulate reads after one period.
+    y_ss is that probe-off steady state (phi1, lz1, phi2, lz2, a), eps_p
+    the probe amplitude and field(y) the probe-off derivative of one copy,
+    y a complex array of 5 components, by the run's right-hand side.
+    run(y0s, eps_ps, t_end) integrates one copy of the system per row of
+    y0s, copy j at probe amplitude eps_ps[j], from t = 0 to t_end as one
+    stacked state in one solve_ivp (DOP853) call (the copies share their
+    steps, so the per-step overhead is paid once) and returns its result,
+    with t, y and nfev; it raises StepFailure where the stepper stops short
+    and BlowUp on a non-finite state. Copy j's absolute tolerance is _TOL
+    times max(|y0s[j]|, floor), componentwise. Rows of 9 components rather
+    than 5 also carry the quadratures q' = (a, a w^*, a w, |a - a_ss|^2)/T,
+    w = e^{-i delta t}, T = 2 pi/|delta|, that _demodulate reads after one
+    period.
 
     Raises ConfigError for a non-finite delta or a |delta| whose beat
     period spans more than _MAX_BEAT_PERIODS periods of the flow's fastest
@@ -96,10 +100,7 @@ def _flow(cfg, delta):
     first_step = 0.01 / rate
     period = 2 * math.pi / abs(delta)
 
-    def run(y0s, eps_ps, t_end):
-        y0s = np.asarray(y0s, dtype=complex)
-        width = y0s.shape[1]
-
+    def rhs_of(eps_ps, width):
         # Python-scalar arithmetic: on a few copies of 5 components, numpy's
         # per-call overhead would cost more than the arithmetic itself
         def rhs(t, y):
@@ -122,8 +123,11 @@ def _flow(cfg, delta):
                             a * probe / period,
                             (d.real * d.real + d.imag * d.imag) / period]
             return out
+        return rhs
 
-        sol = solve_ivp(rhs, (0.0, t_end), y0s.ravel(),
+    def run(y0s, eps_ps, t_end):
+        y0s = np.asarray(y0s, dtype=complex)
+        sol = solve_ivp(rhs_of(eps_ps, y0s.shape[1]), (0.0, t_end), y0s.ravel(),
                         rtol=_TOL, atol=_TOL * np.maximum(np.abs(y0s), floor).ravel(),
                         first_step=first_step)
         if not sol.success:
@@ -132,8 +136,11 @@ def _flow(cfg, delta):
             raise BlowUp("non-finite state encountered during integration")
         return sol
 
+    def field(y):
+        return rhs_of((0.0,), 5)(0.0, y)
+
     y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, a_ss], dtype=complex)
-    return run, y_ss, eps_p, floor
+    return run, y_ss, eps_p, floor, field
 
 
 def _real(y):
@@ -160,30 +167,55 @@ class _Orbit:
     rhs_evals: int
 
 
+def _jacobian(field, y, scale):
+    """The real 6x6 Jacobian of field at y, by central differences of steps
+    scale: exact up to rounding, the field being quadratic."""
+    steps = _complex(np.diag(scale))
+    return np.column_stack([_real(np.subtract(field(y + s), field(y - s))) / (2 * d)
+                            for s, d in zip(steps, scale.tolist())])
+
+
+def _linear_starts(J, y_ss, eps_ps, delta):
+    """One start per probe amplitude eps: y_ss + Re[eps u], the state at
+    t = 0 of the linearised flow's periodic response to the probe, u =
+    (-i delta - J)^-1 p with p = (0, 0, 0, 0, 1, -i) the probe's direction
+    in the real coordinates of _real."""
+    p = np.array([0, 0, 0, 0, 1, -1j])
+    u = np.linalg.solve(-1j * delta * np.eye(6) - J, p)
+    return y_ss + _complex(np.outer(eps_ps, u).real)
+
+
 def _periodic_orbit(cfg, delta):
     """Shoot for the orbit of period T = 2 pi/|delta| that the probe drive
     e^{-i delta t} forces at the full and at half the probe amplitude.
 
-    One stacked run over T carries the steady state once per amplitude and
-    six copies of the first, perturbed along phi1, lz1, phi2, lz2, Re a and
-    Im a. Their end states give the residuals y(T) - y(0) and, by finite
-    differences, the monodromy matrix M. Newton steps (M - I) s =
-    -(y(T) - y(0)), with M held fixed and every amplitude stacked in one run
-    per step, move the initial states until a step is below _TOL in the
-    integrator's atol scale: the integration's own residual decides, M only
-    steers. Raises Unstable if the largest Floquet multiplier |mu| (the
-    largest |eigenvalue| of M) is >= 1, and StepFailure if Newton has not
-    converged after _MAX_NEWTON steps.
+    The shooting starts from the linear response of the flow's own field
+    (_linear_starts), its Jacobian J at the steady state taken by central
+    differences (_jacobian). One stacked run over T carries that start once
+    per amplitude and six copies of the full-amplitude one, perturbed along
+    phi1, lz1, phi2, lz2, Re a and Im a. Their end states give the residuals
+    y(T) - y(0) and, by finite differences, the monodromy matrix M. Newton
+    steps (M' - I) s = -(y(T) - y(0)), with M' held fixed and every
+    amplitude stacked in one run per step, move the initial states until a
+    step is below _TOL in the integrator's atol scale: the integration's
+    own residual decides, M' only steers. M' is M at the full amplitude and
+    (M + e^{JT})/2 at the half: to first order M is linear in the
+    amplitude, and e^{JT} is M at amplitude 0. J and the start only steer
+    too; the closed form plays no part. Raises Unstable if the largest
+    Floquet multiplier |mu| (the largest |eigenvalue| of M) is >= 1, and
+    StepFailure if Newton has not converged after _MAX_NEWTON steps.
     """
-    run, y_ss, eps_p, floor = _flow(cfg, delta)
+    run, y_ss, eps_p, floor, field = _flow(cfg, delta)
     if eps_p == 0:
         raise IllConditionedFit("no probe to demodulate: P_p = 0")
     period = 2 * math.pi / abs(delta)
     eps_ps = (eps_p, 0.5 * eps_p)
     n = len(eps_ps)
-    h = math.sqrt(_TOL) * np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]]
-    kicks = _complex(np.diag(h))
-    sol = run(np.vstack([np.tile(y_ss, (n, 1)), y_ss + kicks]),
+    scale = np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]]
+    J = _jacobian(field, y_ss, scale)
+    states = _linear_starts(J, y_ss, eps_ps, delta)
+    h = math.sqrt(_TOL) * scale
+    sol = run(np.vstack([states, states[0] + _complex(np.diag(h))]),
               eps_ps + (eps_ps[0],) * 6, period)
     rhs_evals = sol.nfev
     ends = sol.y[:, -1].reshape(-1, 5)
@@ -195,11 +227,12 @@ def _periodic_orbit(cfg, delta):
             f"period at delta = {delta!r}: the steady state is unstable and "
             f"has no steady sidebands")
 
-    states = np.tile(y_ss, (n, 1))
+    lam, V = np.linalg.eig(J)
+    linear = ((V * np.exp(lam * period)) @ np.linalg.inv(V)).real  # e^{JT}
+    shooting = np.stack([M, (M + linear) / 2]) - np.eye(6)
     residual = ends[:n] - states
-    shooting = M - np.eye(6)
     for iteration in range(1, _MAX_NEWTON + 1):
-        step = _complex(np.linalg.solve(shooting, -_real(residual).T).T)
+        step = _complex(np.linalg.solve(shooting, -_real(residual)[..., None])[..., 0])
         states = states + step
         atol = _TOL * np.maximum(np.abs(states), floor)
         if np.all(np.abs(step) <= atol):

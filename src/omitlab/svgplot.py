@@ -3,17 +3,24 @@
 Deliberately minimal, no plotting dependency. `_figure` writes what both
 figures share (the document, its background, the title and axis labels);
 the renderers add their marks, computed over whole arrays and formatted
-once. Sizes are fixed: 720x460 for a line plot, 720x520 for a heat map.
+once. A heat map draws its cells and its color bar as images of one pixel
+per cell, embedded as PNG data URIs (stored, not compressed, so that
+writing one costs about what copying its pixels does). Sizes are fixed:
+720x460 for a line plot, 720x520 for a heat map.
 """
 
+import binascii
 import math
+import struct
+import zlib
 
 import numpy as np
 
-from .util import fixed_cells, table_text, text_cells
+from .util import fixed_cells, table_text
 
 _WIDTH = 720
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 28, 46
+_XLINK = "http://www.w3.org/1999/xlink"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -132,41 +139,55 @@ def line_svg(x, series, title="", xlabel="", ylabel=""):
     return _figure(height, iw, title, xlabel, ylabel, [frame], axes, marks)
 
 
-def _color(key):
-    """The color of a key of _diverging_colors."""
-    if not key:
-        return "#bbbbbb"
-    c, g = divmod(abs(key) - 1, 256)
-    return f"rgb({c},{g},255)" if key < 0 else f"rgb(255,{g},{c})"
-
-
 def _diverging_colors(v):
-    """Blue through white to red over v in [-1, 1], grey where v is not
-    finite: the cells of one color per element of v, in C order, each
-    distinct color formatted once."""
-    v = np.ravel(v)
+    """Blue through white to red over v in [-1, 1], grey (187, 187, 187)
+    where v is not finite: the uint8 RGB channels of each element of v, as
+    an array of v's shape plus an axis of 3."""
+    v = np.asarray(v, dtype=float)
     ok = np.isfinite(v)
     # 1 - |v| is 1 + v exactly for v < 0, and the channels are positive, so
-    # astype(int) truncates as int() does
+    # astype truncates as int() does
     t = 1.0 - np.abs(np.where(ok, v, 0.0))
-    outer = (59 + t * 196).astype(int)
-    mid = (76 + t * 179).astype(int)
-    # one integer per color: 0 for grey, else +-(256 outer + mid + 1) with
-    # the sign of v
-    keys = np.where(ok, np.where(v < 0, -1, 1) * (256 * outer + mid + 1), 0)
-    table, index = np.unique(keys, return_inverse=True)
-    return text_cells([_color(k) for k in table.tolist()]).take(index, axis=0)
+    outer = (59 + t * 196).astype(np.uint8)
+    mid = (76 + t * 179).astype(np.uint8)
+    neg = v < 0
+    rgb = np.stack([np.where(neg, outer, 255), mid, np.where(neg, 255, outer)], axis=-1)
+    rgb[~ok] = 187
+    return rgb
 
 
-def _rects(x, y, size, colors):
-    """The <rect> lines of cells x, y (or bytes, the same in each) and colors."""
-    return table_text(b'<rect x="', x, b'" y="', y, f'" {size} fill="'.encode(), colors,
-                      b'"/>\n')[:-1]
+def _png(rgb):
+    """The bytes of the (rows, columns, 3) uint8 image rgb as an RGB PNG,
+    its rows unfiltered and stored uncompressed."""
+    rows, cols, _ = rgb.shape
+    raw = np.zeros((rows, 1 + 3 * cols), np.uint8)  # filter type 0 per row
+    raw[:, 1:] = rgb.reshape(rows, -1)
+
+    def chunk(kind, data):
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+    return b"".join([b"\x89PNG\r\n\x1a\n",
+                     chunk(b"IHDR", struct.pack(">IIBBBBB", cols, rows, 8, 2, 0, 0, 0)),
+                     chunk(b"IDAT", zlib.compress(raw.tobytes(), 0)),
+                     chunk(b"IEND", b"")])
+
+
+def _image(x, y, width, height, rgb):
+    """An <image> of the pixels rgb (top row first) stretched over the box,
+    each pixel drawn as a flat block, as an embedded PNG."""
+    href = binascii.b2a_base64(_png(rgb), newline=False).decode("ascii")
+    return (f'<image x="{x}" y="{y}" width="{width}" height="{height}" '
+            f'preserveAspectRatio="none" image-rendering="optimizeSpeed" '
+            f'style="image-rendering:pixelated" xmlns:xlink="{_XLINK}" '
+            f'xlink:href="data:image/png;base64,{href}"/>')
 
 
 def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     """SVG heat map of z[i, j] at (x[j], y[i]), diverging scale centered at 0
-    when z takes both signs. Non-finite cells are drawn grey."""
+    when z takes both signs. Non-finite cells are drawn grey. The cells are
+    one <image> of x.size x y.size pixels over the plot area, the last grid
+    row on top, drawn without smoothing; the 64-step color bar is another,
+    of 1 x 64."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -191,11 +212,9 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
     ih = height - _MARGIN_T - _MARGIN_B
     cw, ch = iw / x.size, ih / y.size
 
-    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
-    rows = fixed_cells(_MARGIN_T + ih - np.arange(1, y.size + 1) * ch)
-    cols = fixed_cells(_MARGIN_L + np.arange(x.size) * cw)
-    colors = _diverging_colors((z if signed else np.abs(z)) / vmax)
-    axes = [_rects(np.tile(cols, (y.size, 1)), np.repeat(rows, x.size, axis=0), size, colors)]
+    # one pixel per cell, the last grid row on top
+    colors = _diverging_colors((z[::-1] if signed else np.abs(z[::-1])) / vmax)
+    axes = [_image(_MARGIN_L, _MARGIN_T, f"{iw:.2f}", ih, colors)]
     axes.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw:.2f}" '
                 f'height="{ih}" fill="none" stroke="#333"/>')
     # ticks run from the centre of the first cell (the minimum) to the
@@ -211,12 +230,10 @@ def heatmap_svg(x, y, z, title="", xlabel="", ylabel=""):
                     f'dominant-baseline="middle" font-family="sans-serif" '
                     f'font-size="10">{_fmt_tick(tv)}</text>')
 
-    # color bar: 64 segments from the bottom of the scale to its top
+    # color bar: 64 pixels from the top of the scale to its bottom
     bx = _MARGIN_L + iw + 16
-    frac = np.arange(64) / 63
-    seg = fixed_cells(_MARGIN_T + ih * (1 - np.arange(1, 65) / 64))
-    marks = [_rects(f"{bx}".encode(), seg, f'width="14" height="{ih / 64 + 0.5:.2f}"',
-                    _diverging_colors(2 * frac - 1 if signed else frac))]
+    frac = np.arange(63, -1, -1)[:, None] / 63
+    marks = [_image(bx, _MARGIN_T, 14, ih, _diverging_colors(2 * frac - 1 if signed else frac))]
     marks.append(f'<text x="{bx + 18}" y="{_MARGIN_T + 4}" '
                  f'font-family="sans-serif" font-size="10">{_fmt_tick(vmax)}</text>')
     marks.append(f'<text x="{bx + 18}" y="{_MARGIN_T + ih}" font-family="sans-serif" '

@@ -48,6 +48,13 @@ def scalar_in_scalar_out(func):
     return run
 
 
+def _module_name(frame):
+    """The name of the module of frame: its __spec__'s where it has one, so
+    that this package's __main__ run by python -m counts as the package."""
+    spec = frame.f_globals.get("__spec__")
+    return getattr(spec, "name", None) or frame.f_globals.get("__name__", "")
+
+
 def stacklevel_outside():
     """The stacklevel, for warnings.warn in the function that calls this
     one, of the first frame outside this package and dataclasses: the line
@@ -55,7 +62,7 @@ def stacklevel_outside():
     through a generated __init__ (which runs in its module's globals)."""
     inside = (__name__.partition(".")[0], "dataclasses")
     frame, level = sys._getframe(1), 1
-    while frame and frame.f_globals.get("__name__", "").partition(".")[0] in inside:
+    while frame and _module_name(frame).partition(".")[0] in inside:
         frame, level = frame.f_back, level + 1
     return level
 
@@ -92,7 +99,14 @@ def fingerprint_dict(d):
 # Text tables
 
 _ZERO, _DOT, _MINUS = 48, 46, 45
-_POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # all exact
+_EXP_MINUS = np.frombuffer(b"e-", np.uint8)
+# 10**p = _POW10[p] + _POW10_TAIL[p] exactly for p <= 45: 10**p = 2**p 5**p,
+# and 5**p < 2**106 splits into two doubles (the tail is 0 up to p = 22)
+_POW10 = np.array([float(10 ** p) for p in range(46)])
+_POW10_TAIL = np.array([float(10 ** p - int(float(10 ** p))) for p in range(46)])
+# the bound on the rounding of the comparisons of repr_cells where the tail
+# is not 0, about 50 times their worst case
+_MARGIN = 2.0 ** -40
 _QUADS = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
           + _ZERO).astype(np.uint8)
 # the ASCII digits of 0000-9999 as one uint32 each, then again with their
@@ -141,45 +155,61 @@ def _fallback(cells, a, slow, fmt):
 
 
 def repr_cells(a):
-    """repr of each float of a (raveled), as cells. For finite 1e-4 <= |x|
-    < 1e16, v = |x| 10**p = hi + lo exactly has 17 integer digits, and x's
-    rounding interval is v +- h, 0.5 < h < 11.1 (ends included for an even
-    mantissa): the shortest digits are the multiple of 100 in it if any,
-    else the nearer multiple of 10 if in it, else the nearest integer, by
-    exact comparisons. The rest, a power-of-two mantissa (an asymmetric
-    interval) and two nearest candidates take repr."""
+    """repr of each float of a (raveled), as cells. For finite 1e-29 <= |x|
+    < 1e16, v = |x| 10**p has 17 integer digits, and x's rounding interval
+    is v +- h, 0.5 < h < 11.1 (ends included for an even mantissa): the
+    shortest digits are the multiple of 100 in it if any, else the nearer
+    multiple of 10 if in it, else the nearest integer. Below 1e-4 they are
+    written in repr's scientific notation, d.ddde-XX. Up to p = 22 (|x| >=
+    1e-6), v = hi + lo exactly and the comparisons are exact; beyond, 10**p
+    is the exact sum of two doubles, v and h are rounded by less than 2e-14,
+    and a comparison within _MARGIN takes repr. The rest, a power-of-two
+    mantissa (an asymmetric interval) and two nearest candidates take repr
+    too."""
     a = np.ravel(np.asarray(a, dtype=float))
     x = np.abs(a)
-    fast = (x >= 1e-4) & (x < 1e16)
+    fast = (x >= 1e-29) & (x < 1e16)
     x = np.where(fast, x, 1.0)
-    e10 = np.floor(np.log10(x)).astype(np.int64).clip(-4, 15)
+    e10 = np.floor(np.log10(x)).astype(np.int64).clip(-29, 15)
     p = 16 - e10
     hi, lo = _two_product(x, p)
-    floor = np.floor(lo)
-    n, f = hi.astype(np.int64) + floor.astype(np.int64), lo - floor  # v = n + f
     m, e2 = np.frexp(x)
     h = np.ldexp(_POW10[p], e2 - 54)
+    # the rows whose 10**p has a tail, if any (a reduction costs less than
+    # a search on the positional rows alone)
+    rounded = np.flatnonzero(p > 22) if e10.min(initial=0) < -6 else None
+    if rounded is not None:
+        pr = p[rounded]
+        lo[rounded] += x[rounded] * _POW10_TAIL[pr]
+        h[rounded] += np.ldexp(_POW10_TAIL[pr], e2[rounded] - 54)
+    floor = np.floor(lo)
+    n, f = hi.astype(np.int64) + floor.astype(np.int64), lo - floor  # v = n + f
     half = m * 2.0 ** 52  # half the integer mantissa, exact
     even = np.floor(half) == half
     r10, r100 = (n % 10).astype(float), (n % 100).astype(float)
     t100, t10 = r100 + f, r10 + f  # v - the multiple of 100 and of 10 below it
     # the distance to the nearer multiple (m - t is exact where it is nearer)
-    in100, in10 = ((d < h) | (d == h) & even for d in (np.minimum(t100, 100.0 - t100),
-                                                       np.minimum(t10, 10.0 - t10)))
+    d100, d10 = np.minimum(t100, 100.0 - t100), np.minimum(t10, 10.0 - t10)
+    in100, in10 = ((d < h) | (d == h) & even for d in (d100, d10))
     c = n + np.where(in100, np.where(t100 > 50.0, 100.0 - r100, -r100),
                      np.where(in10, np.where(t10 > 5.0, 10.0 - r10, -r10), f > 0.5)
                      ).astype(np.int64)
     tie = ~in100 & np.where(in10, t10 == 5.0, f == 0.5)
+    if rounded is not None:
+        tie[rounded] |= np.any(np.abs([
+            d100[rounded] - h[rounded], d10[rounded] - h[rounded],
+            np.where(in10[rounded], t10[rounded] - 5.0, f[rounded] - 0.5)]) <= _MARGIN, axis=0)
     fast &= (n >= 10 ** 16) & (c < 10 ** 17) & ~tie & (m != 0.5)
 
     # the rows of each exponent are laid out with static slices: column 0
     # for the sign, then the integer digits, '.' and the fraction, or '0.',
-    # zeros and the digits
+    # zeros and the digits, or (below -4) one digit, '.' if more follow, the
+    # rest and e-XX
     d = _digits(c, 5, trim=True)[:, 3:]
     cells = np.zeros((a.size, 23), np.uint8)
     cells[:, 0] = np.signbit(a) * np.uint8(_MINUS)
     key = np.where(fast, e10, 16)
-    for e in (np.flatnonzero(np.bincount(key + 4, minlength=21)[:20]) - 4).tolist():
+    for e in (np.flatnonzero(np.bincount(key + 29, minlength=46)[:45]) - 29).tolist():
         rows = np.flatnonzero(key == e)
         g, block = d[rows], cells[rows]
         if e >= 0:  # NUL (a trimmed zero) is '0' in the integer part and .0
@@ -187,10 +217,16 @@ def repr_cells(a):
             block[:, e + 3] = block[:, e + 2]
             block[:, e + 2] = _DOT
             block[:, e + 4:19] = g[:, e + 2:]
-        else:
+        elif e >= -4:
             block[:, 1:2 - e] = _ZERO
             block[:, 2] = _DOT
             block[:, 2 - e:19 - e] = g
+        else:
+            block[:, 1] = g[:, 0]
+            block[:, 2] = (g[:, 1] != 0) * np.uint8(_DOT)
+            block[:, 3:19] = g[:, 1:]
+            block[:, 19:21] = _EXP_MINUS
+            block[:, 21:] = _QUADS[-e, 2:]
         cells[rows] = block
     return _fallback(cells, a, np.flatnonzero(~fast), repr)
 

@@ -495,6 +495,21 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 2
 
 
+def test_python_m_warning_names_no_file_of_the_package(tmp_path):
+    """Under python -m omitlab, a warning is not attributed to the
+    package's own __main__.py, so its text on stderr holds no path into the
+    checkout: two checkouts of one commit print the same stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run([sys.executable, "-m", "omitlab", "steady", "--omega-phi1", "6e8"],
+                       capture_output=True, text=True, cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
+    assert r.returncode == 0, r.stderr
+    assert "UserWarning: omega_m = 5.02655e+08 differs from the mirror-frequency midpoint" \
+        in r.stderr
+    assert str(src) not in r.stderr and "src/omitlab" not in r.stderr
+    assert "__main__.py" not in r.stderr
+
+
 def _modules_after(argvs, cwd, block_scipy):
     """Exit codes of omitlab.cli.main on each argv in turn, in a fresh
     interpreter given the checkout's src, and the modules of scipy and of

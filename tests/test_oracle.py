@@ -113,7 +113,7 @@ def test_demodulation_matches_lstsq(cfg, monkeypatch, which):
         delta = 0.93 * cfg.omega_m
         c = replace(cfg, Q1=50.0, Q2=50.0)
         _, runs = _oracle_runs(c, delta, monkeypatch)
-        _, y_ss, eps_p, _ = om._flow(c, delta)
+        _, y_ss, eps_p, _, _ = om._flow(c, delta)
         a_ss = y_ss[4]
         fun, t_span, y0, options = runs[-1]
         q = om.solve_ivp(fun, t_span, y0, **options).y[5:9, -1].tolist()
@@ -162,7 +162,7 @@ def _gamma_min(c):
 def test_probe_off_state_stays_at_steady_state():
     cfg = replace(default_config(), Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
-    run, y_ss, eps_p, _ = om._flow(cfg, cfg.omega_m)
+    run, y_ss, eps_p, _, _ = om._flow(cfg, cfg.omega_m)
     assert eps_p == 0.0
     sol = run(y_ss[None], (eps_p,), 40.0 / _gamma_min(cfg))
     dev = np.max(np.abs(sol.y[4] - ss.a0)) / abs(ss.a0)
@@ -175,7 +175,7 @@ def test_cavity_relaxation_matches_exact_solution():
     cfg = replace(default_config(), L=0, Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
     y0 = np.array([0.0, 0.0, 0.0, 0.0, 1.5 * ss.a0], dtype=complex)
-    run, _, eps_p, _ = om._flow(cfg, 0.9 * cfg.omega_m)
+    run, _, eps_p, _, _ = om._flow(cfg, 0.9 * cfg.omega_m)
     sol = run(y0[None], (eps_p,), 20.0 / _gamma_min(cfg))
     # delta0 equals delta_prime here (no static displacement at L = 0)
     lam = -(1j * ss.delta_prime + cfg.kappa)
@@ -185,7 +185,7 @@ def test_cavity_relaxation_matches_exact_solution():
 
 def _one_period(c):
     """One beat period at omega_m of c's flow, from its steady state."""
-    run, y_ss, eps_p, _ = om._flow(c, c.omega_m)
+    run, y_ss, eps_p, _, _ = om._flow(c, c.omega_m)
     return run(y_ss[None], (eps_p,), 2 * math.pi / c.omega_m)
 
 
@@ -228,7 +228,7 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     monkeypatch.setattr(om, "solve_ivp", counting)
     cfg = replace(default_config(), Q1=50.0, Q2=50.0)
     delta = 0.93 * cfg.omega_m
-    run, y_ss, eps_p, _ = om._flow(cfg, delta)
+    run, y_ss, eps_p, _, _ = om._flow(cfg, delta)
     duration = 20 * 2 * math.pi / delta
     eps_ps = (eps_p, 0.5 * eps_p)
     stacked = run(np.tile(y_ss, (2, 1)), eps_ps, duration).y[:, -1].reshape(2, 5)
@@ -360,7 +360,7 @@ def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
     # a Newton step's run: the full and the half amplitude, 5 components each
     fun, _, y0, options = runs[1]
     assert y0.size == 2 * 5
-    _, y_ss, eps_p, _ = om._flow(c, delta)
+    _, y_ss, eps_p, _, _ = om._flow(c, delta)
     duration = 40.0 / _gamma_min(c)
     period = 2 * math.pi / delta
     t = np.linspace(duration - period, duration, 4096, endpoint=False)
@@ -410,13 +410,53 @@ _A0_PASSES = (0.9, 0.97, 1.0, 1.1)
 def test_oracle_at_the_configured_q_across_the_band(cfg, x):
     """At the configured Q = 1.2e5 the oracle gives the verdicts it gives
     at Q = 50: a pass, or a failure on a0 alone; and a check takes at most
-    6 Newton steps and 800 right-hand-side calls."""
+    3 Newton steps and 640 right-hand-side calls."""
     rep = oracle_check(cfg, x * cfg.omega_m)
     over = [label for label, field, thr in om._THRESHOLDS
             if not getattr(rep, field) < thr]
     assert over == ([] if x in _A0_PASSES else ["a0"])
     assert rep.passed == (not over)
-    assert rep.rhs_evals <= 800 and rep.newton_iterations <= 6
+    assert rep.rhs_evals <= 640 and rep.newton_iterations <= 3
+
+
+@pytest.mark.parametrize("q", [50.0, 1.2e5])
+@pytest.mark.parametrize("x", [0.93, 1.1])
+def test_the_linear_start_only_steers(cfg, monkeypatch, q, x):
+    """Started from the steady state instead of the linear response, the
+    shooting takes more Newton steps to the same orbit: the estimates agree
+    within 1e-10 relative, and so do the verdicts."""
+    c = replace(cfg, Q1=q, Q2=q)
+    rep = oracle_check(c, x * cfg.omega_m)
+    monkeypatch.setattr(om, "_linear_starts", lambda J, y_ss, eps_ps, delta:
+                        np.tile(y_ss, (len(eps_ps), 1)))
+    ref = oracle_check(c, x * cfg.omega_m)
+    assert ref.newton_iterations > rep.newton_iterations
+    for field in ("a_plus_est", "a_minus_est"):
+        assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-10 * abs(getattr(ref, field))
+    # a0_rel_err moves by at most the relative move of the a0 estimate
+    assert abs(rep.a0_rel_err - ref.a0_rel_err) <= 1e-10
+    assert rep.passed == ref.passed
+
+
+@pytest.mark.parametrize("x", [0.9, 1.04])
+def test_linear_start_is_the_linear_response(cfg, x):
+    """The Jacobian of the flow's own field has the eigenvalues of the drift
+    matrix, and the start of each amplitude eps is the closed form's field
+    at t = 0, a_ss + eps (a_plus + a_minus), to first order in eps."""
+    delta = x * cfg.omega_m
+    _, y_ss, eps_p, floor, field = om._flow(cfg, delta)
+    J = om._jacobian(field, y_ss, np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]])
+    ss = solve_steady(cfg)
+    ep = effective_params(cfg, ss)
+    lam = np.linalg.eigvals(J)
+    ref = np.linalg.eigvals(_drift_matrix(ep, ss.a0))
+    gap = np.abs(lam[:, None] - ref[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * np.max(np.abs(ref))
+    sb = sideband_amplitudes(ep, delta, a0=ss.a0)
+    eps_ps = (eps_p, 0.5 * eps_p)
+    for start, eps in zip(om._linear_starts(J, y_ss, eps_ps, delta), eps_ps):
+        linear = eps * (sb.a_plus + sb.a_minus)
+        assert abs(start[4] - y_ss[4] - linear) <= 1e-10 * abs(linear)
 
 
 def test_unstable_steady_state_is_refused(cfg):

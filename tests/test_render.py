@@ -56,16 +56,24 @@ def test_repr_cells_over_the_fast_range(values):
     _assert_repr(values + [-v for v in values])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-29, max_value=1e-4, exclude_max=True),
+                min_size=1, max_size=40))
+def test_repr_cells_over_the_scientific_range(values):
+    _assert_repr(values + [-v for v in values])
+
+
 def _neighbours(v):
     v = np.asarray(v, dtype=float)
     return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
 
 
-def _digit_strings(rng, digits, count):
+def _digit_strings(rng, digits, count, low=-4, high=16):
     """Floats parsed from decimal strings of the given number of significant
-    digits, over the positional range of repr."""
+    digits, with decimal exponents from low to below high (by default the
+    positional range of repr)."""
     mantissas = rng.integers(10 ** (digits - 1), 10 ** digits, count)
-    exponents = rng.integers(-4 - digits + 1, 16 - digits + 1, count)
+    exponents = rng.integers(low - digits + 1, high - digits + 1, count)
     return [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
 
 
@@ -75,14 +83,19 @@ def test_repr_cells_on_the_hard_cases():
         # powers of two (an asymmetric rounding interval), in range and out
         2.0 ** np.arange(-20, 60),
         # powers of ten and their neighbours, the range edges among them
-        _neighbours([float(f"1e{k}") for k in range(-6, 18)]),
-        # 15-, 16- and 17-digit reprs
+        _neighbours([float(f"1e{k}") for k in range(-32, 18)]),
+        # 1-, 2-, 15-, 16- and 17-digit reprs, positional and scientific
         *(_digit_strings(rng, d, 3000) for d in (1, 2, 15, 16, 17)),
+        *(_digit_strings(rng, d, 3000, -29, -4) for d in (1, 2, 15, 16, 17)),
         # doubles with random mantissas and exponents
-        rng.uniform(1.0, 2.0, 20000) * 2.0 ** rng.integers(-20, 60, 20000),
+        rng.uniform(1.0, 2.0, 20000) * 2.0 ** rng.integers(-100, 60, 20000),
         # subnormals, zeros, non-finite values and the extremes
         [5e-324, 2.5e-308, np.finfo(float).tiny, 0.0, -0.0, np.nan, np.inf,
-         -np.inf, np.finfo(float).max, 1e-4, 9.999999999999999e15, 1e16],
+         -np.inf, np.finfo(float).max, 1e-4, 9.999999999999999e15, 1e16,
+         9.999999999999999e-5, 1e-29, 9.99999999999999e-30, 1e-30],
+        # mantissas with zeros inside, and the 10**22 seam of the scaling
+        [1.0000000000000002e-05, 1.05e-07, 1.000001e-20, 5.4e-06, 9.5e-07,
+         1e-06, 1.0000000000000001e-06, 9.999999999999999e-07, 2.2250738585072014e-20],
         # integral values, which gain .0, and values with zeros inside
         [1.0, 100.0, 1200.0, 1e15, 123456789012345.0, 1000000.5, 0.1000000000000001,
          0.30000000000000004, 100.25, 10.000000000000002],
@@ -198,3 +211,25 @@ def test_kernel_covers_the_default_spectrum(monkeypatch):
     spectrum_csv(spectrum_sweep(default_config()))
     slow, total = map(sum, zip(*counts))
     assert total == 5 * 4161 and slow <= 0.01 * total
+
+
+def test_kernel_covers_the_self_consistent_delay_map(monkeypatch):
+    """At least 99 % of the tau_g cells (seconds, about 1e-7, which repr
+    writes in scientific notation) of a self-consistent P x L map take the
+    array path, not the per-value fallback."""
+    cfg = default_config()
+    sc = replace(cfg, detuning_mode=SelfConsistent(1.5 * cfg.omega_m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bistable points
+        m = sweep_2d(sc, ("P", np.linspace(1e-4, 4e-3, 41)), ("L", np.linspace(0, 200, 101)),
+                     observable="tau_g", delta=1.1 * cfg.omega_m)
+    fallback, counts = util._fallback, []
+
+    def spy(cells, a, slow, fmt):
+        counts.append((slow.size, a.size))
+        return fallback(cells, a, slow, fmt)
+
+    monkeypatch.setattr(util, "_fallback", spy)
+    assert _cells(repr_cells(m.values)) == list(map(repr, m.values.ravel().tolist()))
+    ((slow, total),) = counts
+    assert total == 4141 and np.all(np.abs(m.values) < 1e-4) and slow <= 0.01 * total

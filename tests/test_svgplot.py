@@ -1,20 +1,75 @@
 """Structural checks of the self-contained SVG renderings."""
 
+import base64
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
 
 from omitlab.svgplot import (_diverging_colors, _finite_range, _fmt_tick, heatmap_svg,
                              line_svg)
-from omitlab.util import table_text
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+
+
+def _fill(pixel):
+    """The fill of a cell of the (r, g, b) pixel: grey, which no finite value
+    gives (its blue or red channel is 255), is #bbbbbb."""
+    r, g, b = pixel
+    return "#bbbbbb" if (r, g, b) == (187, 187, 187) else f"rgb({r},{g},{b})"
 
 
 def _colors(v):
-    """The colors _diverging_colors gives v, as strings."""
-    return table_text(_diverging_colors(v), b"\n").splitlines()
+    """The colors _diverging_colors gives v, as fills."""
+    return [_fill(p) for p in _diverging_colors(np.ravel(v)).tolist()]
+
+
+def _png_pixels(data):
+    """The (rows, columns, 3) uint8 pixels of an 8-bit RGB PNG whose rows
+    are unfiltered."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    pos, chunks = 8, {}
+    while pos < len(data):
+        (length,), kind = struct.unpack(">I", data[pos:pos + 4]), data[pos + 4:pos + 8]
+        body = data[pos + 8:pos + 8 + length]
+        assert struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])[0] == \
+            zlib.crc32(kind + body)
+        chunks[kind] = chunks.get(kind, b"") + body
+        pos += 12 + length
+    cols, rows, depth, color_type = struct.unpack(">IIBB", chunks[b"IHDR"][:10])
+    assert (depth, color_type) == (8, 2) and chunks[b"IEND"] == b""
+    raw = np.frombuffer(zlib.decompress(chunks[b"IDAT"]), np.uint8).reshape(rows, -1)
+    assert np.all(raw[:, 0] == 0)
+    return raw[:, 1:].reshape(rows, cols, 3)
+
+
+def _images(text):
+    """Each <image> of the SVG text as ((x, y, width, height), pixels),
+    the pixels decoded from its embedded PNG, top row first."""
+    out = []
+    for im in _parse(text).findall(f"{SVG_NS}image"):
+        head, data = im.get(XLINK_HREF).split(",", 1)
+        assert head == "data:image/png;base64"
+        assert im.get("preserveAspectRatio") == "none"
+        box = tuple(float(im.get(k)) for k in ("x", "y", "width", "height"))
+        out.append((box, _png_pixels(base64.b64decode(data))))
+    return out
+
+
+def _cells(text):
+    """The cells of a heat map: {fill: {(x centre, y centre)}} of the
+    pixels of its first image."""
+    (x, y, w, h), px = _images(text)[0]
+    rows, cols, _ = px.shape
+    centres = {}
+    for i in range(rows):
+        for j in range(cols):
+            centres.setdefault(_fill(px[i, j].tolist()), set()).add(
+                (round(x + (j + 0.5) * w / cols, 2), round(y + (i + 0.5) * h / rows, 2)))
+    return centres
 
 
 def _parse(text):
@@ -58,18 +113,25 @@ def test_heatmap_svg_cells_and_colorbar():
     text = heatmap_svg(np.array([0.0, 1.0, 2.0]), np.array([10.0, 20.0]), z,
                        title="map", xlabel="c", ylabel="r")
     root = _parse(text)
-    rects = root.findall(f"{SVG_NS}rect")
-    # background + 6 cells + frame + 64 color-bar segments
-    assert len(rects) == 1 + 6 + 1 + 64
+    # background + frame; the 6 cells and the 64 color-bar segments are
+    # the pixels of two images
+    assert len(root.findall(f"{SVG_NS}rect")) == 2
+    (cells_box, cells), (bar_box, bar) = _images(text)
+    assert cells.shape == (2, 3, 3) and bar.shape == (64, 1, 3)
+    assert cells_box == (64.0, 28.0, 574.0, 446.0)
+    assert bar_box == (654.0, 28.0, 14.0, 446.0)
     # signed data: both endpoints of the diverging scale appear
-    assert "rgb(255,76,59)" in text and "rgb(59,76,255)" in text
+    fills = {_fill(p) for im in (cells, bar) for p in im.reshape(-1, 3).tolist()}
+    assert "rgb(255,76,59)" in fills and "rgb(59,76,255)" in fills
+    # the top row of the bar is the top of the scale
+    assert _fill(bar[0, 0].tolist()) == "rgb(255,76,59)"
 
 
 def test_heatmap_svg_marks_nonfinite_cells():
     z = np.array([[1.0, np.nan], [2.0, 4.0]])
     text = heatmap_svg(np.array([0.0, 1.0]), np.array([0.0, 1.0]), z)
-    _parse(text)
-    assert "#bbbbbb" in text
+    # the first grid row is the bottom row of pixels
+    assert _fill(_images(text)[0][1][1, 1].tolist()) == "#bbbbbb"
 
 
 def test_heatmap_svg_draws_a_descending_grid_ascending():
@@ -99,12 +161,8 @@ def test_heatmap_svg_ticks_sit_on_cell_centres(grid, axis):
         text = heatmap_svg(other, g, z)
         ticks = [t for t in _parse(text).findall(f"{SVG_NS}text") if t.get("x") == "58"]
     at = {t.text: float(t.get(axis)) for t in ticks}
-    size = "width" if axis == "x" else "height"
-    centres = {}
-    for r in _parse(text).findall(f"{SVG_NS}rect")[1:1 + z.size]:
-        # a cell is drawn 0.5 larger than its pitch, to close the seams
-        centres.setdefault(r.get("fill"), set()).add(
-            round(float(r.get(axis)) + (float(r.get(size)) - 0.5) / 2, 2))
+    k = "xy".index(axis)
+    centres = {fill: {c[k] for c in cs} for fill, cs in _cells(text).items()}
     for v in g:
         (centre,) = centres[_colors(np.array([v / g.max()]))[0]]
         assert at[_fmt_tick(v)] == pytest.approx(centre, abs=0.02)
@@ -125,8 +183,9 @@ def test_finite_range_pads_a_constant_series():
     assert _finite_range([np.full(3, 2.0), [np.nan]]) == (1.5, 2.5)
 
 
-def _cell_fills(text, n):
-    return [r.get("fill") for r in _parse(text).findall(f"{SVG_NS}rect")[1:1 + n]]
+def _cell_fills(text):
+    """The fills of a one-row heat map, left to right."""
+    return [_fill(p) for p in _images(text)[0][1][0].tolist()]
 
 
 @pytest.mark.parametrize("z, fills", [
@@ -142,7 +201,7 @@ def _cell_fills(text, n):
 def test_heatmap_svg_cell_colors(z, fills):
     z = np.array([z])
     text = heatmap_svg(np.arange(z.shape[1], dtype=float), np.array([0.0]), z)
-    assert _cell_fills(text, z.size) == fills
+    assert _cell_fills(text) == fills
 
 
 def _per_cell_colors(v):
