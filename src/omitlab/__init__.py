@@ -29,6 +29,7 @@ from .steadystate import SteadyState, solve_steady, steady_states
 from .sweep import (DipReport, Map2D, SpectrumSeries, default_delta_grid,
                     delay_map_csv, find_dips, map_csv, spectrum_csv,
                     spectrum_sweep, sweep_2d)
+from .util import flag_names
 
 __all__ = [
     "__version__",
@@ -48,5 +49,5 @@ __all__ = [
     "OracleReport", "oracle_check",
     "DipReport", "Map2D", "SpectrumSeries", "default_delta_grid",
     "delay_map_csv", "find_dips", "map_csv", "spectrum_csv", "spectrum_sweep",
-    "sweep_2d",
+    "sweep_2d", "flag_names",
 ]

@@ -211,7 +211,7 @@ def _cmd_delay_map(args, cfg):
         "max_tau_g_us": float(finite.max()) if finite.size else None,
         "n_slow": int(np.sum(kinds == "slow")),
         "n_fast": int(np.sum(kinds == "fast")),
-        "n_error": sum(len(row) - row.count("") for row in m.flags),
+        "n_error": int(np.count_nonzero(m.flags)),
     }
     svg = heatmap_svg(m.axis2_grid, m.axis1_grid * 1e3, tau_us, title="group delay [us]",
                       xlabel="L", ylabel="P [mW]") if args.svg else None

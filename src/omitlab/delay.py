@@ -17,7 +17,7 @@ import numpy as np
 from . import errors
 from .errors import ConfigError
 from .response import probe_response
-from .util import flag_cells, scalar_in_scalar_out, stacklevel_outside
+from .util import FLAG_ERRORS, flag_cells, scalar_in_scalar_out, stacklevel_outside
 
 # |t_p| below this leaves the phase (and its derivative) undefined
 _TP_FLOOR = 1e-14
@@ -75,8 +75,8 @@ def _local_unwrap(center, value):
 
 
 @scalar_in_scalar_out
-def _delays(ep, delta, method="analytic", h=None, flags=""):
-    """The ProbeResponse, the DelayResult and the per-cell flags over the
+def _delays(ep, delta, method="analytic", h=None, flags=0):
+    """The ProbeResponse, the DelayResult and the per-cell flag codes over the
     broadcast of ep and delta, from one pass of the closed-form kernel.
 
     On top of the incoming flags: DegenerateDenominator where the kernel
@@ -113,7 +113,7 @@ def _delays(ep, delta, method="analytic", h=None, flags=""):
         tau = (4.0 * d2 - d1) / 3.0
         flags = flag_cells(flags, np.abs(d1 - d2) > _RICHARDSON_RTOL * np.maximum(
             np.abs(tau), _NEUTRAL_THRESH), errors.StepTooLarge)
-    tau = np.where(flags == "", tau, np.nan)
+    tau = np.where(flags == 0, tau, np.nan)
     return pr, DelayResult(tau, method, step, _classify(tau), tp_mag), flags
 
 
@@ -137,7 +137,7 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     delta = float(delta)
     _, res, flag = _delays(ep, delta, method, h)
     if flag:
-        error = getattr(errors, flag)
+        error = FLAG_ERRORS[flag]
         raise error(f"at delta = {delta!r} (|t_p| = {res.t_p_magnitude:.3e}, "
                     f"h = {res.step!r}): {error.__doc__}")
     return res

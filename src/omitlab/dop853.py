@@ -49,6 +49,7 @@ license:
     OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step):
         raise ValueError("y0 must be a 1-d array of finite values")
 
     K = np.empty((_N_STAGES + 1, y.size), dtype=complex)
+    # (stages so far, weights, node) of stages 1-11, then the stages of the
+    # solution and of the error estimates, as views built once
+    stages = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STEP_STAGES, start=1)]
+    solution, estimates = K[:_N_STAGES].T, K.T
     f = np.asarray(fun(t, y), dtype=complex)
     nfev = 1
     abs_y = np.abs(y)
@@ -181,25 +186,28 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step):
     ts, ys = [t], [y]
     message = _REACHED_END
     while t < t_end:
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_end)
             h_abs = h = t_new - t
             K[0] = f
-            for s, (a, c) in enumerate(_STEP_STAGES, start=1):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:_N_STAGES].T, _B_C)
+            for s, (k, a, c) in enumerate(stages, start=1):
+                K[s] = fun(t + c * h, y + np.dot(k, a) * h)
+            y_new = y + h * np.dot(solution, _B_C)
             K[_N_STAGES] = fun(t + h, y_new)
             nfev += _N_STAGES
 
             abs_new = np.abs(y_new)
             scale = atol + np.maximum(abs_y, abs_new) * rtol
-            e5 = np.linalg.norm(np.dot(K.T, _E5_C) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K.T, _E3_C) / scale) ** 2
+            # the squared 2-norms, as np.linalg.norm takes them
+            z5 = np.dot(estimates, _E5_C) / scale
+            z3 = np.dot(estimates, _E3_C) / scale
+            e5 = math.sqrt(z5.real.dot(z5.real) + z5.imag.dot(z5.imag)) ** 2
+            e3 = math.sqrt(z3.real.dot(z3.real) + z3.imag.dot(z3.imag)) ** 2
             error_norm = (0.0 if e5 == 0 and e3 == 0 else
-                          h * e5 / np.sqrt((e5 + 0.01 * e3) * y.size))
+                          h * e5 / math.sqrt((e5 + 0.01 * e3) * y.size))
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT))

@@ -7,11 +7,12 @@ With a stable steady state the probe drive e^{-i delta t} has period
 T = 2 pi/|delta|, and the late-time state is the system's T-periodic orbit.
 oracle_check finds that orbit by shooting: it starts from the linear
 response of the flow's own field, takes a monodromy matrix from finite
-differences over one period, then Newton steps on y(T) = y(0), and
-integrates one more period of the orbit together with the quadratures that
-demodulate it. So a check costs three periods of integration whatever the
-damping (four at some detunings): 447-628 right-hand-side calls across the
-band 0.9-1.1 omega_m, at Q = 50 and at the production Q = 1.2e5 alike. The
+differences over one period, then Newton steps on y(T) = y(0). Every run
+carries the quadratures that demodulate the orbit, and those of the
+converged states follow from the last run's by a first-order correction
+over the last step. So a check costs two periods of integration whatever
+the damping: 266 right-hand-side calls and 2 Newton steps across the band
+0.9-1.1 omega_m, at Q = 50 and at the production Q = 1.2e5 alike. The
 check integrates the configured system, mirror Q included: a relaxed
 damping is a config with smaller Q1 and Q2. A largest Floquet multiplier
 |mu| >= 1 means the steady state is unstable and has no steady sidebands;
@@ -97,31 +98,35 @@ def _flow(cfg, delta):
             f"|delta| = {abs(delta):.4g} rad/s is below 1/{_MAX_BEAT_PERIODS:g} "
             f"of the flow's fastest rate {rate:.4g} rad/s: its beat period "
             f"2 pi/|delta| is too long to integrate")
-    first_step = 0.01 / rate
     period = 2 * math.pi / abs(delta)
+    # a first step from the configuration and delta alone, so that a run's
+    # steps, and so the estimates, do not depend on an earlier run
+    first_step = min(period / 16, 1 / rate)
 
     def rhs_of(eps_ps, width):
         # Python-scalar arithmetic: on a few copies of 5 components, numpy's
         # per-call overhead would cost more than the arithmetic itself
+        copies = [(width * j, eps) for j, eps in enumerate(eps_ps)]
+
         def rhs(t, y):
             probe = cmath.exp(-1j * delta * t)
             y = y.tolist()
             out = []
-            for j, eps in enumerate(eps_ps):
-                phi1, lz1, phi2, lz2, a = y[width * j:width * j + 5]
+            for k, eps in copies:
+                phi1, lz1, phi2, lz2, a = y[k:k + 5]
                 phi1, lz1, phi2, lz2 = phi1.real, lz1.real, phi2.real, lz2.real
                 inten = a.real * a.real + a.imag * a.imag
-                out += [om1 * lz1,
+                out += (om1 * lz1,
                         -om1 * phi1 - g1 * inten - gam1 * lz1,
                         om2 * lz2,
                         -om2 * phi2 + g2 * inten - gam2 * lz2,
                         ((-1j * (delta0 + g1 * phi1 - g2 * phi2) - kappa) * a
-                         + eps_c + eps * probe)]
+                         + eps_c + eps * probe))
                 if width == 9:
                     d = a - a_ss
-                    out += [a / period, a * probe.conjugate() / period,
+                    out += (a / period, a * probe.conjugate() / period,
                             a * probe / period,
-                            (d.real * d.real + d.imag * d.imag) / period]
+                            (d.real * d.real + d.imag * d.imag) / period)
             return out
         return rhs
 
@@ -155,13 +160,13 @@ def _complex(x):
 
 @dataclass(frozen=True)
 class _Orbit:
-    """Initial states, one row per probe amplitude, of the periodic orbit of
-    period T, with the run that integrates them and the shooting's cost."""
+    """Initial states, one row per probe amplitude, of the periodic orbit,
+    the quadratures of _flow over one period from them (one row of 4 per
+    amplitude, as _demodulate reads them) and the shooting's cost."""
 
-    run: object
     states: object
+    quadratures: object
     eps_ps: tuple
-    period: float
     newton_iterations: int
     floquet_max: float
     rhs_evals: int
@@ -187,23 +192,36 @@ def _linear_starts(J, y_ss, eps_ps, delta):
 
 def _periodic_orbit(cfg, delta):
     """Shoot for the orbit of period T = 2 pi/|delta| that the probe drive
-    e^{-i delta t} forces at the full and at half the probe amplitude.
+    e^{-i delta t} forces at the full and at half the probe amplitude, and
+    demodulate it on the shooting's own runs.
 
     The shooting starts from the linear response of the flow's own field
     (_linear_starts), its Jacobian J at the steady state taken by central
     differences (_jacobian). One stacked run over T carries that start once
-    per amplitude and six copies of the full-amplitude one, perturbed along
-    phi1, lz1, phi2, lz2, Re a and Im a. Their end states give the residuals
-    y(T) - y(0) and, by finite differences, the monodromy matrix M. Newton
-    steps (M' - I) s = -(y(T) - y(0)), with M' held fixed and every
-    amplitude stacked in one run per step, move the initial states until a
-    step is below _TOL in the integrator's atol scale: the integration's
-    own residual decides, M' only steers. M' is M at the full amplitude and
-    (M + e^{JT})/2 at the half: to first order M is linear in the
-    amplitude, and e^{JT} is M at amplitude 0. J and the start only steer
-    too; the closed form plays no part. Raises Unstable if the largest
-    Floquet multiplier |mu| (the largest |eigenvalue| of M) is >= 1, and
-    StepFailure if Newton has not converged after _MAX_NEWTON steps.
+    per amplitude and six copies of the full-amplitude one, perturbed by h_k
+    along phi1, lz1, phi2, lz2, Re a and Im a. Their end states give the
+    residuals y(T) - y(0) and, by finite differences, the monodromy matrix
+    M. Newton steps (M' - I) s = -(y(T) - y(0)), with M' held fixed and
+    every amplitude stacked in one run per step, move the initial states
+    until a step is below _TOL in the integrator's atol scale: the
+    integration's own residual decides, M' only steers. M' is M at the full
+    amplitude and (M + e^{JT})/2 at the half: to first order M is linear in
+    the amplitude, and e^{JT} is M at amplitude 0. J and the start only
+    steer too; the closed form plays no part.
+
+    Every copy of every run carries the quadratures of _flow, so the last
+    run has those of the states x it started from. The final step s moves
+    the states to x + s, and their quadratures to q(x) + Dq _real(s) to
+    first order, Dq = (q_k - q)/h_k the derivative of the full-amplitude
+    quadratures with respect to the real start, from the perturbed copies
+    of the first run. s is below atol, so the rest is far below the
+    integration error, and no run is spent on the converged states: a
+    check integrates one period per Newton step, two across the band
+    0.9-1.1 omega_m.
+
+    Raises Unstable if the largest Floquet multiplier |mu| (the largest
+    |eigenvalue| of M) is >= 1, and StepFailure if Newton has not converged
+    after _MAX_NEWTON steps.
     """
     run, y_ss, eps_p, floor, field = _flow(cfg, delta)
     if eps_p == 0:
@@ -215,11 +233,12 @@ def _periodic_orbit(cfg, delta):
     J = _jacobian(field, y_ss, scale)
     states = _linear_starts(J, y_ss, eps_ps, delta)
     h = math.sqrt(_TOL) * scale
-    sol = run(np.vstack([states, states[0] + _complex(np.diag(h))]),
-              eps_ps + (eps_ps[0],) * 6, period)
+    starts = np.vstack([states, states[0] + _complex(np.diag(h))])
+    sol = run(np.hstack([starts, np.zeros((n + 6, 4))]), eps_ps + (eps_ps[0],) * 6, period)
     rhs_evals = sol.nfev
-    ends = sol.y[:, -1].reshape(-1, 5)
-    M = (_real(ends[n:]) - _real(ends[0])).T / h
+    ends = sol.y[:, -1].reshape(-1, 9)
+    M = (_real(ends[n:, :5]) - _real(ends[0, :5])).T / h
+    dq = (ends[n:, 5:] - ends[0, 5:]).T / h
     floquet_max = float(np.max(np.abs(np.linalg.eigvals(M))))
     if floquet_max >= 1.0:
         raise Unstable(
@@ -230,23 +249,26 @@ def _periodic_orbit(cfg, delta):
     lam, V = np.linalg.eig(J)
     linear = ((V * np.exp(lam * period)) @ np.linalg.inv(V)).real  # e^{JT}
     shooting = np.stack([M, (M + linear) / 2]) - np.eye(6)
-    residual = ends[:n] - states
+    ends = ends[:n]
+    residual = ends[:, :5] - states
     for iteration in range(1, _MAX_NEWTON + 1):
-        step = _complex(np.linalg.solve(shooting, -_real(residual)[..., None])[..., 0])
+        real_step = np.linalg.solve(shooting, -_real(residual)[..., None])[..., 0]
+        step = _complex(real_step)
         states = states + step
         atol = _TOL * np.maximum(np.abs(states), floor)
         if np.all(np.abs(step) <= atol):
             break
-        sol = run(states, eps_ps, period)
+        sol = run(np.hstack([states, np.zeros((n, 4))]), eps_ps, period)
         rhs_evals += sol.nfev
-        residual = sol.y[:, -1].reshape(n, 5) - states
+        ends = sol.y[:, -1].reshape(n, 9)
+        residual = ends[:, :5] - states
     else:
         raise StepFailure(
             f"periodic orbit not found in {_MAX_NEWTON} Newton steps: "
             f"|y(T) - y(0)| is {np.max(np.abs(residual) / atol):.3e} times atol")
-    return _Orbit(run=run, states=states, eps_ps=eps_ps, period=period,
-                  newton_iterations=iteration, floquet_max=floquet_max,
-                  rhs_evals=int(rhs_evals))
+    return _Orbit(states=states, quadratures=ends[:, 5:] + real_step @ dq.T,
+                  eps_ps=eps_ps, newton_iterations=iteration,
+                  floquet_max=floquet_max, rhs_evals=int(rhs_evals))
 
 
 def _demodulate(q, eps_p, a_ss):
@@ -271,7 +293,7 @@ def _demodulate(q, eps_p, a_ss):
 class OracleReport:
     """Closed form vs time domain at one detuning of the configured system.
     fit_residual carries the integration error of the power quadrature it
-    is the small difference of (up to 9 % high at _TOL = 1e-10); passed
+    is the small difference of (up to 11 % high at _TOL = 1e-10); passed
     does not use it."""
 
     delta: float
@@ -311,8 +333,8 @@ def oracle_check(cfg, delta):
     """Compare the closed form with the time domain of cfg at one detuning.
 
     The periodic orbit is found by shooting (_periodic_orbit) for the full
-    and the half probe amplitude together; one more period of each carries
-    the quadratures that demodulate it. Thresholds: a0 within 1e-6, a_plus
+    and the half probe amplitude together, and demodulated from the
+    quadratures the shooting's runs carry. Thresholds: a0 within 1e-6, a_plus
     within 1e-3, a_minus within 1e-2 relative; halving eps_p must change
     the a_plus estimate by < 1e-3 relative (linearity). rhs_evals counts
     the right-hand-side calls of every integration of the check. Raises
@@ -321,12 +343,9 @@ def oracle_check(cfg, delta):
     """
     delta = float(delta)
     orbit = _periodic_orbit(cfg, delta)
-    n = len(orbit.eps_ps)
-    sol = orbit.run(np.hstack([orbit.states, np.zeros((n, 4))]), orbit.eps_ps,
-                    orbit.period)
     ss = solve_steady(cfg)
     eps_p, eps_half = orbit.eps_ps
-    q, q_half = sol.y[:, -1].reshape(n, 9)[:, 5:].tolist()
+    q, q_half = orbit.quadratures.tolist()
     a0_est, a_plus_est, a_minus_est, fit_residual = _demodulate(q, eps_p, ss.a0)
     a_plus_half = _demodulate(q_half, eps_half, ss.a0)[1]
 
@@ -344,6 +363,6 @@ def oracle_check(cfg, delta):
         passed=all(errs[field] < thr for _, field, thr in _THRESHOLDS),
         a_plus_est=a_plus_est, a_plus_closed=sb.a_plus,
         a_minus_est=a_minus_est, a_minus_closed=sb.a_minus,
-        rhs_evals=orbit.rhs_evals + int(sol.nfev),
+        rhs_evals=orbit.rhs_evals,
         newton_iterations=orbit.newton_iterations,
         floquet_max=orbit.floquet_max)

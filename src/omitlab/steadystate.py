@@ -26,11 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import errors
-from .errors import ConfigError, NumericalError, RootRefinementError
+from .errors import (ConfigError, MissingBranch, NumericalError,
+                     RootRefinementError)
 from .model import (config_fingerprint, config_grid, derive_constants,
                     fold_steady_state)
-from .util import flag_cells, stacklevel_outside, with_python_scalars
+from .util import FLAG_ERRORS, flag_cells, stacklevel_outside, with_python_scalars
 
 # Newton steps per root before its cell is flagged RootRefinementError
 _MAX_STEPS = 100
@@ -65,8 +65,8 @@ class Branches:
     """Steady states over a configuration grid. delta_prime, a0 and n (the
     roots of the cubic; None at a fixed effective detuning) have a leading
     branch axis: the real branches in ascending photon number, then nan.
-    count is the number of real branches and flags the error name of each
-    failed cell ("" elsewhere)."""
+    count is the number of real branches and flags the flag code of each
+    cell (util.FLAG_ERRORS: the error of a failed cell, 0 elsewhere)."""
 
     delta_prime: object
     a0: object
@@ -94,7 +94,7 @@ def _branches(cfg, dc, delta_prime, flags, n=None):
 def fixed_branches(cfg, dc, delta_prime):
     """Branches at a prescribed effective detuning: one per cell."""
     shape = (1,) + np.broadcast(cfg.kappa, dc.eps_c).shape
-    return _branches(cfg, dc, np.full(shape, float(delta_prime)), "")
+    return _branches(cfg, dc, np.full(shape, float(delta_prime)), 0)
 
 
 def _cubic(n, kappa, delta0, chi, eps2):
@@ -162,16 +162,16 @@ def self_consistent_branches(cfg, dc, delta0):
         warnings.warn("bistable point: three steady-state branches",
                       stacklevel=stacklevel_outside())
     return _branches(cfg, dc, delta0 - chi * n,
-                     flag_cells("", stalled, RootRefinementError), n)
+                     flag_cells(0, stalled, RootRefinementError), n)
 
 
 def _states(cfg, dc, br, where):
-    """SteadyState list of one configuration; raises the error its flag names."""
-    flag = br.flags.item()
-    if flag:
-        what = ("Newton steps did not settle" if flag == "RootRefinementError"
+    """SteadyState list of one configuration; raises the error of its flag."""
+    error = FLAG_ERRORS[br.flags.item()]
+    if error:
+        what = ("Newton steps did not settle" if error is RootRefinementError
                 else "residual exceeds tolerance")
-        raise getattr(errors, flag)(f"steady state at {where}: {what} ({flag})")
+        raise error(f"steady state at {where}: {what} ({error.__name__})")
     fp = config_fingerprint(cfg)
     # fixed mode: n and the displacements from |a0|^2; else from the root
     n = [abs(a) ** 2 for a in br.a0.tolist()] if br.n is None else br.n
@@ -194,7 +194,7 @@ def _solve(cfg, dc, branch):
     if branch < 0:
         raise ConfigError(f"branch {branch} out of range: branches count from 0")
     br = self_consistent_branches(cfg, dc, mode.value)
-    return replace(br, flags=flag_cells(br.flags, br.count <= branch, errors.MissingBranch))
+    return replace(br, flags=flag_cells(br.flags, br.count <= branch, MissingBranch))
 
 
 def steady_states(cfg):
@@ -213,7 +213,7 @@ def solve_steady(cfg, branch=0):
     ascending-n roots (default 0, the lowest branch)."""
     dc = derive_constants(cfg)
     br = _solve(cfg, dc, branch)
-    if br.flags == "MissingBranch":
+    if FLAG_ERRORS[br.flags.item()] is MissingBranch:
         raise ConfigError(f"branch {branch} out of range: {br.count} "
                           f"branch(es) at this drive")
     return _states(cfg, dc, br, repr(cfg.detuning_mode))[branch]
@@ -222,11 +222,11 @@ def solve_steady(cfg, branch=0):
 def effective_grid(cfg, branch=0, **axes):
     """EffectiveParams and per-cell flags over config_grid(cfg, **axes),
     from one batched steady-state solve; a failed cell (MissingBranch where
-    it lacks the branch) keeps its error name and parameters with a0 = 0."""
+    it lacks the branch) keeps its flag and parameters with a0 = 0."""
     c = config_grid(cfg, **axes)
     dc = derive_constants(c)
     br = _solve(c, dc, branch)
-    ok = br.flags == ""
+    ok = br.flags == 0
     k = min(branch, len(br.delta_prime) - 1)  # a placeholder if every cell failed
     ep = fold_steady_state(c, dc, np.where(ok, br.delta_prime[k], 0.0),
                            np.where(ok, br.a0[k], 0.0))

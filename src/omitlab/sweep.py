@@ -19,7 +19,7 @@ from .delay import _classify, _delays, unwrap_phase
 from .errors import ConfigError
 from .model import config_fingerprint, effective_params
 from .steadystate import effective_grid, solve_steady
-from .util import render_csv, repr_cells, text_cells
+from .util import flag_text, render_csv, repr_cells, text_cells
 
 _DIP_PROMINENCE = 1e-3
 _AXIS_NAMES = ("P", "L", "kappa", "Q1", "Q2", "Delta")
@@ -47,7 +47,9 @@ def _refine_grid(grid, ep):
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Aligned response series over a strictly increasing detuning grid."""
+    """Aligned response series over a strictly increasing detuning grid;
+    flags holds the uint8 flag code of each point (flag_names gives their
+    names)."""
 
     delta_grid: object
     omega_m: float
@@ -85,7 +87,7 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
     return SpectrumSeries(
         delta_grid=grid, omega_m=ep.omega_m, nu_p=pr.nu_p, u_p=pr.u_p,
         phase_unwrapped=unwrap_phase(pr.phase), tau_g=res.tau_g,
-        flags=flags.tolist(), config_fingerprint=config_fingerprint(cfg))
+        flags=flags, config_fingerprint=config_fingerprint(cfg))
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,9 @@ def find_dips(series):
 
 @dataclass(frozen=True)
 class Map2D:
-    """Long-format 2-D map: values[i, j] at (axis1_grid[i], axis2_grid[j])."""
+    """Long-format 2-D map: values[i, j] at (axis1_grid[i], axis2_grid[j]),
+    and flags[i, j] the uint8 flag code of the cell (flag_names gives their
+    names)."""
 
     axis1_name: str
     axis1_grid: object
@@ -232,11 +236,11 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0, method=
     dlt = np.broadcast_to(dlt, (g1.size, g2.size))
     ep, flags = effective_grid(cfg, branch, **axes)
     pr, res, flags = _delays(ep, dlt, method, flags=flags)
-    values = np.where(flags == "", pr.nu_p if observable == "nu_p" else res.tau_g,
+    values = np.where(flags == 0, pr.nu_p if observable == "nu_p" else res.tau_g,
                       np.nan)
     return Map2D(axis1_name=n1, axis1_grid=g1, axis2_name=n2, axis2_grid=g2,
                  observable=observable, delta=delta, values=values,
-                 flags=flags.tolist(), config_fingerprint=config_fingerprint(cfg))
+                 flags=flags, config_fingerprint=config_fingerprint(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +256,14 @@ def _map_csv(header, m, axis1, axis2, *columns):
     """CSV text of map m: its axes' cells, each formatted once, in C order
     (axis1 slowest), the cells of the (n1, n2) columns, then the flags."""
     return render_csv(header, np.repeat(axis1, len(axis2), axis=0),
-                      np.tile(axis2, (len(axis1), 1)), *columns, text_cells(m.flags))
+                      np.tile(axis2, (len(axis1), 1)), *columns, flag_text(m.flags))
 
 
 def spectrum_csv(series):
     grid = np.asarray(series.delta_grid, dtype=float)
     return render_csv(SPECTRUM_HEADER, *map(repr_cells, (
         grid / series.omega_m, series.nu_p, series.u_p, series.phase_unwrapped,
-        np.asarray(series.tau_g) * 1e6)), text_cells(series.flags))
+        np.asarray(series.tau_g) * 1e6)), flag_text(series.flags))
 
 
 def map_csv(m):

@@ -1,4 +1,4 @@
-"""Small shared helpers: per-cell flag masks, Python scalars out of batched
+"""Small shared helpers: per-cell flag codes, Python scalars out of batched
 results, warning stacklevels, atomic file output, hashing, and the text
 of the CSV and SVG writers: columns of cells, (rows, width) uint8 arrays of
 ASCII padded with NUL bytes anywhere, read side by side without the NULs.
@@ -14,11 +14,29 @@ import sys
 
 import numpy as np
 
+from .errors import (DegenerateDenominator, MissingBranch, NearZeroTransmission,
+                     NumericalError, RootRefinementError, StepTooLarge)
+
+# the errors that flag a cell: a flag is a uint8 code, the index of its
+# error here, and 0 (None) for none. They are in the order of the lengths
+# of their names, so the largest code present sets a flag column's width
+FLAG_ERRORS = (None, StepTooLarge, MissingBranch, NumericalError, RootRefinementError,
+               NearZeroTransmission, DegenerateDenominator)
+FLAG_NAMES = ("", *(e.__name__ for e in FLAG_ERRORS[1:]))
+
 
 def flag_cells(flags, mask, error):
-    """Per-cell flags: the name of the exception class error in the cells of
-    mask that flags ("" = none yet, broadcast against mask) leaves empty."""
-    return np.where((flags == "") & mask, error.__name__, flags)
+    """Per-cell flag codes: the code of the exception class error in the
+    cells of mask that flags (0 = none yet, broadcast against mask) leaves
+    0."""
+    return np.where((flags == 0) & mask, np.uint8(FLAG_ERRORS.index(error)),
+                    flags).astype(np.uint8, copy=False)
+
+
+def flag_names(flags):
+    """The names of the flag codes flags, as a str array of their shape: ""
+    or the name of the error of each cell."""
+    return np.asarray(np.array(FLAG_NAMES)[flags])
 
 
 def with_python_scalars(cls, **values):
@@ -100,10 +118,11 @@ def fingerprint_dict(d):
 
 _ZERO, _DOT, _MINUS = 48, 46, 45
 _EXP_MINUS = np.frombuffer(b"e-", np.uint8)
-# 10**p = _POW10[p] + _POW10_TAIL[p] exactly for p <= 45: 10**p = 2**p 5**p,
-# and 5**p < 2**106 splits into two doubles (the tail is 0 up to p = 22)
-_POW10 = np.array([float(10 ** p) for p in range(46)])
-_POW10_TAIL = np.array([float(10 ** p - int(float(10 ** p))) for p in range(46)])
+# 10**p = _POW10[p] + _POW10_TAIL[p] exactly for p <= 46: 10**p = 2**p 5**p,
+# and 5**p < 2**107 is a double plus an integer tail below 2**53 (the tail
+# is 0 up to p = 22)
+_POW10 = np.array([float(10 ** p) for p in range(47)])
+_POW10_TAIL = np.array([float(10 ** p - int(float(10 ** p))) for p in range(47)])
 # the bound on the rounding of the comparisons of repr_cells where the tail
 # is not 0, about 50 times their worst case
 _MARGIN = 2.0 ** -40
@@ -154,36 +173,48 @@ def _fallback(cells, a, slow, fmt):
     return cells
 
 
-def repr_cells(a):
-    """repr of each float of a (raveled), as cells. For finite 1e-29 <= |x|
-    < 1e16, v = |x| 10**p has 17 integer digits, and x's rounding interval
-    is v +- h, 0.5 < h < 11.1 (ends included for an even mantissa): the
-    shortest digits are the multiple of 100 in it if any, else the nearer
-    multiple of 10 if in it, else the nearest integer. Below 1e-4 they are
-    written in repr's scientific notation, d.ddde-XX. Up to p = 22 (|x| >=
-    1e-6), v = hi + lo exactly and the comparisons are exact; beyond, 10**p
-    is the exact sum of two doubles, v and h are rounded by less than 2e-14,
-    and a comparison within _MARGIN takes repr. The rest, a power-of-two
-    mantissa (an asymmetric interval) and two nearest candidates take repr
-    too."""
-    a = np.ravel(np.asarray(a, dtype=float))
-    x = np.abs(a)
-    fast = (x >= 1e-29) & (x < 1e16)
-    x = np.where(fast, x, 1.0)
-    e10 = np.floor(np.log10(x)).astype(np.int64).clip(-29, 15)
+def _scaled(x, e10, e2):
+    """(n, f, h, rounded): v = x 10**p = n + f, p = 16 - e10, n an integer
+    and 0 <= f < 1; h, half the spacing of the doubles at x scaled alike;
+    and the rows whose 10**p has a tail, or None if there are none (a
+    reduction costs less than a search on the positional rows alone)."""
     p = 16 - e10
     hi, lo = _two_product(x, p)
-    m, e2 = np.frexp(x)
     h = np.ldexp(_POW10[p], e2 - 54)
-    # the rows whose 10**p has a tail, if any (a reduction costs less than
-    # a search on the positional rows alone)
     rounded = np.flatnonzero(p > 22) if e10.min(initial=0) < -6 else None
     if rounded is not None:
         pr = p[rounded]
         lo[rounded] += x[rounded] * _POW10_TAIL[pr]
         h[rounded] += np.ldexp(_POW10_TAIL[pr], e2[rounded] - 54)
     floor = np.floor(lo)
-    n, f = hi.astype(np.int64) + floor.astype(np.int64), lo - floor  # v = n + f
+    return hi.astype(np.int64) + floor.astype(np.int64), lo - floor, h, rounded
+
+
+def repr_cells(a):
+    """repr of each float of a (raveled), as cells. For finite 1e-29 <= |x|
+    < 1e16, v = |x| 10**p has 17 integer digits, and x's rounding interval
+    is v +- h, 0.5 < h < 11.1 (ends included for an even mantissa): the
+    shortest digits are the multiple of 100 in it if any, else the nearer
+    multiple of 10 if in it, else the nearest integer; 10**17 among them is
+    the digit 1 one exponent up. Below 1e-4 they are written in repr's
+    scientific notation, d.ddde-XX. Up to p = 22 (|x| >= 1e-6), v = hi + lo
+    exactly and the comparisons are exact; beyond, 10**p is the exact sum
+    of two doubles, v and h are rounded by less than 2e-14, and a
+    comparison within _MARGIN takes repr. The rest, a power-of-two mantissa
+    (an asymmetric interval) and two nearest candidates take repr too."""
+    a = np.ravel(np.asarray(a, dtype=float))
+    x = np.abs(a)
+    fast = (x >= 1e-29) & (x < 1e16)
+    x = np.where(fast, x, 1.0)
+    m, e2 = np.frexp(x)
+    e10 = np.floor(np.log10(x)).astype(np.int64).clip(-29, 15)
+    n, f, h, rounded = _scaled(x, e10, e2)
+    # log10 rounds up to k at the doubles just below 10**k, where v has 16
+    # digits: one exponent down, they have 17
+    short = n < 10 ** 16
+    if short.any():
+        e10 -= short
+        n, f, h, rounded = _scaled(x, e10, e2)
     half = m * 2.0 ** 52  # half the integer mantissa, exact
     even = np.floor(half) == half
     r10, r100 = (n % 10).astype(float), (n % 100).astype(float)
@@ -199,7 +230,9 @@ def repr_cells(a):
         tie[rounded] |= np.any(np.abs([
             d100[rounded] - h[rounded], d10[rounded] - h[rounded],
             np.where(in10[rounded], t10[rounded] - 5.0, f[rounded] - 0.5)]) <= _MARGIN, axis=0)
-    fast &= (n >= 10 ** 16) & (c < 10 ** 17) & ~tie & (m != 0.5)
+    fast &= (n >= 10 ** 16) & (n < 10 ** 17) & (c <= 10 ** 17) & ~tie & (m != 0.5)
+    up = c == 10 ** 17
+    c, e10 = np.where(up, 10 ** 16, c), e10 + up
 
     # the rows of each exponent are laid out with static slices: column 0
     # for the sign, then the integer digits, '.' and the fraction, or '0.',
@@ -209,7 +242,7 @@ def repr_cells(a):
     cells = np.zeros((a.size, 23), np.uint8)
     cells[:, 0] = np.signbit(a) * np.uint8(_MINUS)
     key = np.where(fast, e10, 16)
-    for e in (np.flatnonzero(np.bincount(key + 29, minlength=46)[:45]) - 29).tolist():
+    for e in (np.flatnonzero(np.bincount(key + 30, minlength=47)[:46]) - 30).tolist():
         rows = np.flatnonzero(key == e)
         g, block = d[rows], cells[rows]
         if e >= 0:  # NUL (a trimmed zero) is '0' in the integer part and .0
@@ -255,6 +288,16 @@ def text_cells(strings):
     """Cells of ASCII strings: a sequence, nested sequences or an array."""
     b = np.asarray(strings, dtype="S").ravel()
     return b.view(np.uint8).reshape(b.size, b.itemsize)
+
+
+_FLAG_CELLS = text_cells(FLAG_NAMES)
+
+
+def flag_text(flags):
+    """Cells of the names of the flag codes flags (raveled), as wide as the
+    longest of them."""
+    flags = np.ravel(flags)
+    return _FLAG_CELLS[flags, :len(FLAG_NAMES[flags.max(initial=0)])]
 
 
 def table_text(*parts, head=""):

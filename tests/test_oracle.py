@@ -357,17 +357,20 @@ def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
     delta = x * cfg.omega_m
     c = replace(cfg, Q1=50.0, Q2=50.0)
     rep, runs = _oracle_runs(c, delta, monkeypatch)
-    # a Newton step's run: the full and the half amplitude, 5 components each
+    # a Newton step's run: the full and the half amplitude, 5 components of
+    # state and 4 quadratures each; the long run starts both copies at the
+    # steady state
     fun, _, y0, options = runs[1]
-    assert y0.size == 2 * 5
+    assert y0.size == 2 * 9
     _, y_ss, eps_p, _, _ = om._flow(c, delta)
     duration = 40.0 / _gamma_min(c)
     period = 2 * math.pi / delta
     t = np.linspace(duration - period, duration, 4096, endpoint=False)
-    sol = scipy_solve_ivp(fun, (0.0, duration), np.tile(y_ss, 2), method="DOP853",
+    start = np.tile(np.concatenate([y_ss, np.zeros(4)]), 2)
+    sol = scipy_solve_ivp(fun, (0.0, duration), start, method="DOP853",
                           t_eval=t, **options)
     fit = _lstsq_fit(t, sol.y[4], delta, eps_p)
-    fit_half = _lstsq_fit(t, sol.y[9], delta, 0.5 * eps_p)
+    fit_half = _lstsq_fit(t, sol.y[9 + 4], delta, 0.5 * eps_p)
     ss = solve_steady(c)
     sb = sideband_amplitudes(effective_params(c, ss), delta, a0=ss.a0)
     errs = {"a0_rel_err": om._rel(fit[0], ss.a0),
@@ -382,12 +385,14 @@ def test_periodic_orbit_closes_over_twenty_periods(cfg):
     """The converged states return to themselves within _TOL after 20 more
     periods, where the steady state they started from does not."""
     c = replace(cfg, Q1=50.0, Q2=50.0)
-    orbit = om._periodic_orbit(c, 0.93 * cfg.omega_m)
+    delta = 0.93 * cfg.omega_m
+    orbit = om._periodic_orbit(c, delta)
+    run = om._flow(c, delta)[0]
     ss = solve_steady(c)
     y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, ss.a0])
     atol = om._TOL * np.maximum(np.abs(orbit.states), max(abs(ss.a0), 1.0))
     for start, closes in ((orbit.states, True), (np.tile(y_ss, (2, 1)), False)):
-        ends = orbit.run(start, orbit.eps_ps, 20 * orbit.period).y[:, -1]
+        ends = run(start, orbit.eps_ps, 20 * 2 * math.pi / delta).y[:, -1]
         assert np.all(np.abs(ends.reshape(2, 5) - start) <= atol) == closes
 
 
@@ -410,13 +415,35 @@ _A0_PASSES = (0.9, 0.97, 1.0, 1.1)
 def test_oracle_at_the_configured_q_across_the_band(cfg, x):
     """At the configured Q = 1.2e5 the oracle gives the verdicts it gives
     at Q = 50: a pass, or a failure on a0 alone; and a check takes at most
-    3 Newton steps and 640 right-hand-side calls."""
+    2 Newton steps and 300 right-hand-side calls."""
     rep = oracle_check(cfg, x * cfg.omega_m)
     over = [label for label, field, thr in om._THRESHOLDS
             if not getattr(rep, field) < thr]
     assert over == ([] if x in _A0_PASSES else ["a0"])
     assert rep.passed == (not over)
-    assert rep.rhs_evals <= 640 and rep.newton_iterations <= 3
+    assert rep.rhs_evals <= 300 and rep.newton_iterations <= 2
+
+
+@pytest.mark.parametrize("q", [50.0, 1.2e5])
+@pytest.mark.parametrize("x", _A0_FAILS + _A0_PASSES)
+def test_demodulated_orbit_matches_one_more_period(cfg, q, x):
+    """The quadratures the shooting carries to the converged states, with
+    their first-order correction over the last step, give the estimates of
+    one more period integrated from those states with the quadratures:
+    within 1e-10 relative, at every band point and both Q."""
+    c = replace(cfg, Q1=q, Q2=q)
+    delta = x * cfg.omega_m
+    orbit = om._periodic_orbit(c, delta)
+    n = len(orbit.eps_ps)
+    sol = om._flow(c, delta)[0](np.hstack([orbit.states, np.zeros((n, 4))]),
+                                orbit.eps_ps, 2 * math.pi / delta)
+    a_ss = solve_steady(c).a0
+    for q_est, q_run, eps in zip(orbit.quadratures.tolist(),
+                                 sol.y[:, -1].reshape(n, 9)[:, 5:].tolist(), orbit.eps_ps):
+        est = om._demodulate(q_est, eps, a_ss)[:3]
+        ref = om._demodulate(q_run, eps, a_ss)[:3]
+        for x_est, x_ref in zip(est, ref):
+            assert abs(x_est - x_ref) <= 1e-10 * abs(x_ref)
 
 
 @pytest.mark.parametrize("q", [50.0, 1.2e5])

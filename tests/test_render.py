@@ -3,6 +3,7 @@ repr for CSV floats and the .2f f-string for SVG coordinates, byte for byte,
 and every CSV and SVG writer against a rendering that formats value by
 value."""
 
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 import omitlab.svgplot as svgplot
 import omitlab.sweep as sweep
 import omitlab.util as util
-from omitlab import (SelfConsistent, default_config, delay_map_csv, map_csv,
-                     spectrum_csv, spectrum_sweep, sweep_2d)
+from omitlab import (DegenerateDenominator, NumericalError, SelfConsistent,
+                     default_config, delay_map_csv, map_csv, spectrum_csv,
+                     spectrum_sweep, sweep_2d)
 from omitlab.svgplot import heatmap_svg, line_svg
 from omitlab.sweep import SPECTRUM_HEADER
-from omitlab.util import fixed_cells, repr_cells, table_text, text_cells
+from omitlab.util import (FLAG_ERRORS, fixed_cells, flag_names, repr_cells,
+                          table_text, text_cells)
 
 
 def _cells(cells):
@@ -157,14 +160,14 @@ def _maps(cfg):
                  ("Delta", np.linspace(0.95, 1.05, 5) * cfg.omega_m))
     values = m.values.copy()
     values[1, 2], values[2, 0] = np.nan, -values[2, 0]
-    flags = [list(r) for r in m.flags]
-    flags[1][2] = "NumericalError"
+    flags = m.flags.copy()
+    flags[1, 2] = FLAG_ERRORS.index(NumericalError)
     sc = replace(cfg, detuning_mode=SelfConsistent(1.5 * cfg.omega_m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # bistable points
         dm = sweep_2d(sc, ("P", np.array([1e-3, 2.5e-3, 4e-3])), ("L", np.array([0, 100, 200])),
                       observable="tau_g", delta=1.1 * cfg.omega_m, branch=1)
-    assert "MissingBranch" in {f for r in dm.flags for f in r}
+    assert "MissingBranch" in flag_names(dm.flags)
     return replace(m, values=values, flags=flags), dm
 
 
@@ -177,8 +180,8 @@ def test_writers_match_the_per_value_rendering(monkeypatch):
     series = spectrum_sweep(cfg)
     nu = series.nu_p.copy()
     nu[[5, 6, 9]] = np.nan
-    flags = list(series.flags)
-    flags[5] = flags[100] = "DegenerateDenominator"
+    flags = series.flags.copy()
+    flags[5] = flags[100] = FLAG_ERRORS.index(DegenerateDenominator)
     series = replace(series, nu_p=nu, flags=flags)
     m, dm = _maps(cfg)
     x = series.delta_grid / series.omega_m
@@ -194,8 +197,29 @@ def test_writers_match_the_per_value_rendering(monkeypatch):
     assert fast == render()
     # and the spectrum against the row-by-row join of the cells' str
     cols = [x, series.nu_p, series.u_p, series.phase_unwrapped, series.tau_g * 1e6]
-    rows = [",".join([*map(str, r), f]) for r, f in zip(zip(*[c.tolist() for c in cols]), flags)]
+    rows = [",".join([*map(str, r), f])
+            for r, f in zip(zip(*[c.tolist() for c in cols]), flag_names(flags).tolist())]
     assert fast[0] == "\n".join([",".join(SPECTRUM_HEADER), *rows]) + "\n"
+
+
+def test_powers_of_ten_take_the_array_path(monkeypatch):
+    """Every power of ten in [1e-29, 1e16) and both its neighbours, of
+    either sign, take the array path, except 1.0 (a power of two): log10
+    rounds up to k at the doubles just below 10**k, which the kernel
+    corrects. The bytes are repr's."""
+    fallback, slow = util._fallback, []
+
+    def spy(cells, a, rows, fmt):
+        slow.extend(a[rows].tolist())
+        return fallback(cells, a, rows, fmt)
+
+    monkeypatch.setattr(util, "_fallback", spy)
+    powers = [float(f"1e{k}") for k in range(-29, 16)]
+    x = [y for p in powers for y in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))
+         if 1e-29 <= y < 1e16]
+    x = np.array(x + [-y for y in x])
+    assert table_text(repr_cells(x), b"\n").split() == list(map(repr, x.tolist()))
+    assert slow == [1.0, -1.0]
 
 
 def test_kernel_covers_the_default_spectrum(monkeypatch):

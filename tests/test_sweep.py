@@ -10,10 +10,12 @@ import pytest
 
 from omitlab import (ConfigError, NumericalError, SelfConsistent,
                      SpectrumSeries, default_config, default_delta_grid,
-                     delay_map_csv, effective_params, find_dips, group_delay,
-                     map_csv, probe_response, solve_steady, spectrum_csv,
-                     spectrum_sweep, sweep_2d, tau_g_analytic, unwrap_phase)
+                     delay_map_csv, effective_params, find_dips, flag_names,
+                     group_delay, map_csv, probe_response, solve_steady,
+                     spectrum_csv, spectrum_sweep, sweep_2d, tau_g_analytic,
+                     unwrap_phase)
 from omitlab.delay import _classify
+from omitlab.util import FLAG_ERRORS, FLAG_NAMES
 from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER, _peaks
 
 
@@ -47,7 +49,7 @@ def test_undriven_spectrum_is_single_lorentzian(undriven_cfg):
     i = np.argmax(series.nu_p)
     assert series.delta_grid[i] == pytest.approx(cfg.omega_m, rel=1e-3)
     assert find_dips(series).count == 0
-    assert all(f == "" for f in series.flags)
+    assert all(f == "" for f in flag_names(series.flags))
 
 
 def test_driven_spectrum_has_two_dips(cfg):
@@ -236,7 +238,7 @@ def test_sweep2d_delta_axis_matches_pointwise(cfg, ep, ss):
     # L = 100 row matches the direct response evaluation
     direct = [float(probe_response(ep, float(d), a0=ss.a0).nu_p) for d in grid_d]
     np.testing.assert_allclose(m.values[1], direct, rtol=1e-12)
-    assert all(f == "" for row in m.flags for f in row)
+    assert all(f == "" for row in flag_names(m.flags) for f in row)
 
 
 def test_sweep2d_tau_over_power_and_kappa(cfg):
@@ -363,17 +365,17 @@ def test_sweep2d_matches_scalar_route(cfg, references):
         for c, ax1, ax2, obs, delta, branch in cases:
             m = sweep_2d(c, ax1, ax2, observable=obs, delta=delta, branch=branch)
             values, flags = _scalar_route(c, ax1, ax2, obs, delta, branch, references)
-            assert m.flags == flags
+            assert flag_names(m.flags).tolist() == flags
             np.testing.assert_allclose(m.values, values, rtol=1e-12, atol=0)
         # the top branch over the grid that crosses the edge of the bistable
         # region: the cells with a single branch are flagged, not the map
         # refused, and the others match the scalar route
         top = sweep_2d(sc, *cases[2][1:3], observable="tau_g", delta=1.1 * om, branch=2)
         values, flags = _scalar_route(sc, *cases[2][1:3], "tau_g", 1.1 * om, 2, references)
-        assert top.flags == flags
+        assert flag_names(top.flags).tolist() == flags
         assert {f for row in flags for f in row} == {"", "MissingBranch"}
         np.testing.assert_allclose(top.values, values, rtol=1e-12, atol=0)
-    assert m.flags == [["", ""], ["", "NearZeroTransmission"]]
+    assert flag_names(m.flags).tolist() == [["", ""], ["", "NearZeroTransmission"]]
     assert np.isnan(m.values[1, 1])
 
 
@@ -444,22 +446,56 @@ def _meshgrid_csv(header, axis1, axis2, *columns):
 
 
 def test_map_csvs_match_the_meshgrid_rendering(cfg):
-    """Formatting each axis value once and repeating it, and passing the
-    flags on from their nested lists, gives the bytes of formatting every
-    cell through an array, on grids that are not square, with and without
-    flagged cells."""
+    """Formatting each axis value once and repeating it, and the flags'
+    names from a table indexed by their codes, gives the bytes of
+    formatting every cell and every name through an array, on grids that
+    are not square, with and without flagged cells."""
     m = sweep_2d(cfg, ("L", np.array([0.0, 50.0, 125.0])),
                  ("Delta", np.linspace(0.9, 1.1, 4) * cfg.omega_m))
     dm = _delay_map(cfg, [1e-6, 2e-6], [0, 100, 200])
-    flagged_m = replace(m, flags=[["", "NumericalError", "", ""],
-                                  ["NearZeroTransmission", "", "", ""],
-                                  ["", "", "", "DegenerateDenominator"]])
-    flagged_dm = replace(dm, flags=[["", "RootRefinementError", ""],
-                                    ["NumericalError", "", ""]])
+    flagged_m = replace(m, flags=_codes([["", "NumericalError", "", ""],
+                                         ["NearZeroTransmission", "", "", ""],
+                                         ["", "", "", "DegenerateDenominator"]]))
+    flagged_dm = replace(dm, flags=_codes([["", "RootRefinementError", ""],
+                                           ["NumericalError", "", ""]]))
     for a in (m, flagged_m):
         assert map_csv(a) == _meshgrid_csv(MAP_HEADER, a.axis1_grid, a.axis2_grid,
-                                           a.values, a.flags)
+                                           a.values, flag_names(a.flags))
     for d in (dm, flagged_dm):
         assert delay_map_csv(d) == _meshgrid_csv(
             DELAY_MAP_HEADER, d.axis1_grid * 1e3, d.axis2_grid.astype(int),
-            d.values * 1e6, _classify(d.values), d.flags)
+            d.values * 1e6, _classify(d.values), flag_names(d.flags))
+
+
+def _codes(names):
+    """The flag codes of nested lists of flag names."""
+    return np.array([[FLAG_NAMES.index(n) for n in row] for row in names], np.uint8)
+
+
+def test_every_flag_code_round_trips_to_its_name(monkeypatch):
+    """Each code names its error, and the names of a code array keep its
+    shape; a map's flag column is the names of its codes, cell by cell, on
+    a self-consistent map with MissingBranch and StepTooLarge cells."""
+    assert FLAG_NAMES[0] == "" and FLAG_ERRORS[0] is None
+    for code, error in enumerate(FLAG_ERRORS[1:], start=1):
+        assert issubclass(error, NumericalError)
+        assert flag_names(np.uint8(code)) == error.__name__ == FLAG_NAMES[code]
+        assert FLAG_ERRORS.index(error) == code
+    codes = np.arange(len(FLAG_NAMES), dtype=np.uint8).reshape(1, -1)
+    assert flag_names(codes).tolist() == [list(FLAG_NAMES)]
+    assert (_codes(flag_names(codes).tolist()) == codes).all()
+
+    # branch 1 is missing at low drive; where it exists, its Richardson
+    # pair agrees within 1e-9, and a tolerance of 0 flags it
+    import omitlab.delay as dmod
+    monkeypatch.setattr(dmod, "_RICHARDSON_RTOL", 0.0)
+    cfg = default_config()
+    sc = replace(cfg, detuning_mode=SelfConsistent(2.0 * cfg.omega_m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bistable points
+        m = sweep_2d(sc, ("P", np.linspace(1e-4, 6e-3, 4)), ("L", np.linspace(0, 200, 4)),
+                     observable="tau_g", delta=1.1 * cfg.omega_m, branch=1, method="fd")
+    names = flag_names(m.flags)
+    assert set(names.ravel()) == {"MissingBranch", "StepTooLarge"}
+    column = [row.rsplit(",", 1)[1] for row in delay_map_csv(m).splitlines()[1:]]
+    assert column == names.ravel().tolist()
