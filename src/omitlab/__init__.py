@@ -22,8 +22,8 @@ from .model import (C_LIGHT, HBAR, DerivedConstants, EffectiveParams,
                     config_to_dict, config_to_json, default_config,
                     derive_constants, effective_params)
 from .oracle import OracleReport, oracle_check
-from .response import (ProbeResponse, SidebandAmplitudes, eps_out_zero,
-                       lambda_j, probe_response, sideband_amplitudes,
+from .response import (ProbeResponse, SidebandAmplitudes, lambda_j,
+                       probe_response, sideband_amplitudes,
                        sideband_linear_solve)
 from .steadystate import SteadyState, solve_steady, steady_states
 from .sweep import (DipReport, Map2D, SpectrumSeries, default_delta_grid,
@@ -43,8 +43,8 @@ __all__ = [
     "config_to_dict", "config_to_json", "default_config", "derive_constants",
     "effective_params",
     "SteadyState", "solve_steady", "steady_states",
-    "ProbeResponse", "SidebandAmplitudes", "eps_out_zero", "lambda_j",
-    "probe_response", "sideband_amplitudes", "sideband_linear_solve",
+    "ProbeResponse", "SidebandAmplitudes", "lambda_j", "probe_response",
+    "sideband_amplitudes", "sideband_linear_solve",
     "DelayResult", "group_delay", "tau_g_analytic", "unwrap_phase",
     "OracleReport", "oracle_check",
     "DipReport", "Map2D", "SpectrumSeries", "default_delta_grid",

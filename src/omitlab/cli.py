@@ -24,7 +24,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from . import __version__
-from .delay import _classify, group_delay
+from .delay import KIND_NAMES, group_delay, kind_codes
 from .errors import ConfigError, NumericalError
 from .model import (FixedEffective, SelfConsistent, config_fingerprint,
                     config_from_json, config_to_dict, config_to_json,
@@ -204,13 +204,13 @@ def _cmd_delay_map(args, cfg):
                  method=args.method)
     tau_us = m.values * 1e6
     finite = tau_us[np.isfinite(tau_us)]
-    kinds = _classify(m.values)
+    kinds = np.bincount(kind_codes(m.values).ravel(), minlength=len(KIND_NAMES))
     stats = {
         "max_abs_tau_g_us": float(np.max(np.abs(finite))) if finite.size else None,
         "min_tau_g_us": float(finite.min()) if finite.size else None,
         "max_tau_g_us": float(finite.max()) if finite.size else None,
-        "n_slow": int(np.sum(kinds == "slow")),
-        "n_fast": int(np.sum(kinds == "fast")),
+        "n_slow": int(kinds[KIND_NAMES.index("slow")]),
+        "n_fast": int(kinds[KIND_NAMES.index("fast")]),
         "n_error": int(np.count_nonzero(m.flags)),
     }
     svg = heatmap_svg(m.axis2_grid, m.axis1_grid * 1e3, tau_us, title="group delay [us]",

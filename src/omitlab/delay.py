@@ -4,9 +4,10 @@ tau_g = d arg(t_p) / d omega_p, evaluated at fixed drive frequency so the
 derivative is with respect to Delta. Two independent methods are provided:
 an exact derivative of the closed-form response (default) and a central
 finite difference with one Richardson step; they cross-validate each other.
-A positive tau_g is slow light, negative is fast light. Both methods run
-batched and flag the cells where the delay is undefined; the (P, L) delay
-map is a sweep.sweep_2d map.
+A positive tau_g is slow light, negative is fast light: kind_codes gives
+each delay a one-byte code, named by KIND_NAMES only where it is printed.
+Both methods run batched and flag the cells where the delay is undefined;
+the (P, L) delay map is a sweep.sweep_2d map.
 """
 
 import warnings
@@ -61,10 +62,17 @@ class DelayResult:
     t_p_magnitude: float
 
 
-def _classify(tau):
-    """Per element of tau: slow, fast or neutral; "" where tau is nan."""
-    return np.select([tau > _NEUTRAL_THRESH, tau < -_NEUTRAL_THRESH, np.isnan(tau)],
-                     ["slow", "fast", ""], "neutral")
+# the names of the kind codes of kind_codes, in order of length
+KIND_NAMES = ("", "slow", "fast", "neutral")
+
+
+def kind_codes(tau):
+    """Per element of tau, the uint8 code of its kind in KIND_NAMES: slow
+    above 1e-12 s, fast below -1e-12 s, neutral between, 0 where tau is
+    nan."""
+    tau = np.asarray(tau)
+    return np.select([tau > _NEUTRAL_THRESH, tau < -_NEUTRAL_THRESH,
+                      np.abs(tau) <= _NEUTRAL_THRESH], [1, 2, 3], 0).astype(np.uint8)
 
 
 def _local_unwrap(center, value):
@@ -76,13 +84,15 @@ def _local_unwrap(center, value):
 
 @scalar_in_scalar_out
 def _delays(ep, delta, method="analytic", h=None, flags=0):
-    """The ProbeResponse, the DelayResult and the per-cell flag codes over the
-    broadcast of ep and delta, from one pass of the closed-form kernel.
+    """(pr, tau_g, step, flags) over the broadcast of ep and delta, from one
+    pass of the closed-form kernel: its ProbeResponse, the group delay by
+    method, the finite-difference step (None for "analytic") and the
+    per-cell flag codes.
 
     On top of the incoming flags: DegenerateDenominator where the kernel
     marks d degenerate, NearZeroTransmission where |t_p| < 1e-14 and
     StepTooLarge where the Richardson pair disagrees beyond 1e-4 relative.
-    A flagged cell has tau_g nan and classification "".
+    A flagged cell has tau_g nan.
     """
     if method not in ("analytic", "fd"):
         raise ConfigError(f"unknown group-delay method {method!r}")
@@ -91,20 +101,19 @@ def _delays(ep, delta, method="analytic", h=None, flags=0):
     if not np.isfinite(delta).all():
         raise ConfigError("the detuning must be finite")
     pr = probe_response(ep, delta)
-    tp_mag = np.abs(pr.t_p)
     flags = flag_cells(flags, pr.degenerate, errors.DegenerateDenominator)
-    flags = flag_cells(flags, tp_mag < _TP_FLOOR, errors.NearZeroTransmission)
+    flags = flag_cells(flags, np.abs(pr.t_p) < _TP_FLOOR, errors.NearZeroTransmission)
     step = None
     if method == "analytic":
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = np.imag(-pr.deps_T / pr.t_p)
     else:
-        method, step = "central-difference", float(1e-6 * ep.omega_m if h is None else h)
+        step = float(1e-6 * ep.omega_m if h is None else h)
         if not 0 < step < np.inf:
             raise ConfigError(f"finite-difference step must lie in (0, inf), got {step!r}")
         # the stencil Delta +- h, Delta +- h/2 stacks on axis 0 of one
         # kernel call; each phase is taken on the centre's branch
-        delta = np.broadcast_to(delta, tp_mag.shape)
+        delta = np.broadcast_to(delta, pr.t_p.shape)
         half = step / 2.0
         pp, pm, pp2, pm2 = _local_unwrap(pr.phase, probe_response(ep, np.stack(
             [delta + step, delta - step, delta + half, delta - half])).phase)
@@ -113,14 +122,13 @@ def _delays(ep, delta, method="analytic", h=None, flags=0):
         tau = (4.0 * d2 - d1) / 3.0
         flags = flag_cells(flags, np.abs(d1 - d2) > _RICHARDSON_RTOL * np.maximum(
             np.abs(tau), _NEUTRAL_THRESH), errors.StepTooLarge)
-    tau = np.where(flags == 0, tau, np.nan)
-    return pr, DelayResult(tau, method, step, _classify(tau), tp_mag), flags
+    return pr, np.where(flags == 0, tau, np.nan), step, flags
 
 
 def tau_g_analytic(ep, delta):
     """Analytic group delay at delta (scalar or array); nan where the cell
     is flagged (degenerate d, or |t_p| below the floor)."""
-    return _delays(ep, delta)[1].tau_g
+    return _delays(ep, delta)[1]
 
 
 def group_delay(ep, a0, delta, method="analytic", h=None):
@@ -135,9 +143,11 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     of the a_minus sideband, so it does not enter t_p or tau_g.
     """
     delta = float(delta)
-    _, res, flag = _delays(ep, delta, method, h)
+    pr, tau, step, flag = _delays(ep, delta, method, h)
+    t_p_magnitude = float(np.abs(pr.t_p))  # abs() can differ in the last bit
     if flag:
         error = FLAG_ERRORS[flag]
-        raise error(f"at delta = {delta!r} (|t_p| = {res.t_p_magnitude:.3e}, "
-                    f"h = {res.step!r}): {error.__doc__}")
-    return res
+        raise error(f"at delta = {delta!r} (|t_p| = {t_p_magnitude:.3e}, "
+                    f"h = {step!r}): {error.__doc__}")
+    return DelayResult(tau, "analytic" if step is None else "central-difference", step,
+                       KIND_NAMES[kind_codes(tau)], t_p_magnitude)

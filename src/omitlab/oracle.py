@@ -158,20 +158,6 @@ def _complex(x):
     return np.concatenate([x[..., :4], x[..., 4:5] + 1j * x[..., 5:]], axis=-1)
 
 
-@dataclass(frozen=True)
-class _Orbit:
-    """Initial states, one row per probe amplitude, of the periodic orbit,
-    the quadratures of _flow over one period from them (one row of 4 per
-    amplitude, as _demodulate reads them) and the shooting's cost."""
-
-    states: object
-    quadratures: object
-    eps_ps: tuple
-    newton_iterations: int
-    floquet_max: float
-    rhs_evals: int
-
-
 def _jacobian(field, y, scale):
     """The real 6x6 Jacobian of field at y, by central differences of steps
     scale: exact up to rounding, the field being quadratic."""
@@ -194,6 +180,12 @@ def _periodic_orbit(cfg, delta):
     """Shoot for the orbit of period T = 2 pi/|delta| that the probe drive
     e^{-i delta t} forces at the full and at half the probe amplitude, and
     demodulate it on the shooting's own runs.
+
+    Returns (states, quadratures, eps_ps, newton_iterations, floquet_max,
+    rhs_evals): the orbit's initial states, one row per probe amplitude of
+    the tuple eps_ps; the quadratures of _flow over one period from them,
+    one row of 4 per amplitude, as _demodulate reads them; and the
+    shooting's cost and largest Floquet multiplier.
 
     The shooting starts from the linear response of the flow's own field
     (_linear_starts), its Jacobian J at the steady state taken by central
@@ -266,9 +258,8 @@ def _periodic_orbit(cfg, delta):
         raise StepFailure(
             f"periodic orbit not found in {_MAX_NEWTON} Newton steps: "
             f"|y(T) - y(0)| is {np.max(np.abs(residual) / atol):.3e} times atol")
-    return _Orbit(states=states, quadratures=ends[:, 5:] + real_step @ dq.T,
-                  eps_ps=eps_ps, newton_iterations=iteration,
-                  floquet_max=floquet_max, rhs_evals=int(rhs_evals))
+    return (states, ends[:, 5:] + real_step @ dq.T, eps_ps, iteration, floquet_max,
+            int(rhs_evals))
 
 
 def _demodulate(q, eps_p, a_ss):
@@ -342,10 +333,10 @@ def oracle_check(cfg, delta):
     To check at a relaxed damping, pass replace(cfg, Q1=q, Q2=q).
     """
     delta = float(delta)
-    orbit = _periodic_orbit(cfg, delta)
+    (_, quadratures, (eps_p, eps_half), newton_iterations, floquet_max,
+     rhs_evals) = _periodic_orbit(cfg, delta)
     ss = solve_steady(cfg)
-    eps_p, eps_half = orbit.eps_ps
-    q, q_half = orbit.quadratures.tolist()
+    q, q_half = quadratures.tolist()
     a0_est, a_plus_est, a_minus_est, fit_residual = _demodulate(q, eps_p, ss.a0)
     a_plus_half = _demodulate(q_half, eps_half, ss.a0)[1]
 
@@ -363,6 +354,5 @@ def oracle_check(cfg, delta):
         passed=all(errs[field] < thr for _, field, thr in _THRESHOLDS),
         a_plus_est=a_plus_est, a_plus_closed=sb.a_plus,
         a_minus_est=a_minus_est, a_minus_closed=sb.a_minus,
-        rhs_evals=orbit.rhs_evals,
-        newton_iterations=orbit.newton_iterations,
-        floquet_max=orbit.floquet_max)
+        rhs_evals=rhs_evals, newton_iterations=newton_iterations,
+        floquet_max=floquet_max)

@@ -12,10 +12,11 @@ Lj = omega_phi_j^2 - Delta^2 - i gamma_j Delta,
 B = G1^2 omega_phi1 L2 + G2^2 omega_phi2 L1 and
 d = A A' L1 L2 - 2 Delta' B.
 
-The output-field quantities follow from input-output theory:
+The transmitted probe follows from input-output theory:
 eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T. ``probe_response``
 returns them with the exact Delta-derivative of eps_T, in one batched pass
-that every spectrum, map and group delay goes through.
+that every spectrum, map and group delay goes through. They depend on
+a_plus alone, so a0, which sets only the phase of a_minus, does not enter.
 
 ``sideband_linear_solve`` re-derives a_plus and a_minus from the 6x6 drift
 matrix K of the linearized equations in (phi1, lz1, phi2, lz2, a, a*), one
@@ -104,18 +105,17 @@ def sideband_amplitudes(ep, delta, a0=None):
 
 @dataclass(frozen=True)
 class ProbeResponse:
-    """Output-field quantities at the probe frequency.
+    """The transmitted probe at detuning Delta.
 
-    nu_p + i u_p = 2 kappa a_plus exactly; t_p = 1 - eps_T = -eps_out_plus;
-    phase is the principal-value argument of t_p; deps_T is the exact
-    derivative of eps_T with respect to Delta.
+    nu_p + i u_p = eps_T = 2 kappa a_plus exactly; t_p = 1 - eps_T; phase
+    is the principal-value argument of t_p; degenerate is the kernel's mark
+    of a degenerate d; deps_T is the exact derivative of eps_T with respect
+    to Delta.
     """
 
     eps_T: object
     nu_p: object
     u_p: object
-    eps_out_plus: object
-    eps_out_minus: object
     t_p: object
     phase: object
     degenerate: object
@@ -123,21 +123,14 @@ class ProbeResponse:
 
 
 @scalar_in_scalar_out
-def probe_response(ep, delta, a0=None):
+def probe_response(ep, delta):
     """ProbeResponse at detuning delta (scalar or array)."""
-    sb = sideband_amplitudes(ep, delta, a0=a0)
+    sb = sideband_amplitudes(ep, delta)
     eps_T = 2.0 * ep.kappa * sb.a_plus
     t_p = 1.0 - eps_T
     return ProbeResponse(
-        eps_T=eps_T, nu_p=eps_T.real, u_p=eps_T.imag,
-        eps_out_plus=eps_T - 1.0, eps_out_minus=2.0 * ep.kappa * sb.a_minus,
-        t_p=t_p, phase=np.angle(t_p), degenerate=sb.degenerate,
-        deps_T=2.0 * ep.kappa * sb.da_plus)
-
-
-def eps_out_zero(kappa, a0, eps_c):
-    """Output field at the drive frequency, 2 kappa a0 - eps_c."""
-    return 2.0 * kappa * a0 - eps_c
+        eps_T=eps_T, nu_p=eps_T.real, u_p=eps_T.imag, t_p=t_p, phase=np.angle(t_p),
+        degenerate=sb.degenerate, deps_T=2.0 * ep.kappa * sb.da_plus)
 
 
 def _drift_matrix(ep, a0):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import _classify, _delays, unwrap_phase
+from .delay import KIND_NAMES, _delays, kind_codes, unwrap_phase
 from .errors import ConfigError
 from .model import config_fingerprint, effective_params
 from .steadystate import effective_grid, solve_steady
-from .util import flag_text, render_csv, repr_cells, text_cells
+from .util import FLAG_NAMES, name_text, render_csv, repr_cells, text_cells
 
 _DIP_PROMINENCE = 1e-3
 _AXIS_NAMES = ("P", "L", "kappa", "Q1", "Q2", "Delta")
@@ -83,10 +83,10 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
     else:
         grid = _refine_grid(np.sort(np.asarray(delta_grid, dtype=float)), ep)
 
-    pr, res, flags = _delays(ep, grid)
+    pr, tau, _, flags = _delays(ep, grid)
     return SpectrumSeries(
         delta_grid=grid, omega_m=ep.omega_m, nu_p=pr.nu_p, u_p=pr.u_p,
-        phase_unwrapped=unwrap_phase(pr.phase), tau_g=res.tau_g,
+        phase_unwrapped=unwrap_phase(pr.phase), tau_g=tau,
         flags=flags, config_fingerprint=config_fingerprint(cfg))
 
 
@@ -235,9 +235,8 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0, method=
     dlt = axes.pop("Delta") if "Delta" in axes else float(delta)
     dlt = np.broadcast_to(dlt, (g1.size, g2.size))
     ep, flags = effective_grid(cfg, branch, **axes)
-    pr, res, flags = _delays(ep, dlt, method, flags=flags)
-    values = np.where(flags == 0, pr.nu_p if observable == "nu_p" else res.tau_g,
-                      np.nan)
+    pr, tau, _, flags = _delays(ep, dlt, method, flags=flags)
+    values = np.where(flags == 0, pr.nu_p if observable == "nu_p" else tau, np.nan)
     return Map2D(axis1_name=n1, axis1_grid=g1, axis2_name=n2, axis2_grid=g2,
                  observable=observable, delta=delta, values=values,
                  flags=flags, config_fingerprint=config_fingerprint(cfg))
@@ -256,14 +255,15 @@ def _map_csv(header, m, axis1, axis2, *columns):
     """CSV text of map m: its axes' cells, each formatted once, in C order
     (axis1 slowest), the cells of the (n1, n2) columns, then the flags."""
     return render_csv(header, np.repeat(axis1, len(axis2), axis=0),
-                      np.tile(axis2, (len(axis1), 1)), *columns, flag_text(m.flags))
+                      np.tile(axis2, (len(axis1), 1)), *columns,
+                      name_text(m.flags, FLAG_NAMES))
 
 
 def spectrum_csv(series):
     grid = np.asarray(series.delta_grid, dtype=float)
     return render_csv(SPECTRUM_HEADER, *map(repr_cells, (
         grid / series.omega_m, series.nu_p, series.u_p, series.phase_unwrapped,
-        np.asarray(series.tau_g) * 1e6)), flag_text(series.flags))
+        np.asarray(series.tau_g) * 1e6)), name_text(series.flags, FLAG_NAMES))
 
 
 def map_csv(m):
@@ -276,4 +276,4 @@ def delay_map_csv(m):
         raise ConfigError("delay_map_csv renders only a (P, L) tau_g map")
     return _map_csv(DELAY_MAP_HEADER, m, repr_cells(m.axis1_grid * 1e3),
                     text_cells(m.axis2_grid.astype(int)), repr_cells(m.values * 1e6),
-                    text_cells(_classify(m.values)))
+                    name_text(kind_codes(m.values), KIND_NAMES))

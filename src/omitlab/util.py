@@ -14,8 +14,9 @@ import sys
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, MissingBranch, NearZeroTransmission,
-                     NumericalError, RootRefinementError, StepTooLarge)
+from .errors import (ConfigError, DegenerateDenominator, MissingBranch,
+                     NearZeroTransmission, NumericalError, RootRefinementError,
+                     StepTooLarge)
 
 # the errors that flag a cell: a flag is a uint8 code, the index of its
 # error here, and 0 (None) for none. They are in the order of the lengths
@@ -46,10 +47,11 @@ def with_python_scalars(cls, **values):
 
 
 def scalar_in_scalar_out(func):
-    """func(ep, x, ...) with x as a float array. A scalar x runs as a
-    1-element array, on the ufunc path of array input (identical bits, and
-    0/0 gives nan instead of raising), and each array in the result (an
-    array, or a tuple or dataclass of them) comes back as a Python scalar."""
+    """func(ep, x, ...) with x as a float array; a complex x, scalar or
+    array, is a ConfigError. A scalar x runs as a 1-element array, on the
+    ufunc path of array input (identical bits, and 0/0 gives nan instead of
+    raising), and each array in the result (an array, or a tuple or
+    dataclass of them) comes back as a Python scalar."""
     def unbox(v):
         if isinstance(v, np.ndarray):
             return v.item()
@@ -61,7 +63,10 @@ def scalar_in_scalar_out(func):
 
     @functools.wraps(func)
     def run(ep, x, *args, **kwargs):
-        out = func(ep, np.atleast_1d(np.asarray(x, dtype=float)), *args, **kwargs)
+        a = np.asarray(x)
+        if np.iscomplexobj(a):
+            raise ConfigError(f"the detuning must be real, not of complex type {a.dtype}")
+        out = func(ep, np.atleast_1d(a.astype(float, copy=False)), *args, **kwargs)
         return out if np.ndim(x) else unbox(out)
     return run
 
@@ -290,14 +295,12 @@ def text_cells(strings):
     return b.view(np.uint8).reshape(b.size, b.itemsize)
 
 
-_FLAG_CELLS = text_cells(FLAG_NAMES)
-
-
-def flag_text(flags):
-    """Cells of the names of the flag codes flags (raveled), as wide as the
-    longest of them."""
-    flags = np.ravel(flags)
-    return _FLAG_CELLS[flags, :len(FLAG_NAMES[flags.max(initial=0)])]
+def name_text(codes, names):
+    """Cells of names[c] for each code c of codes (raveled), as wide as the
+    longest of them: a table of names is in the order of their lengths, so
+    the largest code present sets the width."""
+    codes = np.ravel(codes)
+    return text_cells(names)[codes, :len(names[codes.max(initial=0)])]
 
 
 def table_text(*parts, head=""):

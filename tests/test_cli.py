@@ -307,6 +307,30 @@ def test_delay_map_flags_cells_without_the_branch(tmp_path):
     assert stats["n_error"] == flags.count("MissingBranch")
 
 
+def test_delay_map_manifest_counts_its_csv(tmp_path):
+    """The manifest's n_slow, n_fast and n_error are the counts of the CSV's
+    classification and flag columns, on a map with slow, fast and flagged
+    cells (branch 2 exists only in the bistable region); every flagged cell
+    has no classification and every other cell one of slow, fast or
+    neutral, by the sign of its tau_g against 1e-12 s."""
+    out = tmp_path / "dm.csv"
+    with pytest.warns(UserWarning, match="bistable"):
+        assert main(["delay-map", "--delta0", "2.0", "--branch", "2", "--delta", "0.9",
+                     "--p-start", "1", "--p-stop", "4", "--p-points", "3",
+                     "--l-points", "3", "--out", str(out)]) == 0
+    _, rows = _rows(_read(out))
+    kinds = [r[3] for r in rows]
+    flags = [r[4] for r in rows]
+    for (_, _, tau_us, kind, flag) in rows:
+        tau = float(tau_us) * 1e-6
+        assert kind == ("" if flag else "slow" if tau > 1e-12 else
+                        "fast" if tau < -1e-12 else "neutral")
+    stats = json.loads(_read(tmp_path / "dm.manifest.json"))["stats"]
+    assert (stats["n_slow"], stats["n_fast"], stats["n_error"]) == \
+        (kinds.count("slow"), kinds.count("fast"), len(flags) - flags.count(""))
+    assert stats["n_slow"] > 0 and stats["n_fast"] > 0 and stats["n_error"] > 0
+
+
 @pytest.mark.parametrize("mode", [[], ["--delta0", "1.5"],
                                   ["--delta0", "1.5", "--branch", "1"]],
                          ids=["fixed", "branch0", "branch1"])

@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omitlab import (ConfigError, DegenerateDenominator, DelayResult,
-                     EffectiveParams, NearZeroTransmission, NumericalError,
-                     StepTooLarge, default_config, effective_params,
-                     flag_names, group_delay, probe_response, solve_steady,
-                     spectrum_sweep, sweep_2d, tau_g_analytic, unwrap_phase)
-from omitlab.delay import _classify
+from omitlab import (ConfigError, DegenerateDenominator, EffectiveParams,
+                     NearZeroTransmission, NumericalError, StepTooLarge,
+                     default_config, effective_params, flag_names, group_delay,
+                     probe_response, solve_steady, spectrum_sweep, sweep_2d,
+                     tau_g_analytic, unwrap_phase)
+from omitlab.delay import KIND_NAMES, kind_codes
 
 OMEGA_M = default_config().omega_m
 
@@ -120,9 +120,9 @@ def test_fd_delay_takes_one_stencil_call(ep, monkeypatch):
     calls = []
     monkeypatch.setattr(dmod, "probe_response", lambda ep, x: calls.append(
         np.shape(x)) or probe_response(ep, x))
-    res = dmod._delays(ep, grid, "fd")[1]
+    tau = dmod._delays(ep, grid, "fd")[1]
     assert calls == [(7,), (4, 7)]
-    np.testing.assert_array_equal(res.tau_g, (4.0 * d2 - d1) / 3.0)
+    np.testing.assert_array_equal(tau, (4.0 * d2 - d1) / 3.0)
 
 
 def test_vectorized_delay_matches_scalar(ep, ss):
@@ -254,8 +254,16 @@ def test_near_zero_transmission_raises():
 
 
 def test_classification_thresholds():
-    r = DelayResult(5e-13, "analytic", None, "neutral", 1.0)
-    assert r.classification == "neutral"
+    """|tau_g| <= 1e-12 s is neutral, the doubles just beyond are slow and
+    fast, and nan has no kind, through the codes and their names."""
+    taus = np.array([1e-12, -1e-12, 0.0, np.nextafter(1e-12, np.inf),
+                     np.nextafter(-1e-12, -np.inf), np.nan])
+    codes = kind_codes(taus)
+    assert codes.dtype == np.uint8
+    assert [KIND_NAMES[c] for c in codes] == ["neutral", "neutral", "neutral",
+                                              "slow", "fast", ""]
+    assert [KIND_NAMES[kind_codes(t)] for t in taus.tolist()] == \
+        [KIND_NAMES[c] for c in codes]
     ep = _bare_ep()
     assert group_delay(ep, 0.0, OMEGA_M).classification == "slow"
 
@@ -298,7 +306,7 @@ def test_delay_map_sign_change_along_oam():
     m = _delay_map(cfg, [1e-6], np.linspace(0, 200, 9), 1.1 * cfg.omega_m)
     taus = m.values[0]
     assert np.any(taus > 0) and np.any(taus < 0)
-    assert {"slow", "fast"} <= set(_classify(taus))
+    assert {"slow", "fast"} <= {KIND_NAMES[c] for c in kind_codes(taus)}
 
 
 def test_delay_map_captures_cell_failures(monkeypatch):
@@ -355,7 +363,7 @@ def test_delay_map_matches_group_delay(references):
     seen = set()
     for method in ("analytic", "fd"):
         m = _delay_map(cfg, P, L, delta, method)
-        kinds, names = _classify(m.values), flag_names(m.flags)
+        kinds, names = np.array(KIND_NAMES)[kind_codes(m.values)], flag_names(m.flags)
         for i, Pi in enumerate(P):
             for j, Lj in enumerate(L):
                 c = replace(cfg, P=float(Pi), L=int(round(Lj)))

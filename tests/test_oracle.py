@@ -386,13 +386,13 @@ def test_periodic_orbit_closes_over_twenty_periods(cfg):
     periods, where the steady state they started from does not."""
     c = replace(cfg, Q1=50.0, Q2=50.0)
     delta = 0.93 * cfg.omega_m
-    orbit = om._periodic_orbit(c, delta)
+    states, _, eps_ps = om._periodic_orbit(c, delta)[:3]
     run = om._flow(c, delta)[0]
     ss = solve_steady(c)
     y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, ss.a0])
-    atol = om._TOL * np.maximum(np.abs(orbit.states), max(abs(ss.a0), 1.0))
-    for start, closes in ((orbit.states, True), (np.tile(y_ss, (2, 1)), False)):
-        ends = run(start, orbit.eps_ps, 20 * 2 * math.pi / delta).y[:, -1]
+    atol = om._TOL * np.maximum(np.abs(states), max(abs(ss.a0), 1.0))
+    for start, closes in ((states, True), (np.tile(y_ss, (2, 1)), False)):
+        ends = run(start, eps_ps, 20 * 2 * math.pi / delta).y[:, -1]
         assert np.all(np.abs(ends.reshape(2, 5) - start) <= atol) == closes
 
 
@@ -433,13 +433,13 @@ def test_demodulated_orbit_matches_one_more_period(cfg, q, x):
     within 1e-10 relative, at every band point and both Q."""
     c = replace(cfg, Q1=q, Q2=q)
     delta = x * cfg.omega_m
-    orbit = om._periodic_orbit(c, delta)
-    n = len(orbit.eps_ps)
-    sol = om._flow(c, delta)[0](np.hstack([orbit.states, np.zeros((n, 4))]),
-                                orbit.eps_ps, 2 * math.pi / delta)
+    states, quadratures, eps_ps = om._periodic_orbit(c, delta)[:3]
+    n = len(eps_ps)
+    sol = om._flow(c, delta)[0](np.hstack([states, np.zeros((n, 4))]),
+                                eps_ps, 2 * math.pi / delta)
     a_ss = solve_steady(c).a0
-    for q_est, q_run, eps in zip(orbit.quadratures.tolist(),
-                                 sol.y[:, -1].reshape(n, 9)[:, 5:].tolist(), orbit.eps_ps):
+    for q_est, q_run, eps in zip(quadratures.tolist(),
+                                 sol.y[:, -1].reshape(n, 9)[:, 5:].tolist(), eps_ps):
         est = om._demodulate(q_est, eps, a_ss)[:3]
         ref = om._demodulate(q_run, eps, a_ss)[:3]
         for x_est, x_ref in zip(est, ref):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omitlab import (EffectiveParams, SelfConsistent, SingularSystem,
-                     default_config, derive_constants, effective_params,
-                     eps_out_zero, flag_names, lambda_j, probe_response,
-                     sideband_amplitudes, sideband_linear_solve, solve_steady)
+from omitlab import (ConfigError, EffectiveParams, SelfConsistent,
+                     SingularSystem, default_config, derive_constants,
+                     effective_params, flag_names, lambda_j, probe_response,
+                     sideband_amplitudes, sideband_linear_solve, solve_steady,
+                     tau_g_analytic)
 from omitlab.model import config_grid, fold_steady_state
 from omitlab.response import _drift_matrix
 from omitlab.steadystate import self_consistent_branches
@@ -65,13 +66,12 @@ def test_bare_cavity_peak_and_half_width():
 
 def test_output_field_identities(ep, ss):
     delta = np.linspace(0.5, 1.5, 7) * OMEGA_M
-    pr = probe_response(ep, delta, a0=ss.a0)
+    pr = probe_response(ep, delta)
     np.testing.assert_allclose(pr.nu_p + 1j * pr.u_p,
                                2.0 * ep.kappa *
                                sideband_amplitudes(ep, delta, a0=ss.a0).a_plus,
                                rtol=1e-15)
     np.testing.assert_allclose(pr.t_p, 1.0 - pr.eps_T, rtol=0, atol=0)
-    np.testing.assert_allclose(pr.eps_out_plus, -pr.t_p, rtol=0, atol=0)
     np.testing.assert_allclose(pr.phase, np.angle(pr.t_p), rtol=0, atol=0)
 
 
@@ -80,7 +80,7 @@ def test_response_goldens_at_resonance():
     cfg = replace(default_config(), P=5e-3)
     ss = solve_steady(cfg)
     ep = effective_params(cfg, ss)
-    pr = probe_response(ep, cfg.omega_m, a0=ss.a0)
+    pr = probe_response(ep, cfg.omega_m)
     assert pr.nu_p == pytest.approx(1.9734886249443232709, rel=1e-10)
     assert pr.u_p == pytest.approx(-0.22892592356179991092, rel=1e-10)
 
@@ -94,8 +94,8 @@ def test_probe_power_does_not_enter_response(cfg, ep, ss):
         sideband_amplitudes(ep, delta, a0=ss.a0).a_plus
 
 
-def test_far_detuned_transparency(ep, ss):
-    pr = probe_response(ep, 50.0 * OMEGA_M, a0=ss.a0)
+def test_far_detuned_transparency(ep):
+    pr = probe_response(ep, 50.0 * OMEGA_M)
     assert abs(pr.eps_T) < 0.01
     assert abs(pr.t_p) == pytest.approx(1.0, abs=0.01)
 
@@ -232,9 +232,17 @@ def test_degenerate_denominator_flag():
     assert not ok.degenerate
 
 
-def test_eps_out_zero(cfg, dc, ss):
-    out = eps_out_zero(cfg.kappa, ss.a0, dc.eps_c)
-    assert out == 2.0 * cfg.kappa * ss.a0 - dc.eps_c
+@pytest.mark.parametrize("func", [sideband_amplitudes, probe_response, tau_g_analytic])
+def test_complex_detuning_is_rejected(ep, func):
+    """A complex detuning is a ConfigError, as a scalar and as an array,
+    with no ComplexWarning: the imaginary part is never dropped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (1.1 * OMEGA_M + 0.3j * OMEGA_M,
+                      np.array([1.1 * OMEGA_M + 0.3j * OMEGA_M]),
+                      np.array([1.1 * OMEGA_M + 0j])):
+            with pytest.raises(ConfigError, match="must be real"):
+                func(ep, delta)
 
 
 def test_array_and_scalar_paths_agree(ep, ss):

@@ -2,7 +2,7 @@
 
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +14,8 @@ from omitlab import (ConfigError, NumericalError, SelfConsistent,
                      group_delay, map_csv, probe_response, solve_steady,
                      spectrum_csv, spectrum_sweep, sweep_2d, tau_g_analytic,
                      unwrap_phase)
-from omitlab.delay import _classify
-from omitlab.util import FLAG_ERRORS, FLAG_NAMES
+from omitlab.delay import KIND_NAMES, kind_codes
+from omitlab.util import FLAG_ERRORS, FLAG_NAMES, name_text
 from omitlab.sweep import DELAY_MAP_HEADER, MAP_HEADER, SPECTRUM_HEADER, _peaks
 
 
@@ -227,7 +227,7 @@ def test_dip_finder_cost_on_noise():
     assert rep.count > 1000
 
 
-def test_sweep2d_delta_axis_matches_pointwise(cfg, ep, ss):
+def test_sweep2d_delta_axis_matches_pointwise(cfg, ep):
     grid_L = np.array([0.0, 100.0])
     grid_d = np.array([0.9, 1.0, 1.1]) * cfg.omega_m
     m = sweep_2d(cfg, ("L", grid_L), ("Delta", grid_d))
@@ -236,7 +236,7 @@ def test_sweep2d_delta_axis_matches_pointwise(cfg, ep, ss):
     bare = 2.0 * cfg.kappa ** 2 / (cfg.kappa ** 2 + (cfg.omega_m - grid_d) ** 2)
     np.testing.assert_allclose(m.values[0], bare, rtol=1e-12)
     # L = 100 row matches the direct response evaluation
-    direct = [float(probe_response(ep, float(d), a0=ss.a0).nu_p) for d in grid_d]
+    direct = [float(probe_response(ep, float(d)).nu_p) for d in grid_d]
     np.testing.assert_allclose(m.values[1], direct, rtol=1e-12)
     assert all(f == "" for row in flag_names(m.flags) for f in row)
 
@@ -307,7 +307,7 @@ def _scalar_route(cfg, axis1, axis2, observable, delta, branch, references):
             except NumericalError as e:
                 flag = type(e).__name__
             values[i, j] = np.nan if flag else (
-                probe_response(ep, dlt, a0=ss.a0).nu_p if observable == "nu_p"
+                probe_response(ep, dlt).nu_p if observable == "nu_p"
                 else tau_g_analytic(ep, dlt))
             if not flag:
                 references(ep, ss.a0, dlt, **{observable: values[i, j]})
@@ -464,7 +464,8 @@ def test_map_csvs_match_the_meshgrid_rendering(cfg):
     for d in (dm, flagged_dm):
         assert delay_map_csv(d) == _meshgrid_csv(
             DELAY_MAP_HEADER, d.axis1_grid * 1e3, d.axis2_grid.astype(int),
-            d.values * 1e6, _classify(d.values), flag_names(d.flags))
+            d.values * 1e6, np.array(KIND_NAMES)[kind_codes(d.values)],
+            flag_names(d.flags))
 
 
 def _codes(names):
@@ -475,7 +476,10 @@ def _codes(names):
 def test_every_flag_code_round_trips_to_its_name(monkeypatch):
     """Each code names its error, and the names of a code array keep its
     shape; a map's flag column is the names of its codes, cell by cell, on
-    a self-consistent map with MissingBranch and StepTooLarge cells."""
+    a self-consistent map with MissingBranch and StepTooLarge cells. Each
+    kind code names its kind, both tables are written as the names of
+    their codes, and the package's public names resolve, the removed ones
+    gone."""
     assert FLAG_NAMES[0] == "" and FLAG_ERRORS[0] is None
     for code, error in enumerate(FLAG_ERRORS[1:], start=1):
         assert issubclass(error, NumericalError)
@@ -499,3 +503,19 @@ def test_every_flag_code_round_trips_to_its_name(monkeypatch):
     assert set(names.ravel()) == {"MissingBranch", "StepTooLarge"}
     column = [row.rsplit(",", 1)[1] for row in delay_map_csv(m).splitlines()[1:]]
     assert column == names.ravel().tolist()
+
+    assert kind_codes([np.nan, 1e-9, -1e-9, 0.0]).tolist() == [0, 1, 2, 3]
+    assert KIND_NAMES == ("", "slow", "fast", "neutral")
+    for table in (FLAG_NAMES, KIND_NAMES):
+        assert [len(n) for n in table] == sorted(len(n) for n in table)
+        for top in range(len(table)):
+            text = name_text(np.arange(top, -1, -1, dtype=np.uint8), table)
+            assert [c.tobytes().rstrip(b"\0").decode() for c in text] == \
+                list(table[top::-1])
+
+    import omitlab
+    assert all(hasattr(omitlab, name) for name in omitlab.__all__)
+    assert len(set(omitlab.__all__)) == len(omitlab.__all__)
+    assert "eps_out_zero" not in omitlab.__all__ and not hasattr(omitlab, "eps_out_zero")
+    assert {"eps_out_plus", "eps_out_minus"}.isdisjoint(
+        f.name for f in fields(omitlab.ProbeResponse))
