@@ -140,10 +140,11 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     h is a ConfigError). Raises DegenerateDenominator where d is degenerate,
     NearZeroTransmission when |t_p| < 1e-14 and StepTooLarge when the
     Richardson pair disagrees beyond 1e-4 relative. a0 sets only the phase
-    of the a_minus sideband, so it does not enter t_p or tau_g.
+    of the a_minus sideband, so it does not enter t_p or tau_g. A complex
+    delta is a ConfigError, raised by _delays.
     """
-    delta = float(delta)
     pr, tau, step, flag = _delays(ep, delta, method, h)
+    delta = float(delta)
     t_p_magnitude = float(np.abs(pr.t_p))  # abs() can differ in the last bit
     if flag:
         error = FLAG_ERRORS[flag]

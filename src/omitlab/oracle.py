@@ -5,20 +5,16 @@ with the closed-form response.
 
 With a stable steady state the probe drive e^{-i delta t} has period
 T = 2 pi/|delta|, and the late-time state is the system's T-periodic orbit.
-oracle_check finds that orbit by shooting: it starts from the linear
-response of the flow's own field, takes a monodromy matrix from finite
-differences over one period, then Newton steps on y(T) = y(0). Every run
-carries the quadratures that demodulate the orbit, and those of the
-converged states follow from the last run's by a first-order correction
-over the last step. So a check costs two periods of integration whatever
-the damping: 266 right-hand-side calls and 2 Newton steps across the band
-0.9-1.1 omega_m, at Q = 50 and at the production Q = 1.2e5 alike. The
-check integrates the configured system, mirror Q included: a relaxed
-damping is a config with smaller Q1 and Q2. A largest Floquet multiplier
-|mu| >= 1 means the steady state is unstable and has no steady sidebands;
-the oracle raises Unstable.
-The closed form enters only the final comparison, so the time domain stays
-an independent route.
+oracle_check finds that orbit by shooting, with one linearisation of the
+flow, its Jacobian J at the steady state: from the second-order response of
+its own field, Newton steps on y(T) = y(0) with e^{JT}, on runs that carry
+the quadratures demodulating the orbit. A check costs two periods of
+integration whatever the damping: 266 right-hand-side calls and 2 Newton
+steps across the band 0.9-1.1 omega_m, at Q = 50 and at Q = 1.2e5 alike. A
+Floquet multiplier |e^{lambda T}| >= 1, lambda an eigenvalue of J, means
+the steady state is unstable and has no steady sidebands, and the oracle
+raises Unstable. The closed form enters only the final comparison, so the
+time domain stays an independent route.
 
 Every integration goes through solve_ivp, the package's DOP853 stepper
 (dop853.py), which takes the steps of scipy's; the package needs numpy only.
@@ -158,22 +154,37 @@ def _complex(x):
     return np.concatenate([x[..., :4], x[..., 4:5] + 1j * x[..., 5:]], axis=-1)
 
 
-def _jacobian(field, y, scale):
-    """The real 6x6 Jacobian of field at y, by central differences of steps
-    scale: exact up to rounding, the field being quadratic."""
-    steps = _complex(np.diag(scale))
-    return np.column_stack([_real(np.subtract(field(y + s), field(y - s))) / (2 * d)
-                            for s, d in zip(steps, scale.tolist())])
+def _derivatives(field, y, scale):
+    """(J, hessian) of the quadratic field at y, exact up to rounding: the
+    real 6x6 Jacobian J, and hessian(v) = H(v, v), H the constant Hessian,
+    by first and second differences along v scaled to a largest component
+    of scale (along a small v, the second difference cancels to rounding)."""
+    f2 = 2 * _real(np.asarray(field(y)))
+
+    def differences(v):
+        s = np.max(np.abs(v) / scale)
+        dv = _complex(v / s)
+        plus, minus = _real(np.asarray(field(y + dv))), _real(np.asarray(field(y - dv)))
+        return (plus - minus) * (s / 2), (plus + minus - f2) * (s * s)
+    return (np.column_stack([differences(e)[0] for e in np.eye(6)]),
+            lambda v: differences(v)[1])
 
 
-def _linear_starts(J, y_ss, eps_ps, delta):
-    """One start per probe amplitude eps: y_ss + Re[eps u], the state at
-    t = 0 of the linearised flow's periodic response to the probe, u =
-    (-i delta - J)^-1 p with p = (0, 0, 0, 0, 1, -i) the probe's direction
-    in the real coordinates of _real."""
+def _starts(J, hessian, y_ss, eps_ps, delta):
+    """One start per probe amplitude eps: the flow's periodic response to
+    the probe at t = 0 to second order, y_ss + Re[eps u] + eps^2 (2 Re w + c).
+    u = (-i delta - J)^-1 p, p = (0, 0, 0, 0, 1, -i) the probe's direction in
+    the coordinates of _real; the field's quadratic part H(x, x)/2 drives
+    the second harmonic w = (-2i delta - J)^-1 H(u, u)/8 and the shift
+    c = -J^-1 H(u, u^*)/4, H(u, .) by polarisation of hessian(v) = H(v, v)."""
     p = np.array([0, 0, 0, 0, 1, -1j])
     u = np.linalg.solve(-1j * delta * np.eye(6) - J, p)
-    return y_ss + _complex(np.outer(eps_ps, u).real)
+    h_rr, h_ii = hessian(u.real), hessian(u.imag)
+    h_uu = h_rr - h_ii + 0.5j * (hessian(u.real + u.imag) - hessian(u.real - u.imag))
+    w = np.linalg.solve(-2j * delta * np.eye(6) - J, h_uu / 8)
+    c = -np.linalg.solve(J, (h_rr + h_ii) / 4)
+    eps = np.asarray(eps_ps)
+    return y_ss + _complex(np.outer(eps, u.real) + np.outer(eps * eps, 2 * w.real + c))
 
 
 def _periodic_orbit(cfg, delta):
@@ -182,78 +193,56 @@ def _periodic_orbit(cfg, delta):
     demodulate it on the shooting's own runs.
 
     Returns (states, quadratures, eps_ps, newton_iterations, floquet_max,
-    rhs_evals): the orbit's initial states, one row per probe amplitude of
-    the tuple eps_ps; the quadratures of _flow over one period from them,
-    one row of 4 per amplitude, as _demodulate reads them; and the
-    shooting's cost and largest Floquet multiplier.
+    rhs_evals): the orbit's initial states, one row per amplitude of the
+    tuple eps_ps; their quadratures of _flow over one period, as
+    _demodulate reads them; the shooting's cost; and max |e^{lambda T}|
+    over the eigenvalues lambda of J, the flow's Jacobian (_derivatives).
 
-    The shooting starts from the linear response of the flow's own field
-    (_linear_starts), its Jacobian J at the steady state taken by central
-    differences (_jacobian). One stacked run over T carries that start once
-    per amplitude and six copies of the full-amplitude one, perturbed by h_k
-    along phi1, lz1, phi2, lz2, Re a and Im a. Their end states give the
-    residuals y(T) - y(0) and, by finite differences, the monodromy matrix
-    M. Newton steps (M' - I) s = -(y(T) - y(0)), with M' held fixed and
-    every amplitude stacked in one run per step, move the initial states
-    until a step is below _TOL in the integrator's atol scale: the
-    integration's own residual decides, M' only steers. M' is M at the full
-    amplitude and (M + e^{JT})/2 at the half: to first order M is linear in
-    the amplitude, and e^{JT} is M at amplitude 0. J and the start only
-    steer too; the closed form plays no part.
+    From the second-order start (_starts), each Newton step integrates both
+    amplitudes over T in one stacked run and solves (e^{JT} - I) s =
+    -(y(T) - y(0)), until a step is within _TOL in the integrator's atol
+    scale: the integration decides, J only steers. The last run carries the
+    quadratures q of the states x it started from; the converged x + s have
+    q + Dq _real(s) to first order, Dq the rows (1/T) P (J + i sigma)^-1
+    (e^{JT} - I), sigma = 0, delta, -delta, P = (0, 0, 0, 0, 1, i), of the
+    linear flow (exact, as e^{i sigma T} = 1; the power row, read only by
+    the fit residual, is 0). So no run is spent on the converged states.
 
-    Every copy of every run carries the quadratures of _flow, so the last
-    run has those of the states x it started from. The final step s moves
-    the states to x + s, and their quadratures to q(x) + Dq _real(s) to
-    first order, Dq = (q_k - q)/h_k the derivative of the full-amplitude
-    quadratures with respect to the real start, from the perturbed copies
-    of the first run. s is below atol, so the rest is far below the
-    integration error, and no run is spent on the converged states: a
-    check integrates one period per Newton step, two across the band
-    0.9-1.1 omega_m.
-
-    Raises Unstable if the largest Floquet multiplier |mu| (the largest
-    |eigenvalue| of M) is >= 1, and StepFailure if Newton has not converged
-    after _MAX_NEWTON steps.
+    Raises Unstable, before any run, where floquet_max >= 1, and
+    StepFailure if Newton has not converged in _MAX_NEWTON steps.
     """
     run, y_ss, eps_p, floor, field = _flow(cfg, delta)
     if eps_p == 0:
         raise IllConditionedFit("no probe to demodulate: P_p = 0")
     period = 2 * math.pi / abs(delta)
     eps_ps = (eps_p, 0.5 * eps_p)
-    n = len(eps_ps)
     scale = np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]]
-    J = _jacobian(field, y_ss, scale)
-    states = _linear_starts(J, y_ss, eps_ps, delta)
-    h = math.sqrt(_TOL) * scale
-    starts = np.vstack([states, states[0] + _complex(np.diag(h))])
-    sol = run(np.hstack([starts, np.zeros((n + 6, 4))]), eps_ps + (eps_ps[0],) * 6, period)
-    rhs_evals = sol.nfev
-    ends = sol.y[:, -1].reshape(-1, 9)
-    M = (_real(ends[n:, :5]) - _real(ends[0, :5])).T / h
-    dq = (ends[n:, 5:] - ends[0, 5:]).T / h
-    floquet_max = float(np.max(np.abs(np.linalg.eigvals(M))))
+    J, hessian = _derivatives(field, y_ss, scale)
+    lam, V = np.linalg.eig(J)
+    floquet_max = float(np.max(np.abs(np.exp(lam * period))))
     if floquet_max >= 1.0:
         raise Unstable(
             f"Floquet multiplier |mu| = {floquet_max:.6g} >= 1 over one probe "
             f"period at delta = {delta!r}: the steady state is unstable and "
             f"has no steady sidebands")
+    shooting = ((V * np.exp(lam * period)) @ np.linalg.inv(V)).real - np.eye(6)
+    sigma = np.array([0.0, delta, -delta])[:, None, None]
+    dq = np.vstack([np.array([0, 0, 0, 0, 1, 1j]) @ np.linalg.solve(
+        J + 1j * sigma * np.eye(6), shooting) / period, np.zeros(6)])
 
-    lam, V = np.linalg.eig(J)
-    linear = ((V * np.exp(lam * period)) @ np.linalg.inv(V)).real  # e^{JT}
-    shooting = np.stack([M, (M + linear) / 2]) - np.eye(6)
-    ends = ends[:n]
-    residual = ends[:, :5] - states
+    states = _starts(J, hessian, y_ss, eps_ps, delta)
+    rhs_evals = 0
     for iteration in range(1, _MAX_NEWTON + 1):
-        real_step = np.linalg.solve(shooting, -_real(residual)[..., None])[..., 0]
+        sol = run(np.hstack([states, np.zeros_like(states[:, :4])]), eps_ps, period)
+        rhs_evals += sol.nfev
+        ends = sol.y[:, -1].reshape(-1, 9)
+        residual = ends[:, :5] - states
+        real_step = np.linalg.solve(shooting, -_real(residual).T).T
         step = _complex(real_step)
         states = states + step
         atol = _TOL * np.maximum(np.abs(states), floor)
         if np.all(np.abs(step) <= atol):
             break
-        sol = run(np.hstack([states, np.zeros((n, 4))]), eps_ps, period)
-        rhs_evals += sol.nfev
-        ends = sol.y[:, -1].reshape(n, 9)
-        residual = ends[:, :5] - states
     else:
         raise StepFailure(
             f"periodic orbit not found in {_MAX_NEWTON} Newton steps: "
@@ -284,7 +273,7 @@ def _demodulate(q, eps_p, a_ss):
 class OracleReport:
     """Closed form vs time domain at one detuning of the configured system.
     fit_residual carries the integration error of the power quadrature it
-    is the small difference of (up to 11 % high at _TOL = 1e-10); passed
+    is the small difference of (up to 10 % high at _TOL = 1e-10); passed
     does not use it."""
 
     delta: float

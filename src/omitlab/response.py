@@ -16,7 +16,7 @@ The transmitted probe follows from input-output theory:
 eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T. ``probe_response``
 returns them with the exact Delta-derivative of eps_T, in one batched pass
 that every spectrum, map and group delay goes through. They depend on
-a_plus alone, so a0, which sets only the phase of a_minus, does not enter.
+a_plus alone, so only ``sideband_amplitudes`` forms a_minus.
 
 ``sideband_linear_solve`` re-derives a_plus and a_minus from the 6x6 drift
 matrix K of the linearized equations in (phi1, lz1, phi2, lz2, a, a*), one
@@ -73,14 +73,8 @@ def _phase_factor(a0):
     return out
 
 
-@scalar_in_scalar_out
-def sideband_amplitudes(ep, delta, a0=None):
-    """Closed-form a_plus, a_minus and d a_plus / d Delta at detuning delta
-    (scalar or array): the one kernel behind every response and delay.
-
-    a0 only sets the phase factor a0^2/|a0|^2 of a_minus; omit it and the
-    factor defaults to 1 (a_plus is unaffected either way).
-    """
+def _a_plus(ep, delta):
+    """(a_plus, d a_plus / d Delta, B, d, degenerate) of the closed form."""
     A = ep.kappa - 1j * (ep.delta_prime + delta)
     Ap = ep.kappa + 1j * (ep.delta_prime - delta)
     L1 = lambda_j(delta, ep.omega_phi1, ep.gamma1)
@@ -97,9 +91,21 @@ def sideband_amplitudes(ep, delta, a0=None):
         - 2.0 * ep.delta_prime * dB
     with np.errstate(divide="ignore", invalid="ignore"):
         a_plus = N / d
-        a_minus = _phase_factor(a0) * 1j * np.conj(B) / np.conj(d)
         da_plus = (dN * d - N * dd) / (d * d)
-    degenerate = np.abs(d) <= _DEGENERATE_RTOL * np.abs(A * Ap * L1 * L2)
+    return a_plus, da_plus, B, d, np.abs(d) <= _DEGENERATE_RTOL * np.abs(A * Ap * L1 * L2)
+
+
+@scalar_in_scalar_out
+def sideband_amplitudes(ep, delta, a0=None):
+    """Closed-form a_plus, a_minus and d a_plus / d Delta at detuning delta
+    (scalar or array).
+
+    a0 only sets the phase factor a0^2/|a0|^2 of a_minus; omit it and the
+    factor defaults to 1 (a_plus is unaffected either way).
+    """
+    a_plus, da_plus, B, d, degenerate = _a_plus(ep, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_minus = _phase_factor(a0) * 1j * np.conj(B) / np.conj(d)
     return SidebandAmplitudes(a_plus, a_minus, d, degenerate, da_plus)
 
 
@@ -125,12 +131,12 @@ class ProbeResponse:
 @scalar_in_scalar_out
 def probe_response(ep, delta):
     """ProbeResponse at detuning delta (scalar or array)."""
-    sb = sideband_amplitudes(ep, delta)
-    eps_T = 2.0 * ep.kappa * sb.a_plus
+    a_plus, da_plus, _, _, degenerate = _a_plus(ep, delta)
+    eps_T = 2.0 * ep.kappa * a_plus
     t_p = 1.0 - eps_T
     return ProbeResponse(
         eps_T=eps_T, nu_p=eps_T.real, u_p=eps_T.imag, t_p=t_p, phase=np.angle(t_p),
-        degenerate=sb.degenerate, deps_T=2.0 * ep.kappa * sb.da_plus)
+        degenerate=degenerate, deps_T=2.0 * ep.kappa * da_plus)
 
 
 def _drift_matrix(ep, a0):

@@ -397,7 +397,8 @@ def test_periodic_orbit_closes_over_twenty_periods(cfg):
 
 
 def test_floquet_multiplier_matches_the_drift_matrix(oracle_rep, cfg):
-    """The largest |eigenvalue| of the finite-difference monodromy matrix is
+    """The largest Floquet multiplier, max |e^{mu T}| over the eigenvalues mu
+    of the finite-difference Jacobian of the flow's own field, is
     e^{T max Re lambda}, lambda the eigenvalues of the drift matrix."""
     growth = _growth_rate(replace(cfg, P_p=2e-11, Q1=50.0, Q2=50.0))
     period = 2 * math.pi / oracle_rep.delta
@@ -448,14 +449,37 @@ def test_demodulated_orbit_matches_one_more_period(cfg, q, x):
 
 @pytest.mark.parametrize("q", [50.0, 1.2e5])
 @pytest.mark.parametrize("x", [0.93, 1.1])
-def test_the_linear_start_only_steers(cfg, monkeypatch, q, x):
-    """Started from the steady state instead of the linear response, the
-    shooting takes more Newton steps to the same orbit: the estimates agree
-    within 1e-10 relative, and so do the verdicts."""
+def test_every_run_carries_only_the_two_amplitudes(cfg, monkeypatch, q, x):
+    """A check integrates one run per Newton step, each of the full and the
+    half amplitude alone: 2 copies of 5 components of state and 4
+    quadratures, no kicked copies."""
+    rep, runs = _oracle_runs(replace(cfg, Q1=q, Q2=q), x * cfg.omega_m, monkeypatch)
+    assert len(runs) == rep.newton_iterations
+    assert all(y0.size <= 2 * 9 for _, _, y0, _ in runs)
+
+
+def _steady_state_start(J, hessian, y_ss, eps_ps, delta):
+    return np.tile(y_ss, (len(eps_ps), 1))
+
+
+# starts is bound at import, so that it is still the module's own _starts
+# when the test patches that name with this function
+def _first_order_start(J, hessian, y_ss, eps_ps, delta, starts=om._starts):
+    return starts(J, lambda v: 0 * v, y_ss, eps_ps, delta)
+
+
+@pytest.mark.parametrize("x, q, start", [
+    pytest.param(x, q, start, id=f"{x}-{q}{suffix}")
+    for start, suffix in ((_steady_state_start, ""), (_first_order_start, "-first-order"))
+    for x in (0.93, 1.1) for q in (50.0, 1.2e5)])
+def test_the_linear_start_only_steers(cfg, monkeypatch, x, q, start):
+    """Started from the steady state, or from the linear response without
+    its second-order term, the shooting takes more Newton steps to the same
+    orbit: the estimates agree within 1e-10 relative, and so do the
+    verdicts."""
     c = replace(cfg, Q1=q, Q2=q)
     rep = oracle_check(c, x * cfg.omega_m)
-    monkeypatch.setattr(om, "_linear_starts", lambda J, y_ss, eps_ps, delta:
-                        np.tile(y_ss, (len(eps_ps), 1)))
+    monkeypatch.setattr(om, "_starts", start)
     ref = oracle_check(c, x * cfg.omega_m)
     assert ref.newton_iterations > rep.newton_iterations
     for field in ("a_plus_est", "a_minus_est"):
@@ -468,11 +492,14 @@ def test_the_linear_start_only_steers(cfg, monkeypatch, q, x):
 @pytest.mark.parametrize("x", [0.9, 1.04])
 def test_linear_start_is_the_linear_response(cfg, x):
     """The Jacobian of the flow's own field has the eigenvalues of the drift
-    matrix, and the start of each amplitude eps is the closed form's field
-    at t = 0, a_ss + eps (a_plus + a_minus), to first order in eps."""
+    matrix, and the first-order part of the start of each amplitude eps is
+    the closed form's field at t = 0, a_ss + eps (a_plus + a_minus). The
+    start is quadratic in eps, so 4 start(eps/2) - start(eps) - 3 y_ss is
+    that part exactly."""
     delta = x * cfg.omega_m
     _, y_ss, eps_p, floor, field = om._flow(cfg, delta)
-    J = om._jacobian(field, y_ss, np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]])
+    J, hessian = om._derivatives(field, y_ss,
+                                 np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]])
     ss = solve_steady(cfg)
     ep = effective_params(cfg, ss)
     lam = np.linalg.eigvals(J)
@@ -480,10 +507,11 @@ def test_linear_start_is_the_linear_response(cfg, x):
     gap = np.abs(lam[:, None] - ref[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * np.max(np.abs(ref))
     sb = sideband_amplitudes(ep, delta, a0=ss.a0)
-    eps_ps = (eps_p, 0.5 * eps_p)
-    for start, eps in zip(om._linear_starts(J, y_ss, eps_ps, delta), eps_ps):
+    for eps in (eps_p, 0.5 * eps_p):
+        full, half = om._starts(J, hessian, y_ss, (eps, eps / 2), delta)
+        first_order = 4 * half - full - 3 * y_ss
         linear = eps * (sb.a_plus + sb.a_minus)
-        assert abs(start[4] - y_ss[4] - linear) <= 1e-10 * abs(linear)
+        assert abs(first_order[4] - linear) <= 1e-10 * abs(linear)
 
 
 def test_unstable_steady_state_is_refused(cfg):
