@@ -6,11 +6,11 @@ with the closed-form response.
 With a stable steady state the probe drive e^{-i delta t} has period
 T = 2 pi/|delta|, and the late-time state is the system's T-periodic orbit.
 oracle_check finds that orbit by shooting, with one linearisation of the
-flow, its Jacobian J at the steady state: from the second-order response of
+flow, its Jacobian J at the steady state: from the third-order response of
 its own field, Newton steps on y(T) = y(0) with e^{JT}, on runs that carry
-the quadratures demodulating the orbit. A check costs two periods of
-integration whatever the damping: 266 right-hand-side calls and 2 Newton
-steps across the band 0.9-1.1 omega_m, at Q = 50 and at Q = 1.2e5 alike. A
+the quadratures demodulating the orbit. A check costs one period of
+integration whatever the damping: 169 right-hand-side calls and 1 Newton
+step across the band 0.9-1.1 omega_m, at Q = 50 and at Q = 1.2e5 alike. A
 Floquet multiplier |e^{lambda T}| >= 1, lambda an eigenvalue of J, means
 the steady state is unstable and has no steady sidebands, and the oracle
 raises Unstable. The closed form enters only the final comparison, so the
@@ -32,9 +32,11 @@ from .errors import (BlowUp, ConfigError, IllConditionedFit, StepFailure,
 from .model import derive_constants, effective_params
 from .response import sideband_amplitudes
 from .steadystate import solve_steady
+from .util import real_array
 
-# the integrator's rtol, and the scale of its atol and of the shooting's
-# convergence test; read at call time
+# the scale of the shooting's convergence test, and ten times the
+# integrator's rtol and atol scale (so that the integration error leaves the
+# first step from the third-order start within it); read at call time
 _TOL = 1e-10
 # the longest beat period 2 pi/|delta| integrated, in periods of the flow's
 # fastest rate: the steps of a check grow like that ratio
@@ -49,26 +51,28 @@ _THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
                ("linearity", "linearity_rel_change", 1e-3))
 
 
-def _flow(cfg, delta):
+def _flow(cfg, delta, ss=None):
     """The mean-value equations of cfg at probe detuning delta, with both
-    drives on, as (run, y_ss, eps_p, floor, field).
+    drives on, as (run, y_ss, eps_p, floor, field); ss is cfg's steady
+    state, solved here if not given.
 
     The frame rotates at the drive frequency; the bare detuning is chosen so
     that the steady state reproduces the configured effective detuning
     (fixed mode) or equals the configured value (self-consistent mode).
     y_ss is that probe-off steady state (phi1, lz1, phi2, lz2, a), eps_p
-    the probe amplitude and field(y) the probe-off derivative of one copy,
-    y a complex array of 5 components, by the run's right-hand side.
+    the probe amplitude and field(ys) the probe-off derivatives of the rows
+    of ys, complex states of 5 components, by one call of a run's
+    right-hand side.
     run(y0s, eps_ps, t_end) integrates one copy of the system per row of
     y0s, copy j at probe amplitude eps_ps[j], from t = 0 to t_end as one
     stacked state in one solve_ivp (DOP853) call (the copies share their
     steps, so the per-step overhead is paid once) and returns its result,
     with t, y and nfev; it raises StepFailure where the stepper stops short
-    and BlowUp on a non-finite state. Copy j's absolute tolerance is _TOL
-    times max(|y0s[j]|, floor), componentwise. Rows of 9 components rather
-    than 5 also carry the quadratures q' = (a, a w^*, a w, |a - a_ss|^2)/T,
-    w = e^{-i delta t}, T = 2 pi/|delta|, that _demodulate reads after one
-    period.
+    and BlowUp on a non-finite state. The run's rtol is _TOL/10, and copy
+    j's atol _TOL/10 times max(|y0s[j]|, floor), componentwise. Rows of 9
+    components rather than 5 also carry the quadratures q' = (a, a w^*,
+    a w, |a - a_ss|^2)/T, w = e^{-i delta t}, T = 2 pi/|delta|, that
+    _demodulate reads after one period.
 
     Raises ConfigError for a non-finite delta or a |delta| whose beat
     period spans more than _MAX_BEAT_PERIODS periods of the flow's fastest
@@ -77,7 +81,7 @@ def _flow(cfg, delta):
     if not math.isfinite(delta):
         raise ConfigError(f"the detuning must be finite, got {delta!r}")
     dc = derive_constants(cfg)
-    ss = solve_steady(cfg)
+    ss = solve_steady(cfg) if ss is None else ss
     # Delta_0 such that Delta_0 + g1 phi10 - g2 phi20 = delta_prime
     delta0 = ss.delta_prime - dc.g1 * ss.phi10 + dc.g2 * ss.phi20
     eps_c = dc.eps_c
@@ -128,8 +132,9 @@ def _flow(cfg, delta):
 
     def run(y0s, eps_ps, t_end):
         y0s = np.asarray(y0s, dtype=complex)
+        tol = _TOL / 10
         sol = solve_ivp(rhs_of(eps_ps, y0s.shape[1]), (0.0, t_end), y0s.ravel(),
-                        rtol=_TOL, atol=_TOL * np.maximum(np.abs(y0s), floor).ravel(),
+                        rtol=tol, atol=tol * np.maximum(np.abs(y0s), floor).ravel(),
                         first_step=first_step)
         if not sol.success:
             raise StepFailure(f"integrator failed: {sol.message}")
@@ -137,8 +142,8 @@ def _flow(cfg, delta):
             raise BlowUp("non-finite state encountered during integration")
         return sol
 
-    def field(y):
-        return rhs_of((0.0,), 5)(0.0, y)
+    def field(ys):
+        return np.reshape(rhs_of((0.0,) * len(ys), 5)(0.0, ys.ravel()), ys.shape)
 
     y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, a_ss], dtype=complex)
     return run, y_ss, eps_p, floor, field
@@ -155,36 +160,46 @@ def _complex(x):
 
 
 def _derivatives(field, y, scale):
-    """(J, hessian) of the quadratic field at y, exact up to rounding: the
-    real 6x6 Jacobian J, and hessian(v) = H(v, v), H the constant Hessian,
-    by first and second differences along v scaled to a largest component
-    of scale (along a small v, the second difference cancels to rounding)."""
-    f2 = 2 * _real(np.asarray(field(y)))
+    """(J, H) of the quadratic field at y, exact up to rounding, from one
+    call of field over the difference points: the real 6x6 Jacobian J, and
+    the constant Hessian H, a 6x6x6 array, H(a, b) = H @ b @ a. The
+    differences step along each coordinate by its scale (along a small
+    step, the second difference cancels to rounding): central for J and
+    the diagonal of H, f(y + a + b) - f(y + a) - f(y + b) + f(y) for the
+    rest."""
+    s = 1 / scale
+    steps = np.eye(6) / s[:, None]
+    j, k = np.triu_indices(6, 1)
+    f = _real(field(y + _complex(np.vstack([np.zeros(6), steps, -steps,
+                                            steps[j] + steps[k]]))))
+    f0, plus, minus = f[0], f[1:7], f[7:13]
+    H = np.empty((6, 6, 6))
+    H[:, range(6), range(6)] = ((plus + minus - 2 * f0) * (s * s)[:, None]).T
+    mixed = (f[13:] - plus[j] - plus[k] + f0) * (s[j] * s[k])[:, None]
+    H[:, j, k] = H[:, k, j] = mixed.T
+    return ((plus - minus) * (s / 2)[:, None]).T, H
 
-    def differences(v):
-        s = np.max(np.abs(v) / scale)
-        dv = _complex(v / s)
-        plus, minus = _real(np.asarray(field(y + dv))), _real(np.asarray(field(y - dv)))
-        return (plus - minus) * (s / 2), (plus + minus - f2) * (s * s)
-    return (np.column_stack([differences(e)[0] for e in np.eye(6)]),
-            lambda v: differences(v)[1])
 
-
-def _starts(J, hessian, y_ss, eps_ps, delta):
+def _starts(J, H, y_ss, eps_ps, delta):
     """One start per probe amplitude eps: the flow's periodic response to
-    the probe at t = 0 to second order, y_ss + Re[eps u] + eps^2 (2 Re w + c).
-    u = (-i delta - J)^-1 p, p = (0, 0, 0, 0, 1, -i) the probe's direction in
-    the coordinates of _real; the field's quadratic part H(x, x)/2 drives
-    the second harmonic w = (-2i delta - J)^-1 H(u, u)/8 and the shift
-    c = -J^-1 H(u, u^*)/4, H(u, .) by polarisation of hessian(v) = H(v, v)."""
-    p = np.array([0, 0, 0, 0, 1, -1j])
-    u = np.linalg.solve(-1j * delta * np.eye(6) - J, p)
-    h_rr, h_ii = hessian(u.real), hessian(u.imag)
-    h_uu = h_rr - h_ii + 0.5j * (hessian(u.real + u.imag) - hessian(u.real - u.imag))
-    w = np.linalg.solve(-2j * delta * np.eye(6) - J, h_uu / 8)
-    c = -np.linalg.solve(J, (h_rr + h_ii) / 4)
-    eps = np.asarray(eps_ps)
-    return y_ss + _complex(np.outer(eps, u.real) + np.outer(eps * eps, 2 * w.real + c))
+    the probe at t = 0 to third order, y_ss + eps 2 Re x1 + eps^2 (2 Re x22
+    + x20) + eps^3 2 Re (x33 + x31). With R(m) = (-i m delta - J)^-1 and
+    p = (0, 0, 0, 0, 1, -i) the probe's direction in the coordinates of
+    _real, x1 = R(1) p/2; the field's quadratic part H(x, x)/2 then drives
+    x22 = R(2) H(x1, x1)/2 and x20 = R(0) H(x1^*, x1), and x33 = R(3)
+    H(x1, x22) and x31 = R(1) [H(x1, x20) + H(x1^*, x22)]."""
+    def R(m, v):
+        return np.linalg.solve(-1j * m * delta * np.eye(6) - J, v)
+
+    def h(a, b):
+        return H @ b @ a
+    x1 = R(1, np.array([0, 0, 0, 0, 1, -1j])) / 2
+    x22 = R(2, h(x1, x1)) / 2
+    x20 = R(0, h(x1.conj(), x1)).real
+    x3 = R(3, h(x1, x22)) + R(1, h(x1, x20) + h(x1.conj(), x22))
+    eps = np.asarray(eps_ps)[:, None]
+    return y_ss + _complex(eps * (2 * x1.real + eps * (2 * x22.real + x20
+                                                       + 2 * eps * x3.real)))
 
 
 def _periodic_orbit(cfg, delta):
@@ -193,31 +208,35 @@ def _periodic_orbit(cfg, delta):
     demodulate it on the shooting's own runs.
 
     Returns (states, quadratures, eps_ps, newton_iterations, floquet_max,
-    rhs_evals): the orbit's initial states, one row per amplitude of the
-    tuple eps_ps; their quadratures of _flow over one period, as
-    _demodulate reads them; the shooting's cost; and max |e^{lambda T}|
-    over the eigenvalues lambda of J, the flow's Jacobian (_derivatives).
+    rhs_evals, ss): the orbit's initial states, one row per amplitude of
+    the tuple eps_ps; their quadratures of _flow over one period, as
+    _demodulate reads them; the shooting's cost; max |e^{lambda T}| over
+    the eigenvalues lambda of J, the flow's Jacobian (_derivatives); and
+    cfg's steady state, solved once per check.
 
-    From the second-order start (_starts), each Newton step integrates both
+    From the third-order start (_starts), each Newton step integrates both
     amplitudes over T in one stacked run and solves (e^{JT} - I) s =
     -(y(T) - y(0)), until a step is within _TOL in the integrator's atol
-    scale: the integration decides, J only steers. The last run carries the
-    quadratures q of the states x it started from; the converged x + s have
-    q + Dq _real(s) to first order, Dq the rows (1/T) P (J + i sigma)^-1
-    (e^{JT} - I), sigma = 0, delta, -delta, P = (0, 0, 0, 0, 1, i), of the
-    linear flow (exact, as e^{i sigma T} = 1; the power row, read only by
-    the fit residual, is 0). So no run is spent on the converged states.
+    scale: the integration decides, J only steers. Across the band the
+    first step is within it, so a check is one run. The last run carries
+    the quadratures q of the states x it started from; the converged x + s
+    have q + Dq _real(s) to first order, Dq the rows (1/T) P (J + i
+    sigma)^-1 (e^{JT} - I), sigma = 0, delta, -delta, P = (0, 0, 0, 0, 1,
+    i), of the linear flow (exact, as e^{i sigma T} = 1; the power row,
+    read only by the fit residual, is 0). So no run is spent on the
+    converged states.
 
     Raises Unstable, before any run, where floquet_max >= 1, and
     StepFailure if Newton has not converged in _MAX_NEWTON steps.
     """
-    run, y_ss, eps_p, floor, field = _flow(cfg, delta)
+    ss = solve_steady(cfg)
+    run, y_ss, eps_p, floor, field = _flow(cfg, delta, ss)
     if eps_p == 0:
         raise IllConditionedFit("no probe to demodulate: P_p = 0")
     period = 2 * math.pi / abs(delta)
     eps_ps = (eps_p, 0.5 * eps_p)
     scale = np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]]
-    J, hessian = _derivatives(field, y_ss, scale)
+    J, H = _derivatives(field, y_ss, scale)
     lam, V = np.linalg.eig(J)
     floquet_max = float(np.max(np.abs(np.exp(lam * period))))
     if floquet_max >= 1.0:
@@ -230,7 +249,7 @@ def _periodic_orbit(cfg, delta):
     dq = np.vstack([np.array([0, 0, 0, 0, 1, 1j]) @ np.linalg.solve(
         J + 1j * sigma * np.eye(6), shooting) / period, np.zeros(6)])
 
-    states = _starts(J, hessian, y_ss, eps_ps, delta)
+    states = _starts(J, H, y_ss, eps_ps, delta)
     rhs_evals = 0
     for iteration in range(1, _MAX_NEWTON + 1):
         sol = run(np.hstack([states, np.zeros_like(states[:, :4])]), eps_ps, period)
@@ -248,7 +267,7 @@ def _periodic_orbit(cfg, delta):
             f"periodic orbit not found in {_MAX_NEWTON} Newton steps: "
             f"|y(T) - y(0)| is {np.max(np.abs(residual) / atol):.3e} times atol")
     return (states, ends[:, 5:] + real_step @ dq.T, eps_ps, iteration, floquet_max,
-            int(rhs_evals))
+            int(rhs_evals), ss)
 
 
 def _demodulate(q, eps_p, a_ss):
@@ -273,8 +292,8 @@ def _demodulate(q, eps_p, a_ss):
 class OracleReport:
     """Closed form vs time domain at one detuning of the configured system.
     fit_residual carries the integration error of the power quadrature it
-    is the small difference of (up to 10 % high at _TOL = 1e-10); passed
-    does not use it."""
+    is the small difference of (1.1 % high at most across the band);
+    passed does not use it."""
 
     delta: float
     a0_rel_err: float
@@ -321,10 +340,9 @@ def oracle_check(cfg, delta):
     Unstable where the steady state has a Floquet multiplier |mu| >= 1.
     To check at a relaxed damping, pass replace(cfg, Q1=q, Q2=q).
     """
-    delta = float(delta)
+    delta = float(real_array(delta))
     (_, quadratures, (eps_p, eps_half), newton_iterations, floquet_max,
-     rhs_evals) = _periodic_orbit(cfg, delta)
-    ss = solve_steady(cfg)
+     rhs_evals, ss) = _periodic_orbit(cfg, delta)
     q, q_half = quadratures.tolist()
     a0_est, a_plus_est, a_minus_est, fit_residual = _demodulate(q, eps_p, ss.a0)
     a_plus_half = _demodulate(q_half, eps_half, ss.a0)[1]

@@ -63,12 +63,18 @@ def scalar_in_scalar_out(func):
 
     @functools.wraps(func)
     def run(ep, x, *args, **kwargs):
-        a = np.asarray(x)
-        if np.iscomplexobj(a):
-            raise ConfigError(f"the detuning must be real, not of complex type {a.dtype}")
-        out = func(ep, np.atleast_1d(a.astype(float, copy=False)), *args, **kwargs)
+        out = func(ep, np.atleast_1d(real_array(x)), *args, **kwargs)
         return out if np.ndim(x) else unbox(out)
     return run
+
+
+def real_array(x):
+    """The detuning x as a float array; a complex x, scalar or array, is a
+    ConfigError."""
+    a = np.asarray(x)
+    if np.iscomplexobj(a):
+        raise ConfigError(f"the detuning must be real, not of complex type {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def _module_name(frame):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from omitlab import (ConfigError, EffectiveParams, SelfConsistent,
                      SingularSystem, default_config, derive_constants,
                      effective_params, flag_names, group_delay, lambda_j,
-                     probe_response, sideband_amplitudes, sideband_linear_solve,
-                     solve_steady, tau_g_analytic)
+                     oracle_check, probe_response, sideband_amplitudes,
+                     sideband_linear_solve, solve_steady, tau_g_analytic)
 from omitlab.model import config_grid, fold_steady_state
 from omitlab.response import _drift_matrix
 from omitlab.steadystate import self_consistent_branches
@@ -234,11 +234,13 @@ def test_degenerate_denominator_flag():
 
 @pytest.mark.parametrize("func", [
     sideband_amplitudes, probe_response, tau_g_analytic,
-    pytest.param(lambda ep, delta: group_delay(ep, 1.0, delta), id="group_delay")])
+    pytest.param(lambda ep, delta: group_delay(ep, 1.0, delta), id="group_delay"),
+    pytest.param(lambda ep, delta: oracle_check(default_config(), delta), id="oracle_check")])
 def test_complex_detuning_is_rejected(ep, func):
     """A complex detuning is a ConfigError, as a scalar and as an array,
-    with no ComplexWarning: the imaginary part is never dropped. group_delay,
-    which takes one detuning, rejects it before converting it to a float."""
+    with no ComplexWarning: the imaginary part is never dropped. group_delay
+    and oracle_check, which take one detuning, reject it before converting
+    it to a float."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for delta in (1.1 * OMEGA_M + 0.3j * OMEGA_M,

@@ -95,8 +95,10 @@ def _brute_force_roots(kappa, delta0, chi, eps2):
 
 
 def test_bistable_point_against_bisection():
-    """Three branches at strong drive and large bare detuning, matching an
-    algebra-free bisection root finder."""
+    """Three branches at strong drive and large bare detuning, counted by
+    the signs of the cubic at its folds and found by Newton from the ends
+    of their monotone stretches, matching an algebra-free bisection root
+    finder."""
     delta0 = 2.0 * default_config().omega_m
     cfg = replace(default_config(), P=5e-3, detuning_mode=SelfConsistent(delta0))
     dc = derive_constants(cfg)
@@ -117,7 +119,8 @@ def test_bistable_point_against_bisection():
         assert n == pytest.approx(n_ref, rel=1e-8)
     for s in states:
         assert s.delta_prime == pytest.approx(delta0 - chi * s.n, rel=1e-12)
-        # polished residual meets the refinement target
+        # Newton's root, stopped at the first step that is not shorter than
+        # the last, meets the refinement target
         assert abs(_cubic(s.n, cfg.kappa, delta0, chi, eps2)) <= 1e-11 * eps2
 
 
@@ -141,9 +144,10 @@ def _upper_edge(cfg):
 
 def test_saddle_node_edge_reports_merged_roots_once():
     """At the upper edge of the bistable band in delta0 the two upper roots
-    of the cubic merge. The closed form returns them as a complex pair
-    whose imaginary parts lie far below the real-root test, and the polish
-    brings both onto their common real part: one branch, not two copies."""
+    of the cubic merge at its upper fold n_+, where f = 0. The fold signs
+    count one branch there, not two copies: the upper one (f(n_+) = 0 at a
+    fold of its own) and no middle one (f(n_+) is not below 0); and the
+    monotone Newton solve starts the upper root at n_+ itself."""
     cfg = replace(default_config(), P=5e-3)
     dc = derive_constants(cfg)
     kappa = cfg.kappa
@@ -161,8 +165,8 @@ def test_saddle_node_edge_reports_merged_roots_once():
     det = delta0 - chi * n
     n -= _cubic(n, kappa, delta0, chi, eps2) / (kappa ** 2 + det ** 2 - 2.0 * chi * n * det)
     assert ns[0] == pytest.approx(n, rel=1e-12)
-    # the mean of the pair is well conditioned (their sum is 2 delta0/chi -
-    # ns[0]) and already meets the residual target, so no Newton step moves it
+    # at the double root f' = 0 too, so Newton's first step is 0/0 and the
+    # root stays at the fold
     assert ns[1] == pytest.approx(n_double, rel=1e-12)
 
 
