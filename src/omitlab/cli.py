@@ -32,7 +32,7 @@ from .model import (FixedEffective, SelfConsistent, config_fingerprint,
 from .oracle import _THRESHOLDS, oracle_check
 from .steadystate import residual, solve_steady, steady_states
 from .svgplot import heatmap_svg, line_svg
-from .sweep import (_AXIS_NAMES, delay_map_csv, find_dips, map_csv,
+from .sweep import (_AXIS_NAMES, DEFAULT_GRID, delay_map_csv, find_dips, map_csv,
                     spectrum_csv, spectrum_sweep, sweep_2d)
 from .util import atomic_write
 
@@ -311,11 +311,11 @@ def build_parser():
             ("dips", _cmd_dips, None, "transparency dip report")):
         sp = sub.add_parser(name, help=help_)
         _add_common(sp, svg=name == "spectrum", branch=True)
-        sp.add_argument("--delta-min", type=float, default=0.5,
+        sp.add_argument("--delta-min", type=float, default=DEFAULT_GRID[0],
                         help="grid start [units of omega_m]")
-        sp.add_argument("--delta-max", type=float, default=1.5,
+        sp.add_argument("--delta-max", type=float, default=DEFAULT_GRID[1],
                         help="grid stop [units of omega_m]")
-        sp.add_argument("--points", type=int, default=4001, help="grid size")
+        sp.add_argument("--points", type=int, default=DEFAULT_GRID[2], help="grid size")
         sp.set_defaults(func=func, out=out)
 
     sp = sub.add_parser("delay", help="group delay at one detuning")

@@ -62,7 +62,8 @@ class DelayResult:
     t_p_magnitude: float
 
 
-# the names of the kind codes of kind_codes, in order of length
+# the names of the kind codes of kind_codes; codes are stable, and a new
+# kind takes the next code
 KIND_NAMES = ("", "slow", "fast", "neutral")
 
 

@@ -50,7 +50,7 @@ license:
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -143,16 +143,9 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _REACHED_END = "The solver successfully reached the end of the integration interval."
 
 
-@dataclass(frozen=True)
-class IvpResult:
-    """Times, complex states (one column per time), right-hand-side calls
-    and the outcome of solve_ivp."""
-
-    t: object
-    y: object
-    nfev: int
-    success: bool
-    message: str
+# times, complex states (one column per time), right-hand-side calls and
+# the outcome of solve_ivp
+IvpResult = namedtuple("IvpResult", "t y nfev success message")
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, first_step):

@@ -47,30 +47,23 @@ class SidebandAmplitudes:
 
     degenerate marks points where |d| fell below the threshold relative to
     |A A' L1 L2|; values are still returned (possibly inf/nan), never silently
-    patched. da_plus is d a_plus / d Delta, differentiated exactly. The
-    linear solve fills a_plus and a_minus only (the rest is None).
+    patched. The linear solve fills a_plus and a_minus only (the rest is
+    None); ProbeResponse.deps_T carries the Delta-derivative of a_plus.
     """
 
     a_plus: object
     a_minus: object
     d_delta: object = None
     degenerate: object = None
-    da_plus: object = None
 
 
 def _phase_factor(a0):
-    """a0^2/|a0|^2 over an array a0, 1 where a0 = 0 (a_minus vanishes there
-    anyway), formed part by part as Python's complex arithmetic forms it
-    (float_power is libm pow, as ** on a float): the bits of a scalar a0."""
+    """a0^2/|a0|^2 = a0/conj(a0) over an array a0, 1 where a0 = 0 (a_minus
+    vanishes there anyway)."""
     if a0 is None:
         return 1.0
     a0 = np.asarray(a0, dtype=complex)
-    x, y = a0.real, a0.imag
-    mag2 = np.float_power(x, 2) + np.float_power(y, 2)
-    out = np.ones(a0.shape, dtype=complex)
-    np.divide(x * x - y * y, mag2, out=out.real, where=mag2 != 0.0)
-    np.divide(x * y + y * x, mag2, out=out.imag, where=mag2 != 0.0)
-    return out
+    return np.divide(a0, np.conj(a0), out=np.ones_like(a0), where=a0 != 0)
 
 
 def _a_plus(ep, delta):
@@ -97,16 +90,15 @@ def _a_plus(ep, delta):
 
 @scalar_in_scalar_out
 def sideband_amplitudes(ep, delta, a0=None):
-    """Closed-form a_plus, a_minus and d a_plus / d Delta at detuning delta
-    (scalar or array).
+    """Closed-form a_plus and a_minus at detuning delta (scalar or array).
 
     a0 only sets the phase factor a0^2/|a0|^2 of a_minus; omit it and the
     factor defaults to 1 (a_plus is unaffected either way).
     """
-    a_plus, da_plus, B, d, degenerate = _a_plus(ep, delta)
+    a_plus, _, B, d, degenerate = _a_plus(ep, delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_minus = _phase_factor(a0) * 1j * np.conj(B) / np.conj(d)
-    return SidebandAmplitudes(a_plus, a_minus, d, degenerate, da_plus)
+    return SidebandAmplitudes(a_plus, a_minus, d, degenerate)
 
 
 @dataclass(frozen=True)

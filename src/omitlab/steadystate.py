@@ -22,7 +22,8 @@ Both solvers broadcast over a ``config_grid`` and flag failed cells.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +61,12 @@ class SteadyState:
     config_fingerprint: str
 
 
-@dataclass(frozen=True)
-class Branches:
-    """Steady states over a configuration grid. delta_prime, a0 and n (the
-    roots of the cubic; None at a fixed effective detuning) have a leading
-    branch axis: the real branches in ascending photon number, then nan.
-    count is the number of real branches and flags the flag code of each
-    cell (util.FLAG_ERRORS: the error of a failed cell, 0 elsewhere)."""
-
-    delta_prime: object
-    a0: object
-    n: object
-    count: object
-    flags: object
+# Steady states over a configuration grid. delta_prime, a0 and n (the roots
+# of the cubic; None at a fixed effective detuning) have a leading branch
+# axis: the real branches in ascending photon number, then nan. count is the
+# number of real branches and flags the flag code of each cell
+# (util.FLAG_ERRORS: the error of a failed cell, 0 elsewhere)
+Branches = namedtuple("Branches", "delta_prime a0 n count flags")
 
 
 def residual(cfg, dc, delta_prime, a0):
@@ -194,7 +188,7 @@ def _solve(cfg, dc, branch):
     if branch < 0:
         raise ConfigError(f"branch {branch} out of range: branches count from 0")
     br = self_consistent_branches(cfg, dc, mode.value)
-    return replace(br, flags=flag_cells(br.flags, br.count <= branch, MissingBranch))
+    return br._replace(flags=flag_cells(br.flags, br.count <= branch, MissingBranch))
 
 
 def steady_states(cfg):

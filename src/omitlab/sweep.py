@@ -25,10 +25,15 @@ _DIP_PROMINENCE = 1e-3
 _AXIS_NAMES = ("P", "L", "kappa", "Q1", "Q2", "Delta")
 
 
+# the uniform part of the default detuning grid, the defaults of the CLI's
+# --delta-min and --delta-max (in units of omega_m) and --points
+DEFAULT_GRID = (0.5, 1.5, 4001)
+
+
 def default_delta_grid(ep):
-    """4001 uniform points over [0.5, 1.5] omega_m plus resonance refinement."""
-    base = np.linspace(0.5 * ep.omega_m, 1.5 * ep.omega_m, 4001)
-    return _refine_grid(base, ep)
+    """DEFAULT_GRID's uniform points plus resonance refinement."""
+    start, stop, points = DEFAULT_GRID
+    return _refine_grid(np.linspace(start * ep.omega_m, stop * ep.omega_m, points), ep)
 
 
 def _refine_grid(grid, ep):

@@ -19,8 +19,8 @@ from .errors import (ConfigError, DegenerateDenominator, MissingBranch,
                      StepTooLarge)
 
 # the errors that flag a cell: a flag is a uint8 code, the index of its
-# error here, and 0 (None) for none. They are in the order of the lengths
-# of their names, so the largest code present sets a flag column's width
+# error here, and 0 (None) for none. Codes are stable: a new error takes
+# the next code, and names are written only where flags are printed
 FLAG_ERRORS = (None, StepTooLarge, MissingBranch, NumericalError, RootRefinementError,
                NearZeroTransmission, DegenerateDenominator)
 FLAG_NAMES = ("", *(e.__name__ for e in FLAG_ERRORS[1:]))
@@ -303,10 +303,12 @@ def text_cells(strings):
 
 def name_text(codes, names):
     """Cells of names[c] for each code c of codes (raveled), as wide as the
-    longest of them: a table of names is in the order of their lengths, so
-    the largest code present sets the width."""
+    longest name among the codes present (0 wide for no codes), whatever
+    the order of names."""
     codes = np.ravel(codes)
-    return text_cells(names)[codes, :len(names[codes.max(initial=0)])]
+    cells = text_cells(names)
+    present = np.bincount(codes, minlength=len(names)) > 0
+    return cells[codes, :np.count_nonzero(cells[present], axis=1).max(initial=0)]
 
 
 def table_text(*parts, head=""):

@@ -17,6 +17,7 @@ from omitlab import (ConfigError, SelfConsistent, config_fingerprint,
                      default_config, effective_params, group_delay,
                      oracle_check, solve_steady)
 from omitlab.cli import build_parser, main
+from omitlab.sweep import default_delta_grid
 
 
 def _read(path):
@@ -73,6 +74,19 @@ def test_spectrum_undriven_peak(tmp_path):
     assert x[np.argmax(nu)] == pytest.approx(1.0, abs=1e-3)
     manifest = json.loads(_read(tmp_path / "s.manifest.json"))
     assert manifest["stats"]["n_points"] == len(rows)
+
+
+def test_default_spectrum_is_the_default_grid(tmp_path):
+    """A spectrum at the CLI's default grid flags writes one row per point
+    of sweep.default_delta_grid, at the same detunings: the benchmark's
+    checks rebuild the grid from the library."""
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--out", str(out)]) == 0
+    rows = _rows(_read(out))[1]
+    ep = effective_params(default_config(), solve_steady(default_config()))
+    grid = default_delta_grid(ep)
+    assert len(rows) == grid.size
+    assert [r[0] for r in rows] == [repr(x) for x in (grid / ep.omega_m).tolist()]
 
 
 def test_spectrum_svg(tmp_path):

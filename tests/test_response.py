@@ -4,6 +4,7 @@ linear solve with the 6x6 drift matrix."""
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from omitlab import (ConfigError, EffectiveParams, SelfConsistent,
                      oracle_check, probe_response, sideband_amplitudes,
                      sideband_linear_solve, solve_steady, tau_g_analytic)
 from omitlab.model import config_grid, fold_steady_state
-from omitlab.response import _drift_matrix
+from omitlab.response import _drift_matrix, _phase_factor
 from omitlab.steadystate import self_consistent_branches
 
 OMEGA_M = default_config().omega_m
@@ -251,8 +252,21 @@ def test_complex_detuning_is_rejected(ep, func):
 
 
 def test_array_and_scalar_paths_agree(ep, ss):
+    """The scalar path gives the bits of the array path, with one a0 or an
+    a0 per point; a_minus's phase factor a0/conj(a0) is within 4 ulp of
+    the exact a0^2/|a0|^2 (measured: 1.3), over a0 of random phase across
+    40 decades, and exactly 1 at a0 = 0."""
     grid = np.array([0.7, 1.0, 1.3, 1.1]) * OMEGA_M
     a0s = np.array([ss.a0, -ss.a0.real, 1j * ss.a0, 0.0])
+    rng = np.random.default_rng(5)
+    z = np.concatenate([a0s[:3], 10.0 ** rng.uniform(-20, 20, 2000)
+                        * np.exp(2j * np.pi * rng.random(2000))])
+    for a0, factor in zip(z.tolist(), _phase_factor(z).tolist()):
+        x, y = Fraction(a0.real), Fraction(a0.imag)
+        exact = ((x * x - y * y) / (x * x + y * y), 2 * x * y / (x * x + y * y))
+        assert max(abs(Fraction(f) - e) for f, e in zip((factor.real, factor.imag), exact)) \
+            <= 4 * Fraction(np.finfo(float).eps)
+    assert _phase_factor(a0s)[3] == 1.0 and _phase_factor(0j) == 1.0
     vec = sideband_amplitudes(ep, grid, a0=ss.a0)
     per_a0 = sideband_amplitudes(ep, grid, a0=a0s)
     for k, d in enumerate(grid):

@@ -506,8 +506,16 @@ def test_every_flag_code_round_trips_to_its_name(monkeypatch):
 
     assert kind_codes([np.nan, 1e-9, -1e-9, 0.0]).tolist() == [0, 1, 2, 3]
     assert KIND_NAMES == ("", "slow", "fast", "neutral")
-    for table in (FLAG_NAMES, KIND_NAMES):
-        assert [len(n) for n in table] == sorted(len(n) for n in table)
+    # the tables hold no order of length: a shorter name may follow a
+    # longer one (as a new flag appended after DegenerateDenominator would),
+    # and the longer comes out whole; no codes make a column 0 wide
+    appended = (*FLAG_NAMES, "Unstable")
+    text = name_text(np.uint8([len(FLAG_NAMES), FLAG_NAMES.index("DegenerateDenominator")]),
+                     appended)
+    assert [c.tobytes().rstrip(b"\0").decode() for c in text] == \
+        ["Unstable", "DegenerateDenominator"]
+    assert name_text(np.array([], np.uint8), appended).shape == (0, 0)
+    for table in (FLAG_NAMES, KIND_NAMES, appended):
         for top in range(len(table)):
             text = name_text(np.arange(top, -1, -1, dtype=np.uint8), table)
             assert [c.tobytes().rstrip(b"\0").decode() for c in text] == \
@@ -519,3 +527,4 @@ def test_every_flag_code_round_trips_to_its_name(monkeypatch):
     assert "eps_out_zero" not in omitlab.__all__ and not hasattr(omitlab, "eps_out_zero")
     assert {"eps_out_plus", "eps_out_minus"}.isdisjoint(
         f.name for f in fields(omitlab.ProbeResponse))
+    assert "da_plus" not in {f.name for f in fields(omitlab.SidebandAmplitudes)}
