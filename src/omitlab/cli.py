@@ -242,9 +242,9 @@ def _cmd_map2d(args, cfg):
                  branch=args.branch)
     # the Delta axis is written in the units of the flag
     if args.axis1 == "Delta":
-        m = dc_replace(m, axis1_grid=disp1)
+        m = m._replace(axis1_grid=disp1)
     if args.axis2 == "Delta":
-        m = dc_replace(m, axis2_grid=disp2)
+        m = m._replace(axis2_grid=disp2)
     svg = heatmap_svg(m.axis2_grid, m.axis1_grid, m.values, title=f"{args.observable} map",
                       xlabel=args.axis2, ylabel=args.axis1) if args.svg else None
     return "", map_csv(m), svg, {"observable": args.observable}

@@ -11,7 +11,7 @@ the (P, L) delay map is a sweep.sweep_2d map.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,20 +46,13 @@ def unwrap_phase(phases):
     return out
 
 
-@dataclass(frozen=True)
-class DelayResult:
-    """Group delay at one point.
+DelayResult = namedtuple("DelayResult", "tau_g method step classification t_p_magnitude")
+DelayResult.__doc__ = """Group delay at one point.
 
-    method is "analytic" or "central-difference" (step recorded for the
-    latter); classification is "slow", "fast" or "neutral" per the sign of
-    tau_g against the 1e-12 s threshold.
-    """
-
-    tau_g: float
-    method: str
-    step: object
-    classification: str
-    t_p_magnitude: float
+method is "analytic" or "central-difference" (step recorded for the
+latter); classification is "slow", "fast" or "neutral" per the sign of
+tau_g against the 1e-12 s threshold.
+"""
 
 
 # the names of the kind codes of kind_codes; codes are stable, and a new

@@ -17,6 +17,7 @@ frequency-valued fields and converts at the boundary.
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -152,8 +153,8 @@ def _check_field(name, x):
         raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g}, got {x!r}")
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(namedtuple("DerivedConstants", "I g1 g2 g_alpha1 g_alpha2 gamma1 gamma2 "
+                                                      "omega_c eps_c P_p kappa")):
     """Constants computed from a PhysicalConfig.
 
     g1, g2 are the optorotational coupling constants; the signed couplings
@@ -161,17 +162,7 @@ class DerivedConstants:
     eps_p depends on the probe frequency and is exposed as a method.
     """
 
-    I: float
-    g1: float
-    g2: float
-    g_alpha1: float
-    g_alpha2: float
-    gamma1: float
-    gamma2: float
-    omega_c: float
-    eps_c: float
-    P_p: float
-    kappa: float
+    __slots__ = ()
 
     def eps_p(self, omega_p):
         """Probe drive amplitude sqrt(2*kappa*P_p/(hbar*omega_p))."""

@@ -22,7 +22,7 @@ Every integration goes through solve_ivp, the package's DOP853 stepper
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -288,8 +288,10 @@ def _demodulate(q, eps_p, a_ss):
     return c0, c1 / eps_p, c2 / eps_p, math.sqrt(r2 / total)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport", (
+        "delta a0_rel_err a_plus_rel_err a_minus_rel_err linearity_rel_change full_amplitude "
+        "half_amplitude fit_residual passed a_plus_est a_plus_closed a_minus_est a_minus_closed "
+        "rhs_evals newton_iterations floquet_max"))):
     """Closed form vs time domain at one detuning of the configured system.
     The *_rel_err, a_plus_est and a_minus_est are those of the estimates
     extrapolated from the full and the half probe amplitude (oracle_check);
@@ -298,22 +300,7 @@ class OracleReport:
     integration error of the power quadrature it is the small difference
     of (1.1 % high at most across the band); passed does not use it."""
 
-    delta: float
-    a0_rel_err: float
-    a_plus_rel_err: float
-    a_minus_rel_err: float
-    linearity_rel_change: float
-    full_amplitude: dict
-    half_amplitude: dict
-    fit_residual: float
-    passed: bool
-    a_plus_est: complex
-    a_plus_closed: complex
-    a_minus_est: complex
-    a_minus_closed: complex
-    rhs_evals: int
-    newton_iterations: int
-    floquet_max: float
+    __slots__ = ()
 
     def as_dict(self):
         keys = ("delta", "a0_rel_err", "a_plus_rel_err", "a_minus_rel_err",

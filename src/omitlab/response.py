@@ -25,7 +25,7 @@ form and serves as an independent check of it. The eigenvalues lambda of K
 are the roots Delta = i lambda of d.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,20 +41,15 @@ def lambda_j(delta, omega_phi, gamma):
     return omega_phi ** 2 - delta ** 2 - 1j * gamma * delta
 
 
-@dataclass(frozen=True)
-class SidebandAmplitudes:
-    """First-order sideband amplitudes and the shared denominator.
+SidebandAmplitudes = namedtuple("SidebandAmplitudes", "a_plus a_minus d_delta degenerate",
+                                defaults=(None, None))
+SidebandAmplitudes.__doc__ = """First-order sideband amplitudes and the shared denominator.
 
-    degenerate marks points where |d| fell below the threshold relative to
-    |A A' L1 L2|; values are still returned (possibly inf/nan), never silently
-    patched. The linear solve fills a_plus and a_minus only (the rest is
-    None); ProbeResponse.deps_T carries the Delta-derivative of a_plus.
-    """
-
-    a_plus: object
-    a_minus: object
-    d_delta: object = None
-    degenerate: object = None
+degenerate marks points where |d| fell below the threshold relative to
+|A A' L1 L2|; values are still returned (possibly inf/nan), never silently
+patched. The linear solve fills a_plus and a_minus only (the rest is
+None); ProbeResponse.deps_T carries the Delta-derivative of a_plus.
+"""
 
 
 def _phase_factor(a0):
@@ -101,23 +96,14 @@ def sideband_amplitudes(ep, delta, a0=None):
     return SidebandAmplitudes(a_plus, a_minus, d, degenerate)
 
 
-@dataclass(frozen=True)
-class ProbeResponse:
-    """The transmitted probe at detuning Delta.
+ProbeResponse = namedtuple("ProbeResponse", "eps_T nu_p u_p t_p phase degenerate deps_T")
+ProbeResponse.__doc__ = """The transmitted probe at detuning Delta.
 
-    nu_p + i u_p = eps_T = 2 kappa a_plus exactly; t_p = 1 - eps_T; phase
-    is the principal-value argument of t_p; degenerate is the kernel's mark
-    of a degenerate d; deps_T is the exact derivative of eps_T with respect
-    to Delta.
-    """
-
-    eps_T: object
-    nu_p: object
-    u_p: object
-    t_p: object
-    phase: object
-    degenerate: object
-    deps_T: object
+nu_p + i u_p = eps_T = 2 kappa a_plus exactly; t_p = 1 - eps_T; phase
+is the principal-value argument of t_p; degenerate is the kernel's mark
+of a degenerate d; deps_T is the exact derivative of eps_T with respect
+to Delta.
+"""
 
 
 @scalar_in_scalar_out

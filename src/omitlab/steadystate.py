@@ -23,12 +23,10 @@ Both solvers broadcast over a ``config_grid`` and flag failed cells.
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, MissingBranch, NumericalError,
-                     RootRefinementError)
+from .errors import ConfigError, MissingBranch, RootRefinementError
 from .model import (config_fingerprint, config_grid, derive_constants,
                     fold_steady_state)
 from .util import FLAG_ERRORS, flag_cells, stacklevel_outside, with_python_scalars
@@ -37,28 +35,17 @@ from .util import FLAG_ERRORS, flag_cells, stacklevel_outside, with_python_scala
 _MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """One steady-state branch.
+SteadyState = namedtuple("SteadyState", "a0 n phi10 phi20 lz1 lz2 delta_prime n_branches "
+                                        "branch_index config_fingerprint")
+SteadyState.__doc__ = """One steady-state branch.
 
-    a0 is the complex intracavity amplitude, phi10/phi20 the static angular
-    displacements (phi10 <= 0 <= phi20 whenever the cavity is driven, from the
-    signs of the two couplings), lz1 = lz2 = 0 always. n is the intracavity
-    photon number: |a0|^2 at a fixed effective detuning, the root of the
-    cubic at a fixed bare detuning. n_branches counts the real solutions at
-    this drive; branch_index identifies this one (ascending photon number).
-    """
-
-    a0: complex
-    n: float
-    phi10: float
-    phi20: float
-    lz1: float
-    lz2: float
-    delta_prime: float
-    n_branches: int
-    branch_index: int
-    config_fingerprint: str
+a0 is the complex intracavity amplitude, phi10/phi20 the static angular
+displacements (phi10 <= 0 <= phi20 whenever the cavity is driven, from the
+signs of the two couplings), lz1 = lz2 = 0 always. n is the intracavity
+photon number: |a0|^2 at a fixed effective detuning, the root of the
+cubic at a fixed bare detuning. n_branches counts the real solutions at
+this drive; branch_index identifies this one (ascending photon number).
+"""
 
 
 # Steady states over a configuration grid. delta_prime, a0 and n (the roots
@@ -70,25 +57,24 @@ Branches = namedtuple("Branches", "delta_prime a0 n count flags")
 
 
 def residual(cfg, dc, delta_prime, a0):
-    """|a0 (kappa + i Delta') - eps_c|, the miss of the steady-state equation."""
+    """|a0 (kappa + i Delta') - eps_c|, the miss of the steady-state
+    equation: for a0 = eps_c / (kappa + i Delta') the rounding of the
+    division, not a test of the root."""
     return np.abs(a0 * (cfg.kappa + 1j * delta_prime) - dc.eps_c)
 
 
 def _branches(cfg, dc, delta_prime, flags, n=None):
-    """Branches with a0 = eps_c / (kappa + i Delta'), flagging a cell where
-    the residual exceeds 1e-10 max(eps_c, kappa)."""
+    """Branches with a0 = eps_c / (kappa + i Delta')."""
     with np.errstate(invalid="ignore"):  # nan on the missing branches
         a0 = dc.eps_c / (cfg.kappa + 1j * delta_prime)
-        miss = residual(cfg, dc, delta_prime, a0)
-    bad = np.any(miss > 1e-10 * np.maximum(dc.eps_c, cfg.kappa), axis=0)
-    return Branches(delta_prime, a0, n, np.isfinite(delta_prime).sum(axis=0),
-                    flag_cells(flags, bad, NumericalError))
+    return Branches(delta_prime, a0, n, np.isfinite(delta_prime).sum(axis=0), flags)
 
 
 def fixed_branches(cfg, dc, delta_prime):
     """Branches at a prescribed effective detuning: one per cell."""
-    shape = (1,) + np.broadcast(cfg.kappa, dc.eps_c).shape
-    return _branches(cfg, dc, np.full(shape, float(delta_prime)), 0)
+    shape = np.broadcast(cfg.kappa, dc.eps_c).shape
+    return _branches(cfg, dc, np.full((1,) + shape, float(delta_prime)),
+                     np.zeros(shape, np.uint8))
 
 
 def _cubic(n, kappa, delta0, chi, eps2):
@@ -163,9 +149,7 @@ def _states(cfg, dc, br, where):
     """SteadyState list of one configuration; raises the error of its flag."""
     error = FLAG_ERRORS[br.flags.item()]
     if error:
-        what = ("Newton steps did not settle" if error is RootRefinementError
-                else "residual exceeds tolerance")
-        raise error(f"steady state at {where}: {what} ({error.__name__})")
+        raise error(f"steady state at {where}: {error.__doc__} ({error.__name__})")
     fp = config_fingerprint(cfg)
     # fixed mode: n and the displacements from |a0|^2; else from the root
     n = [abs(a) ** 2 for a in br.a0.tolist()] if br.n is None else br.n

@@ -11,6 +11,7 @@ find them (bit for bit) and refined in one array pass to the vertices of
 their three-point parabolas.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,18 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
 
     The steady state is computed once for the configuration (selected branch
     in self-consistent mode); a user grid is refined near the mirror
-    resonances if it is too coarse there.
+    resonances if it is too coarse there. A user grid that is not a
+    nonempty 1-d sequence is a ConfigError.
     """
     ss = solve_steady(cfg, branch=branch)
     ep = effective_params(cfg, ss)
     if delta_grid is None:
         grid = default_delta_grid(ep)
     else:
-        grid = _refine_grid(np.sort(np.asarray(delta_grid, dtype=float)), ep)
+        grid = np.asarray(delta_grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ConfigError("delta_grid must be a nonempty 1-d sequence")
+        grid = _refine_grid(np.sort(grid), ep)
 
     pr, tau, _, flags = _delays(ep, grid)
     return SpectrumSeries(
@@ -95,15 +100,9 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
         flags=flags, config_fingerprint=config_fingerprint(cfg))
 
 
-@dataclass(frozen=True)
-class DipReport:
-    """Local minima of nu_p: refined positions, values there, and full widths
-    at half depth measured between the flanking maxima."""
-
-    positions: object
-    depths: object
-    widths: object
-    count: int
+DipReport = namedtuple("DipReport", "positions depths widths count")
+DipReport.__doc__ = """Local minima of nu_p: refined positions, values there, and full widths
+at half depth measured between the flanking maxima."""
 
 
 def _local_maxima(x):
@@ -187,21 +186,11 @@ def find_dips(series):
     return DipReport(positions, depths, widths, int(i.size))
 
 
-@dataclass(frozen=True)
-class Map2D:
-    """Long-format 2-D map: values[i, j] at (axis1_grid[i], axis2_grid[j]),
-    and flags[i, j] the uint8 flag code of the cell (flag_names gives their
-    names)."""
-
-    axis1_name: str
-    axis1_grid: object
-    axis2_name: str
-    axis2_grid: object
-    observable: str
-    delta: object
-    values: object
-    flags: object
-    config_fingerprint: str
+Map2D = namedtuple("Map2D", "axis1_name axis1_grid axis2_name axis2_grid observable delta "
+                            "values flags config_fingerprint")
+Map2D.__doc__ = """Long-format 2-D map: values[i, j] at (axis1_grid[i], axis2_grid[j]),
+and flags[i, j] the uint8 flag code of the cell (flag_names gives their
+names)."""
 
 
 def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0, method="analytic"):

@@ -5,7 +5,6 @@ ASCII padded with NUL bytes anywhere, read side by side without the NULs.
 ``repr_cells`` and ``fixed_cells`` format whole float arrays as repr and
 ``.2f`` do, byte for byte."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -51,14 +50,13 @@ def scalar_in_scalar_out(func):
     array, is a ConfigError. A scalar x runs as a 1-element array, on the
     ufunc path of array input (identical bits, and 0/0 gives nan instead of
     raising), and each array in the result (an array, or a tuple or
-    dataclass of them) comes back as a Python scalar."""
+    named tuple of them, nested) comes back as a Python scalar."""
     def unbox(v):
         if isinstance(v, np.ndarray):
             return v.item()
         if isinstance(v, tuple):
-            return tuple(map(unbox, v))
-        if dataclasses.is_dataclass(v):
-            return type(v)(**{k: unbox(f) for k, f in vars(v).items()})
+            items = map(unbox, v)
+            return type(v)._make(items) if hasattr(v, "_make") else tuple(items)
         return v
 
     @functools.wraps(func)

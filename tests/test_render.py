@@ -168,7 +168,7 @@ def _maps(cfg):
         dm = sweep_2d(sc, ("P", np.array([1e-3, 2.5e-3, 4e-3])), ("L", np.array([0, 100, 200])),
                       observable="tau_g", delta=1.1 * cfg.omega_m, branch=1)
     assert "MissingBranch" in flag_names(dm.flags)
-    return replace(m, values=values, flags=flags), dm
+    return m._replace(values=values, flags=flags), dm
 
 
 def test_writers_match_the_per_value_rendering(monkeypatch):

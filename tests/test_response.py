@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omitlab import (ConfigError, EffectiveParams, SelfConsistent,
-                     SingularSystem, default_config, derive_constants,
-                     effective_params, flag_names, group_delay, lambda_j,
-                     oracle_check, probe_response, sideband_amplitudes,
+from omitlab import (ConfigError, DelayResult, EffectiveParams, ProbeResponse,
+                     SelfConsistent, SidebandAmplitudes, SingularSystem,
+                     default_config, derive_constants, effective_params,
+                     flag_names, group_delay, lambda_j, oracle_check,
+                     probe_response, sideband_amplitudes,
                      sideband_linear_solve, solve_steady, tau_g_analytic)
 from omitlab.model import config_grid, fold_steady_state
 from omitlab.response import _drift_matrix, _phase_factor
@@ -253,9 +254,10 @@ def test_complex_detuning_is_rejected(ep, func):
 
 def test_array_and_scalar_paths_agree(ep, ss):
     """The scalar path gives the bits of the array path, with one a0 or an
-    a0 per point; a_minus's phase factor a0/conj(a0) is within 4 ulp of
-    the exact a0^2/|a0|^2 (measured: 1.3), over a0 of random phase across
-    40 decades, and exactly 1 at a0 = 0."""
+    a0 per point, as a record of its own type with Python scalars in it;
+    a_minus's phase factor a0/conj(a0) is within 4 ulp of the exact
+    a0^2/|a0|^2 (measured: 1.3), over a0 of random phase across 40
+    decades, and exactly 1 at a0 = 0."""
     grid = np.array([0.7, 1.0, 1.3, 1.1]) * OMEGA_M
     a0s = np.array([ss.a0, -ss.a0.real, 1j * ss.a0, 0.0])
     rng = np.random.default_rng(5)
@@ -276,3 +278,10 @@ def test_array_and_scalar_paths_agree(ep, ss):
         assert isinstance(one.a_plus, complex)
         assert sideband_amplitudes(ep, float(d), a0=complex(a0s[k])).a_minus == \
             per_a0.a_minus[k]
+        pr, res = probe_response(ep, float(d)), group_delay(ep, ss.a0, float(d))
+        assert pr == tuple(v[k] for v in probe_response(ep, grid))
+        assert res.tau_g == tau_g_analytic(ep, grid)[k]
+        for record, kind in ((one, SidebandAmplitudes), (pr, ProbeResponse),
+                             (res, DelayResult)):
+            assert type(record) is kind
+            assert all(type(v) in (bool, float, complex, str, type(None)) for v in record)

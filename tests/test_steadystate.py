@@ -29,6 +29,12 @@ def test_fixed_point_closed_form(cfg, dc, ss):
     assert ss.a0 == pytest.approx(expect, rel=1e-15)
     resid = abs(ss.a0 * (cfg.kappa + 1j * ss.delta_prime) - dc.eps_c)
     assert resid <= 1e-10 * max(dc.eps_c, cfg.kappa)
+    # over a grid, each cell has its one branch and no flag: uint8 codes
+    # of the shape of the cells
+    for c in (cfg, config_grid(cfg, P=[[0.0], [1e-3]], kappa=[1e6, 1e8, 1e9])):
+        br = steadystate.fixed_branches(c, derive_constants(c), cfg.omega_m)
+        assert br.flags.dtype == np.uint8 and br.flags.shape == br.a0.shape[1:]
+        assert not br.flags.any() and (br.count == 1).all()
 
 
 def test_static_displacements(cfg, dc, ss):

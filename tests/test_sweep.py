@@ -2,7 +2,7 @@
 
 import time
 import warnings
-from dataclasses import fields, replace
+from dataclasses import is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +85,16 @@ def test_user_grid_is_refined_when_coarse(cfg):
     series = spectrum_sweep(cfg, coarse)
     assert series.delta_grid.size > 101
     assert find_dips(series).count == 2
+
+
+
+def test_user_grid_must_be_a_nonempty_sequence(cfg):
+    """An empty, 2-d or 0-d detuning grid is a ConfigError, as an empty map
+    axis is, rather than the refinement bands alone or numpy's error."""
+    grid = np.linspace(0.5, 1.5, 101) * cfg.omega_m
+    for bad in ([], grid.reshape(1, -1), grid.reshape(-1, 1), grid[0]):
+        with pytest.raises(ConfigError, match="nonempty 1-d"):
+            spectrum_sweep(cfg, bad)
 
 
 def test_dip_refinement_is_subgrid():
@@ -453,10 +463,10 @@ def test_map_csvs_match_the_meshgrid_rendering(cfg):
     m = sweep_2d(cfg, ("L", np.array([0.0, 50.0, 125.0])),
                  ("Delta", np.linspace(0.9, 1.1, 4) * cfg.omega_m))
     dm = _delay_map(cfg, [1e-6, 2e-6], [0, 100, 200])
-    flagged_m = replace(m, flags=_codes([["", "NumericalError", "", ""],
+    flagged_m = m._replace(flags=_codes([["", "NumericalError", "", ""],
                                          ["NearZeroTransmission", "", "", ""],
                                          ["", "", "", "DegenerateDenominator"]]))
-    flagged_dm = replace(dm, flags=_codes([["", "RootRefinementError", ""],
+    flagged_dm = dm._replace(flags=_codes([["", "RootRefinementError", ""],
                                            ["NumericalError", "", ""]]))
     for a in (m, flagged_m):
         assert map_csv(a) == _meshgrid_csv(MAP_HEADER, a.axis1_grid, a.axis2_grid,
@@ -525,6 +535,15 @@ def test_every_flag_code_round_trips_to_its_name(monkeypatch):
     assert all(hasattr(omitlab, name) for name in omitlab.__all__)
     assert len(set(omitlab.__all__)) == len(omitlab.__all__)
     assert "eps_out_zero" not in omitlab.__all__ and not hasattr(omitlab, "eps_out_zero")
-    assert {"eps_out_plus", "eps_out_minus"}.isdisjoint(
-        f.name for f in fields(omitlab.ProbeResponse))
-    assert "da_plus" not in {f.name for f in fields(omitlab.SidebandAmplitudes)}
+    assert {"eps_out_plus", "eps_out_minus"}.isdisjoint(omitlab.ProbeResponse._fields)
+    assert "da_plus" not in omitlab.SidebandAmplitudes._fields
+    # the frozen dataclasses are the records that check their fields, and
+    # the two detuning modes, which must not compare equal at equal value;
+    # every other record is a named tuple
+    classes = {name for name in omitlab.__all__ if isinstance(getattr(omitlab, name), type)
+               and not issubclass(getattr(omitlab, name), Exception)}
+    frozen = {name for name in classes if is_dataclass(getattr(omitlab, name))}
+    assert frozen == {"PhysicalConfig", "FixedEffective", "SelfConsistent",
+                      "EffectiveParams", "SpectrumSeries"}
+    assert all(issubclass(getattr(omitlab, name), tuple) for name in classes - frozen)
+    assert omitlab.FixedEffective(1.0) != omitlab.SelfConsistent(1.0)
