@@ -133,9 +133,10 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     Richardson extrapolation (default h = 1e-6 * omega_m; with "analytic" an
     h is a ConfigError). Raises DegenerateDenominator where d is degenerate,
     NearZeroTransmission when |t_p| < 1e-14 and StepTooLarge when the
-    Richardson pair disagrees beyond 1e-4 relative. a0 sets only the phase
-    of the a_minus sideband, so it does not enter t_p or tau_g. A complex
-    delta is a ConfigError, raised by _delays.
+    Richardson pair disagrees beyond 1e-4 relative. A complex delta is a
+    ConfigError, raised by _delays. a0 is not read: t_p and tau_g depend on
+    a_plus alone. It stays because the benchmark's checks pass it
+    positionally (ROADMAP item 5).
     """
     pr, tau, step, flag = _delays(ep, delta, method, h)
     delta = float(delta)

@@ -153,40 +153,32 @@ def _check_field(name, x):
         raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g}, got {x!r}")
 
 
-class DerivedConstants(namedtuple("DerivedConstants", "I g1 g2 g_alpha1 g_alpha2 gamma1 gamma2 "
-                                                      "omega_c eps_c P_p kappa")):
-    """Constants computed from a PhysicalConfig.
-
-    g1, g2 are the optorotational coupling constants; the signed couplings
-    entering the angular-momentum equations are g_alpha1 = -g1, g_alpha2 = +g2.
-    eps_p depends on the probe frequency and is exposed as a method.
-    """
-
-    __slots__ = ()
-
-    def eps_p(self, omega_p):
-        """Probe drive amplitude sqrt(2*kappa*P_p/(hbar*omega_p))."""
-        if omega_p <= 0:
-            raise ConfigError(f"omega_p must be > 0, got {omega_p!r}")
-        return math.sqrt(2.0 * self.kappa * self.P_p / (HBAR * omega_p))
+DerivedConstants = namedtuple("DerivedConstants", "I g1 g2 g_alpha1 g_alpha2 gamma1 gamma2 "
+                                                   "omega_c eps_c")
+DerivedConstants.__doc__ = """Constants computed from a PhysicalConfig, which keeps its
+own fields (kappa, P_p, ...). g1, g2 are the optorotational coupling
+constants; the signed couplings entering the angular-momentum equations are
+g_alpha1 = -g1, g_alpha2 = +g2."""
 
 
 def derive_constants(cfg):
     """DerivedConstants from a validated PhysicalConfig or a config_grid.
 
     I = m R^2 / 2, g_j = (c L / cav_len) sqrt(hbar / (I omega_phi_j)),
-    gamma_j = omega_phi_j / Q_j, eps_c = sqrt(2 kappa P / (hbar omega_c)).
+    gamma_j = omega_phi_j / Q_j, eps_c = sqrt(2 kappa P / (hbar omega_c))
+    (inf where it overflows, from P = 1e300 W; the steady state flags it).
     """
     I = 0.5 * cfg.m * cfg.R ** 2
     pref = C_LIGHT * cfg.L / cfg.cav_len
     g1 = pref * np.sqrt(HBAR / (I * cfg.omega_phi1))
     g2 = pref * np.sqrt(HBAR / (I * cfg.omega_phi2))
     omega_c = 2.0 * math.pi * C_LIGHT / cfg.lambda_c
-    eps_c = np.sqrt(2.0 * cfg.kappa * cfg.P / (HBAR * omega_c))
+    with np.errstate(over="ignore"):
+        eps_c = np.sqrt(2.0 * cfg.kappa * cfg.P / (HBAR * omega_c))
     return with_python_scalars(
         DerivedConstants, I=I, g1=g1, g2=g2, g_alpha1=-g1, g_alpha2=+g2,
         gamma1=cfg.omega_phi1 / cfg.Q1, gamma2=cfg.omega_phi2 / cfg.Q2,
-        omega_c=omega_c, eps_c=eps_c, P_p=cfg.P_p, kappa=cfg.kappa)
+        omega_c=omega_c, eps_c=eps_c)
 
 
 def config_grid(cfg, **axes):

@@ -29,7 +29,7 @@ import numpy as np
 from .dop853 import solve_ivp
 from .errors import (BlowUp, ConfigError, IllConditionedFit, StepFailure,
                      Unstable)
-from .model import derive_constants, effective_params
+from .model import HBAR, derive_constants, effective_params
 from .response import sideband_amplitudes
 from .steadystate import solve_steady
 from .util import real_array
@@ -51,18 +51,18 @@ _THRESHOLDS = (("a0", "a0_rel_err", 1e-6),
                ("linearity", "linearity_rel_change", 1e-3))
 
 
-def _flow(cfg, delta, ss=None):
+def _flow(cfg, delta, ss):
     """The mean-value equations of cfg at probe detuning delta, with both
-    drives on, as (run, y_ss, eps_p, floor, field); ss is cfg's steady
-    state, solved here if not given.
+    drives on, about cfg's steady state ss, as (run, y_ss, eps_p, floor,
+    field).
 
     The frame rotates at the drive frequency; the bare detuning is chosen so
     that the steady state reproduces the configured effective detuning
     (fixed mode) or equals the configured value (self-consistent mode).
     y_ss is that probe-off steady state (phi1, lz1, phi2, lz2, a), eps_p
-    the probe amplitude and field(ys) the probe-off derivatives of the rows
-    of ys, complex states of 5 components, by one call of a run's
-    right-hand side.
+    the probe amplitude sqrt(2 kappa P_p/(hbar omega_p)), omega_p = omega_c
+    + delta, and field(ys) the probe-off derivatives of the rows of ys,
+    complex states of 5 components, by one call of a run's right-hand side.
     run(y0s, eps_ps, t_end) integrates one copy of the system per row of
     y0s, copy j at probe amplitude eps_ps[j], from t = 0 to t_end as one
     stacked state in one solve_ivp (DOP853) call (the copies share their
@@ -74,18 +74,20 @@ def _flow(cfg, delta, ss=None):
     a w, |a - a_ss|^2)/T, w = e^{-i delta t}, T = 2 pi/|delta|, that
     _demodulate reads after one period.
 
-    Raises ConfigError for a non-finite delta or a |delta| whose beat
-    period spans more than _MAX_BEAT_PERIODS periods of the flow's fastest
-    rate (delta = 0 included).
+    Raises ConfigError for a non-finite delta, an omega_p <= 0, or a
+    |delta| whose beat period spans more than _MAX_BEAT_PERIODS periods of
+    the flow's fastest rate (delta = 0 included).
     """
     if not math.isfinite(delta):
         raise ConfigError(f"the detuning must be finite, got {delta!r}")
     dc = derive_constants(cfg)
-    ss = solve_steady(cfg) if ss is None else ss
+    omega_p = dc.omega_c + delta
+    if omega_p <= 0:
+        raise ConfigError(f"omega_p must be > 0, got {omega_p!r}")
     # Delta_0 such that Delta_0 + g1 phi10 - g2 phi20 = delta_prime
     delta0 = ss.delta_prime - dc.g1 * ss.phi10 + dc.g2 * ss.phi20
     eps_c = dc.eps_c
-    eps_p = float(dc.eps_p(dc.omega_c + delta)) if cfg.P_p > 0 else 0.0
+    eps_p = math.sqrt(2.0 * cfg.kappa * cfg.P_p / (HBAR * omega_p))
     g1, g2 = dc.g1, dc.g2
     om1, om2 = cfg.omega_phi1, cfg.omega_phi2
     gam1, gam2 = dc.gamma1, dc.gamma2
@@ -202,17 +204,16 @@ def _starts(J, H, y_ss, eps_ps, delta):
                                                        + 2 * eps * x3.real)))
 
 
-def _periodic_orbit(cfg, delta):
+def _periodic_orbit(cfg, delta, ss):
     """Shoot for the orbit of period T = 2 pi/|delta| that the probe drive
-    e^{-i delta t} forces at the full and at half the probe amplitude, and
-    demodulate it on the shooting's own runs.
+    e^{-i delta t} forces at the full and at half the probe amplitude about
+    cfg's steady state ss, and demodulate it on the shooting's own runs.
 
     Returns (states, quadratures, eps_ps, newton_iterations, floquet_max,
-    rhs_evals, ss): the orbit's initial states, one row per amplitude of
-    the tuple eps_ps; their quadratures of _flow over one period, as
-    _demodulate reads them; the shooting's cost; max |e^{lambda T}| over
-    the eigenvalues lambda of J, the flow's Jacobian (_derivatives); and
-    cfg's steady state, solved once per check.
+    rhs_evals): the orbit's initial states, one row per amplitude of the
+    tuple eps_ps; their quadratures of _flow over one period, as
+    _demodulate reads them; the shooting's cost; and max |e^{lambda T}|
+    over the eigenvalues lambda of J, the flow's Jacobian (_derivatives).
 
     From the third-order start (_starts), each Newton step integrates both
     amplitudes over T in one stacked run and solves (e^{JT} - I) s =
@@ -229,7 +230,6 @@ def _periodic_orbit(cfg, delta):
     Raises Unstable, before any run, where floquet_max >= 1, and
     StepFailure if Newton has not converged in _MAX_NEWTON steps.
     """
-    ss = solve_steady(cfg)
     run, y_ss, eps_p, floor, field = _flow(cfg, delta, ss)
     if eps_p == 0:
         raise IllConditionedFit("no probe to demodulate: P_p = 0")
@@ -267,7 +267,7 @@ def _periodic_orbit(cfg, delta):
             f"periodic orbit not found in {_MAX_NEWTON} Newton steps: "
             f"|y(T) - y(0)| is {np.max(np.abs(residual) / atol):.3e} times atol")
     return (states, ends[:, 5:] + real_step @ dq.T, eps_ps, iteration, floquet_max,
-            int(rhs_evals), ss)
+            int(rhs_evals))
 
 
 def _demodulate(q, eps_p, a_ss):
@@ -330,15 +330,16 @@ def oracle_check(cfg, delta):
     |mu| >= 1. To check at a relaxed damping, pass replace(cfg, Q1=q, Q2=q).
     """
     delta = float(real_array(delta))
+    ss = solve_steady(cfg)
     (_, quadratures, (eps_p, eps_half), newton_iterations, floquet_max,
-     rhs_evals, ss) = _periodic_orbit(cfg, delta)
+     rhs_evals) = _periodic_orbit(cfg, delta, ss)
     q, q_half = quadratures.tolist()
     *full, fit_residual = _demodulate(q, eps_p, ss.a0)
     half = _demodulate(q_half, eps_half, ss.a0)[:3]
     estimates = [(4 * h - f) / 3 for f, h in zip(full, half)]
 
     # the closed form enters here, for the comparison only
-    sb = sideband_amplitudes(effective_params(cfg, ss), delta, a0=ss.a0)
+    sb = sideband_amplitudes(effective_params(cfg, ss), delta)
 
     def errors(a0_est, a_plus_est, a_minus_est, eps):
         # undriven configurations have a0 = a_minus = 0 exactly; judge those

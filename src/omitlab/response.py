@@ -10,7 +10,8 @@ closed-form sideband amplitudes
 with A = kappa - i(Delta' + Delta), A' = kappa + i(Delta' - Delta),
 Lj = omega_phi_j^2 - Delta^2 - i gamma_j Delta,
 B = G1^2 omega_phi1 L2 + G2^2 omega_phi2 L1 and
-d = A A' L1 L2 - 2 Delta' B.
+d = A A' L1 L2 - 2 Delta' B. The steady state a0 = eps_c/(kappa + i Delta')
+has eps_c real, so a0^2/|a0|^2 = (kappa - i Delta')/(kappa + i Delta').
 
 The transmitted probe follows from input-output theory:
 eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T. ``probe_response``
@@ -21,8 +22,9 @@ a_plus alone, so only ``sideband_amplitudes`` forms a_minus.
 ``sideband_linear_solve`` re-derives a_plus and a_minus from the 6x6 drift
 matrix K of the linearized equations in (phi1, lz1, phi2, lz2, a, a*), one
 batched dense solve over all points; it shares no algebra with the closed
-form and serves as an independent check of it. The eigenvalues lambda of K
-are the roots Delta = i lambda of d.
+form and serves as an independent check of it, of a0's phase against ep's
+too, as it takes a0 itself. The eigenvalues lambda of K are the roots
+Delta = i lambda of d.
 """
 
 from collections import namedtuple
@@ -52,15 +54,6 @@ None); ProbeResponse.deps_T carries the Delta-derivative of a_plus.
 """
 
 
-def _phase_factor(a0):
-    """a0^2/|a0|^2 = a0/conj(a0) over an array a0, 1 where a0 = 0 (a_minus
-    vanishes there anyway)."""
-    if a0 is None:
-        return 1.0
-    a0 = np.asarray(a0, dtype=complex)
-    return np.divide(a0, np.conj(a0), out=np.ones_like(a0), where=a0 != 0)
-
-
 def _a_plus(ep, delta):
     """(a_plus, d a_plus / d Delta, B, d, degenerate) of the closed form."""
     A = ep.kappa - 1j * (ep.delta_prime + delta)
@@ -84,15 +77,16 @@ def _a_plus(ep, delta):
 
 
 @scalar_in_scalar_out
-def sideband_amplitudes(ep, delta, a0=None):
+def sideband_amplitudes(ep, delta):
     """Closed-form a_plus and a_minus at detuning delta (scalar or array).
 
-    a0 only sets the phase factor a0^2/|a0|^2 of a_minus; omit it and the
-    factor defaults to 1 (a_plus is unaffected either way).
+    a_minus's phase factor a0^2/|a0|^2 is (kappa - i Delta')/(kappa + i
+    Delta'), from ep alone (see the module docstring).
     """
     a_plus, _, B, d, degenerate = _a_plus(ep, delta)
+    c = ep.kappa + 1j * ep.delta_prime
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_minus = _phase_factor(a0) * 1j * np.conj(B) / np.conj(d)
+        a_minus = np.conj(c) / c * 1j * np.conj(B) / np.conj(d)
     return SidebandAmplitudes(a_plus, a_minus, d, degenerate)
 
 

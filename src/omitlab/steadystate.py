@@ -26,8 +26,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError, MissingBranch, RootRefinementError
-from .model import (config_fingerprint, config_grid, derive_constants,
+from .errors import ConfigError, MissingBranch, NumericalError, RootRefinementError
+from .model import (FixedEffective, config_fingerprint, config_grid, derive_constants,
                     fold_steady_state)
 from .util import FLAG_ERRORS, flag_cells, stacklevel_outside, with_python_scalars
 
@@ -48,11 +48,11 @@ this drive; branch_index identifies this one (ascending photon number).
 """
 
 
-# Steady states over a configuration grid. delta_prime, a0 and n (the roots
-# of the cubic; None at a fixed effective detuning) have a leading branch
-# axis: the real branches in ascending photon number, then nan. count is the
-# number of real branches and flags the flag code of each cell
-# (util.FLAG_ERRORS: the error of a failed cell, 0 elsewhere)
+# Steady states over a configuration grid. delta_prime, a0 and the photon
+# number n (|a0|^2 at a fixed effective detuning) have a leading branch axis:
+# the real branches in ascending photon number, then nan. count is the number
+# of real branches and flags the flag code of each cell (util.FLAG_ERRORS:
+# the error of a failed cell, 0 elsewhere)
 Branches = namedtuple("Branches", "delta_prime a0 n count flags")
 
 
@@ -64,10 +64,11 @@ def residual(cfg, dc, delta_prime, a0):
 
 
 def _branches(cfg, dc, delta_prime, flags, n=None):
-    """Branches with a0 = eps_c / (kappa + i Delta')."""
+    """Branches with a0 = eps_c / (kappa + i Delta'), n = |a0|^2 unless given."""
     with np.errstate(invalid="ignore"):  # nan on the missing branches
         a0 = dc.eps_c / (cfg.kappa + 1j * delta_prime)
-    return Branches(delta_prime, a0, n, np.isfinite(delta_prime).sum(axis=0), flags)
+    return Branches(delta_prime, a0, np.abs(a0) ** 2 if n is None else n,
+                    np.isfinite(delta_prime).sum(axis=0), flags)
 
 
 def fixed_branches(cfg, dc, delta_prime):
@@ -122,41 +123,43 @@ def self_consistent_branches(cfg, dc, delta0):
     Newton's from the end of its stretch where f has the sign of f'': 0,
     the inflection and eps_c^2/kappa^2, or the fold where f is 0 there. All
     cells are solved at once; three branches (bistability) anywhere on the
-    grid are surfaced with one warning.
+    grid are surfaced with one warning. A cell whose cubic overflows at a
+    root (at extreme drive) is flagged NumericalError, without a warning.
     """
-    kappa, chi, eps2 = np.broadcast_arrays(
-        cfg.kappa, dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2,
-        dc.eps_c ** 2)
-    linear = chi == 0.0  # no back-action (L = 0): one root
-    s = np.sqrt(np.maximum(delta0 * delta0 - 3.0 * kappa * kappa, 0.0))
-    folds = (2.0 * delta0 + np.stack([-s, np.zeros_like(s), s])) / (
-        3.0 * np.where(linear, 1.0, chi))
-    f = _cubic(folds, kappa, delta0, chi, eps2)[0]
-    exist = np.stack([linear | (f[0] >= 0.0), ~linear & (f[0] > 0.0) & (f[2] < 0.0),
-                      ~linear & ((f[2] < 0.0) | (f[2] == 0.0) & (s > 0.0))])
-    start = np.stack([np.where(f[0] == 0.0, folds[0], 0.0), folds[1],
-                      np.where(f[2] == 0.0, folds[2], eps2 / (kappa * kappa))])
-    n, moving = _newton(np.where(exist, start, np.nan), kappa, delta0, chi, eps2)
-    n, stalled = np.sort(n, axis=0), moving.any(axis=0)
-    if np.any(exist.all(axis=0) & ~stalled):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is flagged below
+        kappa, chi, eps2 = np.broadcast_arrays(
+            cfg.kappa, dc.g1 ** 2 / cfg.omega_phi1 + dc.g2 ** 2 / cfg.omega_phi2,
+            dc.eps_c ** 2)
+        linear = chi == 0.0  # no back-action (L = 0): one root
+        s = np.sqrt(np.maximum(delta0 * delta0 - 3.0 * kappa * kappa, 0.0))
+        folds = (2.0 * delta0 + np.stack([-s, np.zeros_like(s), s])) / (
+            3.0 * np.where(linear, 1.0, chi))
+        f = _cubic(folds, kappa, delta0, chi, eps2)[0]
+        exist = np.stack([linear | (f[0] >= 0.0), ~linear & (f[0] > 0.0) & (f[2] < 0.0),
+                          ~linear & ((f[2] < 0.0) | (f[2] == 0.0) & (s > 0.0))])
+        start = np.stack([np.where(f[0] == 0.0, folds[0], 0.0), folds[1],
+                          np.where(f[2] == 0.0, folds[2], eps2 / (kappa * kappa))])
+        n, moving = _newton(np.where(exist, start, np.nan), kappa, delta0, chi, eps2)
+        overflow = (exist & ~np.isfinite(_cubic(n, kappa, delta0, chi, eps2)[0])).any(axis=0)
+        flags = flag_cells(flag_cells(0, overflow, NumericalError), moving.any(axis=0),
+                           RootRefinementError)
+        n = np.sort(n, axis=0)
+        delta_prime = delta0 - chi * n
+    if np.any(exist.all(axis=0) & (flags == 0)):
         warnings.warn("bistable point: three steady-state branches",
                       stacklevel=stacklevel_outside())
-    return _branches(cfg, dc, delta0 - chi * n,
-                     flag_cells(0, stalled, RootRefinementError), n)
+    return _branches(cfg, dc, delta_prime, flags, n)
 
 
-def _states(cfg, dc, br, where):
+def _states(cfg, dc, br):
     """SteadyState list of one configuration; raises the error of its flag."""
     error = FLAG_ERRORS[br.flags.item()]
     if error:
-        raise error(f"steady state at {where}: {error.__doc__} ({error.__name__})")
+        raise error(f"steady state at {cfg.detuning_mode!r}: {error.__doc__} ({error.__name__})")
     fp = config_fingerprint(cfg)
-    # fixed mode: n and the displacements from |a0|^2; else from the root
-    n = [abs(a) ** 2 for a in br.a0.tolist()] if br.n is None else br.n
-    a2 = np.abs(br.a0) ** 2 if br.n is None else br.n
     return [with_python_scalars(
-        SteadyState, a0=br.a0[k], n=n[k], phi10=dc.g_alpha1 * a2[k] / cfg.omega_phi1,
-        phi20=dc.g_alpha2 * a2[k] / cfg.omega_phi2, lz1=0.0, lz2=0.0,
+        SteadyState, a0=br.a0[k], n=br.n[k], phi10=dc.g_alpha1 * br.n[k] / cfg.omega_phi1,
+        phi20=dc.g_alpha2 * br.n[k] / cfg.omega_phi2, lz1=0.0, lz2=0.0,
         delta_prime=br.delta_prime[k], n_branches=br.count, branch_index=k,
         config_fingerprint=fp) for k in range(br.count)]
 
@@ -165,7 +168,7 @@ def _solve(cfg, dc, branch):
     """Branches in cfg's detuning mode, with MissingBranch flagged in every
     cell that did not fail and has fewer than branch + 1 branches."""
     mode = cfg.detuning_mode
-    if mode.mode == "fixed_effective":
+    if isinstance(mode, FixedEffective):
         if branch != 0:
             raise ConfigError("fixed effective detuning has a single branch (0)")
         return fixed_branches(cfg, dc, mode.value)
@@ -182,7 +185,7 @@ def steady_states(cfg):
     a warning; dynamical stability of the branches is not classified here.
     """
     dc = derive_constants(cfg)
-    return _states(cfg, dc, _solve(cfg, dc, 0), repr(cfg.detuning_mode))
+    return _states(cfg, dc, _solve(cfg, dc, 0))
 
 
 def solve_steady(cfg, branch=0):
@@ -194,7 +197,7 @@ def solve_steady(cfg, branch=0):
     if FLAG_ERRORS[br.flags.item()] is MissingBranch:
         raise ConfigError(f"branch {branch} out of range: {br.count} "
                           f"branch(es) at this drive")
-    return _states(cfg, dc, br, repr(cfg.detuning_mode))[branch]
+    return _states(cfg, dc, br)[branch]
 
 
 def effective_grid(cfg, branch=0, **axes):

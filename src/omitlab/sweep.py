@@ -18,7 +18,7 @@ import numpy as np
 
 from .delay import KIND_NAMES, _delays, kind_codes, unwrap_phase
 from .errors import ConfigError
-from .model import config_fingerprint, effective_params
+from .model import effective_params
 from .steadystate import effective_grid, solve_steady
 from .util import FLAG_NAMES, name_text, render_csv, repr_cells, text_cells
 
@@ -55,7 +55,8 @@ def _refine_grid(grid, ep):
 class SpectrumSeries:
     """Aligned response series over a strictly increasing detuning grid;
     flags holds the uint8 flag code of each point (flag_names gives their
-    names)."""
+    names). The series does not copy its configuration: a run's manifest
+    hashes it."""
 
     delta_grid: object
     omega_m: float
@@ -64,7 +65,6 @@ class SpectrumSeries:
     phase_unwrapped: object
     tau_g: object
     flags: object
-    config_fingerprint: str
 
     def __post_init__(self):
         n = len(self.delta_grid)
@@ -96,8 +96,7 @@ def spectrum_sweep(cfg, delta_grid=None, branch=0):
     pr, tau, _, flags = _delays(ep, grid)
     return SpectrumSeries(
         delta_grid=grid, omega_m=ep.omega_m, nu_p=pr.nu_p, u_p=pr.u_p,
-        phase_unwrapped=unwrap_phase(pr.phase), tau_g=tau,
-        flags=flags, config_fingerprint=config_fingerprint(cfg))
+        phase_unwrapped=unwrap_phase(pr.phase), tau_g=tau, flags=flags)
 
 
 DipReport = namedtuple("DipReport", "positions depths widths count")
@@ -187,10 +186,10 @@ def find_dips(series):
 
 
 Map2D = namedtuple("Map2D", "axis1_name axis1_grid axis2_name axis2_grid observable delta "
-                            "values flags config_fingerprint")
+                            "values flags")
 Map2D.__doc__ = """Long-format 2-D map: values[i, j] at (axis1_grid[i], axis2_grid[j]),
 and flags[i, j] the uint8 flag code of the cell (flag_names gives their
-names)."""
+names). Like SpectrumSeries, it does not copy its configuration."""
 
 
 def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0, method="analytic"):
@@ -232,8 +231,7 @@ def sweep_2d(cfg, axis1, axis2, observable="nu_p", delta=None, branch=0, method=
     pr, tau, _, flags = _delays(ep, dlt, method, flags=flags)
     values = np.where(flags == 0, pr.nu_p if observable == "nu_p" else tau, np.nan)
     return Map2D(axis1_name=n1, axis1_grid=g1, axis2_name=n2, axis2_grid=g2,
-                 observable=observable, delta=delta, values=values,
-                 flags=flags, config_fingerprint=config_fingerprint(cfg))
+                 observable=observable, delta=delta, values=values, flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,13 @@ def test_criterion_2_closed_form_vs_linear_solve(capsys):
         G1 = 10.0 ** rng.uniform(-3, math.log10(0.3)) * OMEGA_M
         G2 = 10.0 ** rng.uniform(-3, math.log10(0.3)) * OMEGA_M
         delta = rng.uniform(0.0, 2.0) * OMEGA_M
-        a0 = 1e3 * np.exp(1j * rng.uniform(0, 2 * math.pi))
         ep = EffectiveParams(
             kappa=0.1875 * OMEGA_M, delta_prime=OMEGA_M, G1=G1, G2=G2,
             omega_phi1=1.1 * OMEGA_M, omega_phi2=0.9 * OMEGA_M,
             gamma1=OMEGA_M / 1.2e5, gamma2=OMEGA_M / 1.2e5, omega_m=OMEGA_M)
-        cf = sideband_amplitudes(ep, delta, a0=a0)
+        # the steady state eps_c/(kappa + i Delta') of some real drive eps_c
+        a0 = 1e3 * OMEGA_M / (ep.kappa + 1j * ep.delta_prime)
+        cf = sideband_amplitudes(ep, delta)
         ls = sideband_linear_solve(ep, a0, delta)
         worst = max(worst,
                     abs(cf.a_plus - ls.a_plus) / abs(ls.a_plus),

@@ -13,7 +13,8 @@ from omitlab import (ConfigError, FixedEffective, PhysicalConfig,
                      SelfConsistent, config_fingerprint, config_from_dict,
                      config_from_json, config_to_dict, config_to_json,
                      default_config, derive_constants, effective_params,
-                     solve_steady)
+                     oracle_check, solve_steady)
+from omitlab import oracle as om
 from omitlab.model import config_grid
 
 
@@ -51,12 +52,18 @@ def test_undriven_limits():
     assert dc.g1 == 0.0 and dc.g2 == 0.0
 
 
-def test_probe_amplitude(dc, cfg):
+def test_probe_amplitude(dc, cfg, ss, monkeypatch):
+    """The oracle drives the probe at sqrt(2 kappa P_p/(hbar omega_p)), and
+    refuses a probe frequency omega_p = omega_c + delta <= 0 before any
+    integration."""
     omega_p = dc.omega_c + 0.9 * cfg.omega_m
     expect = math.sqrt(2 * cfg.kappa * cfg.P_p / (1.054571817e-34 * omega_p))
-    assert dc.eps_p(omega_p) == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(ConfigError):
-        dc.eps_p(0.0)
+    assert om._flow(cfg, 0.9 * cfg.omega_m, ss)[2] == pytest.approx(expect, rel=1e-15)
+    calls = []
+    monkeypatch.setattr(om, "solve_ivp", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError, match="omega_p must be > 0"):
+        oracle_check(cfg, -1.01 * dc.omega_c)
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,6 +34,12 @@ def _quadratures(a, w, a_ss):
             np.mean(np.abs(a - a_ss) ** 2)]
 
 
+def _flow(c, delta):
+    """The oracle's flow of c at probe detuning delta, about c's steady
+    state."""
+    return om._flow(c, delta, solve_steady(c))
+
+
 def _lstsq_fit(t, a, delta, eps_p):
     """The least-squares fit of the samples a(t) by np.linalg.lstsq on the
     stacked basis {1, eps_p w, eps_p w^*}: (a0, a_plus, a_minus, residual)."""
@@ -118,7 +124,7 @@ def test_demodulation_matches_lstsq(cfg, monkeypatch, which):
             delta = x * cfg.omega_m
             c = replace(cfg, Q1=q, Q2=q)
             _, runs = _oracle_runs(c, delta, monkeypatch)
-            _, y_ss, eps_p, _, _ = om._flow(c, delta)
+            _, y_ss, eps_p, _, _ = _flow(c, delta)
             fun, t_span, y0, options = runs[-1]
             quadratures = om.solve_ivp(fun, t_span, y0, **options).y[5:9, -1].tolist()
             t = np.linspace(*t_span, 4096, endpoint=False)
@@ -167,7 +173,7 @@ def _gamma_min(c):
 def test_probe_off_state_stays_at_steady_state():
     cfg = replace(default_config(), Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
-    run, y_ss, eps_p, _, _ = om._flow(cfg, cfg.omega_m)
+    run, y_ss, eps_p, _, _ = _flow(cfg, cfg.omega_m)
     assert eps_p == 0.0
     sol = run(y_ss[None], (eps_p,), 40.0 / _gamma_min(cfg))
     dev = np.max(np.abs(sol.y[4] - ss.a0)) / abs(ss.a0)
@@ -180,7 +186,7 @@ def test_cavity_relaxation_matches_exact_solution():
     cfg = replace(default_config(), L=0, Q1=50.0, Q2=50.0, P_p=0.0)
     ss = solve_steady(cfg)
     y0 = np.array([0.0, 0.0, 0.0, 0.0, 1.5 * ss.a0], dtype=complex)
-    run, _, eps_p, _, _ = om._flow(cfg, 0.9 * cfg.omega_m)
+    run, _, eps_p, _, _ = _flow(cfg, 0.9 * cfg.omega_m)
     sol = run(y0[None], (eps_p,), 20.0 / _gamma_min(cfg))
     # delta0 equals delta_prime here (no static displacement at L = 0)
     lam = -(1j * ss.delta_prime + cfg.kappa)
@@ -190,7 +196,7 @@ def test_cavity_relaxation_matches_exact_solution():
 
 def _one_period(c):
     """One beat period at omega_m of c's flow, from its steady state."""
-    run, y_ss, eps_p, _, _ = om._flow(c, c.omega_m)
+    run, y_ss, eps_p, _, _ = _flow(c, c.omega_m)
     return run(y_ss[None], (eps_p,), 2 * math.pi / c.omega_m)
 
 
@@ -233,7 +239,7 @@ def test_stacked_run_matches_separate_runs(monkeypatch):
     monkeypatch.setattr(om, "solve_ivp", counting)
     cfg = replace(default_config(), Q1=50.0, Q2=50.0)
     delta = 0.93 * cfg.omega_m
-    run, y_ss, eps_p, _, _ = om._flow(cfg, delta)
+    run, y_ss, eps_p, _, _ = _flow(cfg, delta)
     duration = 20 * 2 * math.pi / delta
     eps_ps = (eps_p, 0.5 * eps_p)
     stacked = run(np.tile(y_ss, (2, 1)), eps_ps, duration).y[:, -1].reshape(2, 5)
@@ -370,7 +376,8 @@ def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
     # copies at the steady state
     fun, _, y0, options = runs[0]
     assert y0.size == 2 * 9
-    _, y_ss, eps_p, _, _ = om._flow(c, delta)
+    ss = solve_steady(c)
+    _, y_ss, eps_p, _, _ = om._flow(c, delta, ss)
     duration = 40.0 / _gamma_min(c)
     period = 2 * math.pi / delta
     t = np.linspace(duration - period, duration, 4096, endpoint=False)
@@ -379,8 +386,7 @@ def test_periodic_orbit_matches_the_long_run(cfg, monkeypatch, x):
                           t_eval=t, **options)
     fit = _lstsq_fit(t, sol.y[4], delta, eps_p)
     fit_half = _lstsq_fit(t, sol.y[9 + 4], delta, 0.5 * eps_p)
-    ss = solve_steady(c)
-    sb = sideband_amplitudes(effective_params(c, ss), delta, a0=ss.a0)
+    sb = sideband_amplitudes(effective_params(c, ss), delta)
     a0, a_plus, a_minus = ((4 * h - f) / 3 for f, h in zip(fit[:3], fit_half[:3]))
     errs = {"a0_rel_err": om._rel(a0, ss.a0),
             "a_plus_rel_err": om._rel(a_plus, sb.a_plus),
@@ -396,9 +402,9 @@ def test_periodic_orbit_closes_over_twenty_periods(cfg):
     periods, where the steady state they started from does not."""
     c = replace(cfg, Q1=50.0, Q2=50.0)
     delta = 0.93 * cfg.omega_m
-    states, _, eps_ps = om._periodic_orbit(c, delta)[:3]
-    run = om._flow(c, delta)[0]
     ss = solve_steady(c)
+    states, _, eps_ps = om._periodic_orbit(c, delta, ss)[:3]
+    run = om._flow(c, delta, ss)[0]
     y_ss = np.array([ss.phi10, 0.0, ss.phi20, 0.0, ss.a0])
     atol = om._TOL * np.maximum(np.abs(states), max(abs(ss.a0), 1.0))
     for start, closes in ((states, True), (np.tile(y_ss, (2, 1)), False)):
@@ -452,11 +458,12 @@ def test_demodulated_orbit_matches_one_more_period(cfg, q, x):
     within 1e-10 relative, at every band point and both Q."""
     c = replace(cfg, Q1=q, Q2=q)
     delta = x * cfg.omega_m
-    states, quadratures, eps_ps = om._periodic_orbit(c, delta)[:3]
+    ss = solve_steady(c)
+    states, quadratures, eps_ps = om._periodic_orbit(c, delta, ss)[:3]
     n = len(eps_ps)
-    sol = om._flow(c, delta)[0](np.hstack([states, np.zeros((n, 4))]),
-                                eps_ps, 2 * math.pi / delta)
-    a_ss = solve_steady(c).a0
+    sol = om._flow(c, delta, ss)[0](np.hstack([states, np.zeros((n, 4))]),
+                                    eps_ps, 2 * math.pi / delta)
+    a_ss = ss.a0
     for q_est, q_run, eps in zip(quadratures.tolist(),
                                  sol.y[:, -1].reshape(n, 9)[:, 5:].tolist(), eps_ps):
         est = om._demodulate(q_est, eps, a_ss)[:3]
@@ -529,15 +536,15 @@ def test_linear_start_is_the_linear_response(cfg, x):
     the closed form's field at t = 0, a_ss + eps (a_plus + a_minus). The
     start is cubic in eps, so _orders gives that part exactly."""
     delta = x * cfg.omega_m
-    _, y_ss, eps_p, floor, field = om._flow(cfg, delta)
-    J, H = om._derivatives(field, y_ss, np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]])
     ss = solve_steady(cfg)
+    _, y_ss, eps_p, floor, field = om._flow(cfg, delta, ss)
+    J, H = om._derivatives(field, y_ss, np.maximum(np.abs(y_ss), floor)[[0, 1, 2, 3, 4, 4]])
     ep = effective_params(cfg, ss)
     lam = np.linalg.eigvals(J)
     ref = np.linalg.eigvals(_drift_matrix(ep, ss.a0))
     gap = np.abs(lam[:, None] - ref[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * np.max(np.abs(ref))
-    sb = sideband_amplitudes(ep, delta, a0=ss.a0)
+    sb = sideband_amplitudes(ep, delta)
     for eps in (eps_p, 0.5 * eps_p):
         first_order = _orders(J, H, y_ss, eps, delta)[0]
         linear = eps * (sb.a_plus + sb.a_minus)

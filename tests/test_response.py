@@ -17,8 +17,9 @@ from omitlab import (ConfigError, DelayResult, EffectiveParams, ProbeResponse,
                      flag_names, group_delay, lambda_j, oracle_check,
                      probe_response, sideband_amplitudes,
                      sideband_linear_solve, solve_steady, tau_g_analytic)
+from omitlab import response
 from omitlab.model import config_grid, fold_steady_state
-from omitlab.response import _drift_matrix, _phase_factor
+from omitlab.response import _drift_matrix
 from omitlab.steadystate import self_consistent_branches
 
 OMEGA_M = default_config().omega_m
@@ -66,12 +67,11 @@ def test_bare_cavity_peak_and_half_width():
     assert pr.u_p == pytest.approx(1.0, rel=1e-14)
 
 
-def test_output_field_identities(ep, ss):
+def test_output_field_identities(ep):
     delta = np.linspace(0.5, 1.5, 7) * OMEGA_M
     pr = probe_response(ep, delta)
     np.testing.assert_allclose(pr.nu_p + 1j * pr.u_p,
-                               2.0 * ep.kappa *
-                               sideband_amplitudes(ep, delta, a0=ss.a0).a_plus,
+                               2.0 * ep.kappa * sideband_amplitudes(ep, delta).a_plus,
                                rtol=1e-15)
     np.testing.assert_allclose(pr.t_p, 1.0 - pr.eps_T, rtol=0, atol=0)
     np.testing.assert_allclose(pr.phase, np.angle(pr.t_p), rtol=0, atol=0)
@@ -87,13 +87,11 @@ def test_response_goldens_at_resonance():
     assert pr.u_p == pytest.approx(-0.22892592356179991092, rel=1e-10)
 
 
-def test_probe_power_does_not_enter_response(cfg, ep, ss):
+def test_probe_power_does_not_enter_response(cfg, ep):
     strong = replace(cfg, P_p=cfg.P_p * 1e3)
-    ss2 = solve_steady(strong)
-    ep2 = effective_params(strong, ss2)
+    ep2 = effective_params(strong, solve_steady(strong))
     delta = 1.05 * OMEGA_M
-    assert sideband_amplitudes(ep2, delta, a0=ss2.a0).a_plus == \
-        sideband_amplitudes(ep, delta, a0=ss.a0).a_plus
+    assert sideband_amplitudes(ep2, delta) == sideband_amplitudes(ep, delta)
 
 
 def test_far_detuned_transparency(ep):
@@ -102,23 +100,22 @@ def test_far_detuned_transparency(ep):
     assert abs(pr.t_p) == pytest.approx(1.0, abs=0.01)
 
 
-def _rng_points(n, seed=42):
-    """n seeded (G1, G2, delta, a0) over a broad coupling range, |a0| = 1234.5."""
-    rng = np.random.default_rng(seed)
-    G1 = 10 ** rng.uniform(-3, math.log10(0.3), n) * OMEGA_M
-    G2 = 10 ** rng.uniform(-3, math.log10(0.3), n) * OMEGA_M
-    delta = rng.uniform(0.0, 2.0, n) * OMEGA_M
-    a0 = 1234.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-    return G1, G2, delta, a0
-
-
 def test_closed_form_matches_linear_solve():
     """The closed form and the 6x6 drift-matrix solve share no algebra; they
     must agree to near machine precision over a broad coupling range, 2000
-    points in one batched call of each."""
-    G1, G2, delta, a0 = _rng_points(2000)
-    ep = _bare_ep(G1=G1, G2=G2)
-    cf = sideband_amplitudes(ep, delta, a0=a0)
+    points in one batched call of each. kappa and Delta' are drawn per
+    point, so a_minus's phase factor (kappa - i Delta')/(kappa + i Delta')
+    covers the whole circle; the closed form takes it from ep, the linear
+    solve from a0 = eps/(kappa + i Delta')."""
+    rng = np.random.default_rng(42)
+    G1, G2 = 10 ** rng.uniform(-3, math.log10(0.3), (2, 2000)) * OMEGA_M
+    delta = rng.uniform(0.0, 2.0, 2000) * OMEGA_M
+    kappa = 10 ** rng.uniform(-2, 0, 2000) * OMEGA_M
+    delta_prime = rng.uniform(-2.0, 2.0, 2000) * OMEGA_M
+    ep = _bare_ep(G1=G1, G2=G2, kappa=kappa, delta_prime=delta_prime)
+    a0 = 1234.5 / (kappa + 1j * delta_prime)
+    assert np.ptp(np.angle(a0 / np.conj(a0))) > 6.0
+    cf = sideband_amplitudes(ep, delta)
     ls = sideband_linear_solve(ep, a0, delta)
     assert ls.a_plus.shape == ls.a_minus.shape == (2000,)
     assert np.all(np.abs(cf.a_plus - ls.a_plus) <= 1e-10 * np.abs(ls.a_plus))
@@ -127,8 +124,10 @@ def test_closed_form_matches_linear_solve():
 
 
 def test_minus_sideband_with_per_cell_a0():
-    """a_minus over a self-consistent P x kappa map grid, each cell with its
-    own a0 (whose phase sets a_minus's), against the batched linear solve."""
+    """a_minus over a self-consistent P x kappa map grid against the batched
+    linear solve: the closed form takes its phase from each cell's kappa
+    and Delta', the solve from the cell's own a0, so they agree only where
+    the state's phase is the one ep implies."""
     cfg = replace(default_config(), detuning_mode=SelfConsistent(1.5 * OMEGA_M))
     c = config_grid(cfg, P=np.linspace(0.2e-3, 1.5e-3, 6)[:, None],
                     kappa=np.geomspace(1.0, 8.0, 5)[None, :] * cfg.kappa)
@@ -139,7 +138,7 @@ def test_minus_sideband_with_per_cell_a0():
     assert np.ptp(np.angle(a0)) > 0.5
     ep = fold_steady_state(c, dc, br.delta_prime[0], a0)
     delta = np.full(a0.shape, 1.05 * OMEGA_M)
-    cf = sideband_amplitudes(ep, delta, a0=a0)
+    cf = sideband_amplitudes(ep, delta)
     ls = sideband_linear_solve(ep, a0, delta)
     assert ls.a_minus.shape == a0.shape
     assert np.all(np.abs(cf.a_minus - ls.a_minus) <= 1e-10 * np.abs(ls.a_minus))
@@ -201,8 +200,8 @@ def test_mirror_swap_symmetry(g1, g2, x):
         omega_phi1=ep.omega_phi2, omega_phi2=ep.omega_phi1,
         gamma1=ep.gamma2, gamma2=ep.gamma1, omega_m=ep.omega_m)
     delta = x * OMEGA_M
-    a = sideband_amplitudes(ep, delta, a0=3.0 - 4.0j)
-    b = sideband_amplitudes(sw, delta, a0=3.0 - 4.0j)
+    a = sideband_amplitudes(ep, delta)
+    b = sideband_amplitudes(sw, delta)
     assert a.a_plus == pytest.approx(b.a_plus, rel=1e-12)
     assert a.a_minus == pytest.approx(b.a_minus, rel=1e-12, abs=1e-18)
 
@@ -252,32 +251,35 @@ def test_complex_detuning_is_rejected(ep, func):
                 func(ep, delta)
 
 
-def test_array_and_scalar_paths_agree(ep, ss):
-    """The scalar path gives the bits of the array path, with one a0 or an
-    a0 per point, as a record of its own type with Python scalars in it;
-    a_minus's phase factor a0/conj(a0) is within 4 ulp of the exact
-    a0^2/|a0|^2 (measured: 1.3), over a0 of random phase across 40
-    decades, and exactly 1 at a0 = 0."""
-    grid = np.array([0.7, 1.0, 1.3, 1.1]) * OMEGA_M
-    a0s = np.array([ss.a0, -ss.a0.real, 1j * ss.a0, 0.0])
+def test_minus_phase_factor_is_exact_to_rounding(monkeypatch):
+    """a_minus's phase factor, read from ep's kappa and Delta', is within 4
+    ulp of the exact (kappa - i Delta')^2/(kappa^2 + Delta'^2) (measured:
+    1.4), over kappa and Delta' across 30 decades, Delta' of either sign.
+    With the kernel's B and d set to 1, a_minus is i times the factor
+    exactly."""
     rng = np.random.default_rng(5)
-    z = np.concatenate([a0s[:3], 10.0 ** rng.uniform(-20, 20, 2000)
-                        * np.exp(2j * np.pi * rng.random(2000))])
-    for a0, factor in zip(z.tolist(), _phase_factor(z).tolist()):
-        x, y = Fraction(a0.real), Fraction(a0.imag)
-        exact = ((x * x - y * y) / (x * x + y * y), 2 * x * y / (x * x + y * y))
+    kappa = 10.0 ** rng.uniform(-10, 20, 2000)
+    delta_prime = 10.0 ** rng.uniform(-10, 20, 2000) * rng.choice([-1.0, 1.0], 2000)
+    ep = _bare_ep(kappa=kappa, delta_prime=delta_prime)
+    monkeypatch.setattr(response, "_a_plus", lambda ep, delta: (0j, 0j, 1 + 0j, 1 + 0j, False))
+    factors = -1j * sideband_amplitudes(ep, np.full(2000, OMEGA_M)).a_minus
+    for k, dp, factor in zip(kappa.tolist(), delta_prime.tolist(), factors.tolist()):
+        x, y = Fraction(k), Fraction(dp)
+        exact = ((x * x - y * y) / (x * x + y * y), -2 * x * y / (x * x + y * y))
         assert max(abs(Fraction(f) - e) for f, e in zip((factor.real, factor.imag), exact)) \
             <= 4 * Fraction(np.finfo(float).eps)
-    assert _phase_factor(a0s)[3] == 1.0 and _phase_factor(0j) == 1.0
-    vec = sideband_amplitudes(ep, grid, a0=ss.a0)
-    per_a0 = sideband_amplitudes(ep, grid, a0=a0s)
+
+
+def test_array_and_scalar_paths_agree(ep, ss):
+    """The scalar path gives the bits of the array path, as a record of its
+    own type with Python scalars in it."""
+    grid = np.array([0.7, 1.0, 1.3, 1.1]) * OMEGA_M
+    vec = sideband_amplitudes(ep, grid)
     for k, d in enumerate(grid):
-        one = sideband_amplitudes(ep, float(d), a0=ss.a0)
+        one = sideband_amplitudes(ep, float(d))
         assert one.a_plus == vec.a_plus[k]
         assert one.a_minus == vec.a_minus[k]
         assert isinstance(one.a_plus, complex)
-        assert sideband_amplitudes(ep, float(d), a0=complex(a0s[k])).a_minus == \
-            per_a0.a_minus[k]
         pr, res = probe_response(ep, float(d)), group_delay(ep, ss.a0, float(d))
         assert pr == tuple(v[k] for v in probe_response(ep, grid))
         assert res.tau_g == tau_g_analytic(ep, grid)[k]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import omitlab.steadystate as steadystate
-from omitlab import (ConfigError, FixedEffective, SelfConsistent,
+from omitlab import (ConfigError, FixedEffective, NumericalError, SelfConsistent,
                      default_config, derive_constants, flag_names,
                      solve_steady, spectrum_sweep, steady_states, sweep_2d)
 from omitlab.cli import main
@@ -343,6 +343,36 @@ def _exact_root(n, kappa, delta0, chi, eps2):
         det = delta0 - chi * n
         n -= (n * (kappa ** 2 + det * det) - eps2) / (kappa ** 2 + det * det - 2 * chi * n * det)
     return n
+
+
+def test_extreme_drive_is_solved_or_flagged():
+    """Over P = 1e-3 to 1e300 W at the default point in self-consistent
+    mode, every root is within 1e-12 of the exact root of its cubic, or its
+    cell is flagged: RootRefinementError where Newton still moves after its
+    step cap (from about 5.6e21 W), NumericalError where the cubic is not
+    finite at the root (from about 3e91 W, where it overflows at the upper
+    start, to 1e300 W, where eps_c itself does). Its first Newton step
+    there was not finite, so the start came back as the root. No numpy
+    warning reaches the caller, and the scalar solve raises the flag."""
+    base = replace(default_config(), detuning_mode=SelfConsistent(default_config().omega_m))
+    delta0 = base.detuning_mode.value
+    c = config_grid(base, P=np.geomspace(1e-3, 1e300, 304))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dc = derive_constants(c)
+        br = steadystate.self_consistent_branches(c, dc, delta0)
+        with pytest.raises(NumericalError):
+            steady_states(replace(base, P=1e100))
+    names = flag_names(br.flags)
+    assert names[0] == "" and names[-1] == "NumericalError"
+    assert set(names) == {"", "RootRefinementError", "NumericalError"}
+    assert c.P[names == "NumericalError"].min() > 1e91
+    with np.errstate(over="ignore"):
+        kappa, chi, eps2 = np.broadcast_arrays(c.kappa, *_chi_eps2(c, dc))
+    for i in np.flatnonzero(names == ""):
+        n = br.n[0, i]
+        exact = _exact_root(n, kappa[i], delta0, chi[i], eps2[i])
+        assert br.count[i] == 1 and abs(Fraction(float(n)) - exact) <= Fraction(1e-12) * exact
 
 
 def test_displacements_scale_with_the_root():

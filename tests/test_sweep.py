@@ -35,9 +35,9 @@ def test_spectrum_series_validation():
     g = np.array([1.0, 2.0, 3.0])
     z = np.zeros(3)
     with pytest.raises(ConfigError, match="length"):
-        SpectrumSeries(g, 1.0, z[:2], z, z, z, ["", "", ""], "fp")
+        SpectrumSeries(g, 1.0, z[:2], z, z, z, ["", "", ""])
     with pytest.raises(ConfigError, match="increasing"):
-        SpectrumSeries(g[::-1], 1.0, z, z, z, z, ["", "", ""], "fp")
+        SpectrumSeries(g[::-1], 1.0, z, z, z, z, ["", "", ""])
 
 
 def test_undriven_spectrum_is_single_lorentzian(undriven_cfg):
@@ -102,7 +102,7 @@ def test_dip_refinement_is_subgrid():
     true_pos = 0.413
     y = 1.0 + 5.0 * (x - true_pos) ** 2
     z = np.zeros_like(x)
-    series = SpectrumSeries(x, 1.0, y, z, z, z, [""] * x.size, "fp")
+    series = SpectrumSeries(x, 1.0, y, z, z, z, [""] * x.size)
     rep = find_dips(series)
     assert rep.count == 1
     # parabola vertex recovered far below the 0.01 grid spacing
@@ -160,7 +160,7 @@ def test_dips_are_the_exact_three_point_vertices():
     y = np.full(x.size, 0.05)
     y[11:14] = 0.018
     z = np.zeros_like(x)
-    rep = find_dips(SpectrumSeries(x, 1.0, y, z, z, z, [""] * x.size, "fp"))
+    rep = find_dips(SpectrumSeries(x, 1.0, y, z, z, z, [""] * x.size))
     assert (rep.count, rep.positions[0], rep.depths[0]) == (1, x[12], 0.018)
 
 
@@ -230,7 +230,7 @@ def test_dip_finder_cost_on_noise():
     x = np.linspace(0.5, 1.5, 4161)
     z = np.zeros_like(x)
     nu = np.random.default_rng(5).normal(scale=1e-2, size=x.size)
-    series = SpectrumSeries(x, 1.0, nu, z, z, z, [""] * x.size, "fp")
+    series = SpectrumSeries(x, 1.0, nu, z, z, z, [""] * x.size)
     t0 = time.perf_counter()
     rep = find_dips(series)
     assert time.perf_counter() - t0 < 0.5
