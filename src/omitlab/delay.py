@@ -83,10 +83,10 @@ def _delays(ep, delta, method="analytic", h=None, flags=0):
     method, the finite-difference step (None for "analytic") and the
     per-cell flag codes.
 
-    On top of the incoming flags: DegenerateDenominator where the kernel
-    marks d degenerate, NearZeroTransmission where |t_p| < 1e-14 and
-    StepTooLarge where the Richardson pair disagrees beyond 1e-4 relative.
-    A flagged cell has tau_g nan.
+    On top of the incoming flags: NearZeroTransmission where |t_p| <
+    1e-14, StepTooLarge where the Richardson pair disagrees beyond 1e-4
+    relative, then DegenerateDenominator where tau_g is not finite (the
+    closed form has no finite value there). A flagged cell has tau_g nan.
     """
     if method not in ("analytic", "fd"):
         raise ConfigError(f"unknown group-delay method {method!r}")
@@ -95,11 +95,10 @@ def _delays(ep, delta, method="analytic", h=None, flags=0):
     if not np.isfinite(delta).all():
         raise ConfigError("the detuning must be finite")
     pr = probe_response(ep, delta)
-    flags = flag_cells(flags, pr.degenerate, errors.DegenerateDenominator)
     flags = flag_cells(flags, np.abs(pr.t_p) < _TP_FLOOR, errors.NearZeroTransmission)
     step = None
     if method == "analytic":
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             tau = np.imag(-pr.deps_T / pr.t_p)
     else:
         step = float(1e-6 * ep.omega_m if h is None else h)
@@ -116,12 +115,13 @@ def _delays(ep, delta, method="analytic", h=None, flags=0):
         tau = (4.0 * d2 - d1) / 3.0
         flags = flag_cells(flags, np.abs(d1 - d2) > _RICHARDSON_RTOL * np.maximum(
             np.abs(tau), _NEUTRAL_THRESH), errors.StepTooLarge)
+    flags = flag_cells(flags, ~np.isfinite(tau), errors.DegenerateDenominator)
     return pr, np.where(flags == 0, tau, np.nan), step, flags
 
 
 def tau_g_analytic(ep, delta):
     """Analytic group delay at delta (scalar or array); nan where the cell
-    is flagged (degenerate d, or |t_p| below the floor)."""
+    is flagged (|t_p| below the floor, or no finite closed form)."""
     return _delays(ep, delta)[1]
 
 
@@ -131,9 +131,9 @@ def group_delay(ep, a0, delta, method="analytic", h=None):
     method "analytic" differentiates the closed form exactly; "fd" uses the
     centered stencil with branch-consistent phases at steps h and h/2 and one
     Richardson extrapolation (default h = 1e-6 * omega_m; with "analytic" an
-    h is a ConfigError). Raises DegenerateDenominator where d is degenerate,
-    NearZeroTransmission when |t_p| < 1e-14 and StepTooLarge when the
-    Richardson pair disagrees beyond 1e-4 relative. A complex delta is a
+    h is a ConfigError). Raises NearZeroTransmission when |t_p| < 1e-14,
+    StepTooLarge when the Richardson pair disagrees beyond 1e-4 relative
+    and DegenerateDenominator where tau_g is not finite. A complex delta is a
     ConfigError, raised by _delays. a0 is not read: t_p and tau_g depend on
     a_plus alone. It stays because the benchmark's checks pass it
     positionally (ROADMAP item 5).

@@ -23,7 +23,7 @@ class SingularSystem(NumericalError):
 
 
 class DegenerateDenominator(NumericalError):
-    """|d(delta)| fell below the degeneracy threshold relative to A*A'*L1*L2."""
+    """The closed form has no finite value here: d vanishes, or its terms overflow."""
 
 
 class NearZeroTransmission(NumericalError):

@@ -110,16 +110,19 @@ class PhysicalConfig:
     detuning_mode: object
 
     def __post_init__(self):
+        # equal values are stored alike (L an int, the rest floats, no -0.0)
+        # so that equal configurations have equal fingerprints
         for name, rule in _RULES.items():
             x = getattr(self, name)
             _check_field(name, x)
-            if rule["kind"] == "integer":
-                object.__setattr__(self, name, int(x))
-        if not isinstance(self.detuning_mode, (FixedEffective, SelfConsistent)):
+            object.__setattr__(self, name, int(x) if rule["kind"] == "integer"
+                               else float(x) + 0.0)
+        mode = self.detuning_mode
+        if not isinstance(mode, (FixedEffective, SelfConsistent)):
             raise ConfigError(
-                f"detuning_mode must be FixedEffective or SelfConsistent, "
-                f"got {self.detuning_mode!r}")
-        _check_finite("detuning_mode.value", self.detuning_mode.value)
+                f"detuning_mode must be FixedEffective or SelfConsistent, got {mode!r}")
+        _check_finite("detuning_mode.value", mode.value)
+        object.__setattr__(self, "detuning_mode", type(mode)(float(mode.value) + 0.0))
         mid = 0.5 * (self.omega_phi1 + self.omega_phi2)
         if abs(self.omega_m - mid) > 1e-9 * self.omega_m:
             warnings.warn(

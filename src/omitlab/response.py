@@ -17,7 +17,10 @@ The transmitted probe follows from input-output theory:
 eps_T = 2 kappa a_plus = nu_p + i u_p, t_p = 1 - eps_T. ``probe_response``
 returns them with the exact Delta-derivative of eps_T, in one batched pass
 that every spectrum, map and group delay goes through. They depend on
-a_plus alone, so only ``sideband_amplitudes`` forms a_minus.
+a_plus alone, so only ``sideband_amplitudes`` forms a_minus. The kernel
+returns values only, without numpy's warnings: where d is 0, or its terms
+overflow at extreme drive, they are inf or nan, and delay._delays flags
+the point where its group delay is not finite.
 
 ``sideband_linear_solve`` re-derives a_plus and a_minus from the 6x6 drift
 matrix K of the linearized equations in (phi1, lz1, phi2, lz2, a, a*), one
@@ -34,46 +37,37 @@ import numpy as np
 from .errors import SingularSystem
 from .util import scalar_in_scalar_out, with_python_scalars
 
-# relative threshold below which d(delta) counts as degenerate
-_DEGENERATE_RTOL = 1e-30
-
 
 def lambda_j(delta, omega_phi, gamma):
     """Mechanical response denominator omega_phi^2 - delta^2 - i gamma delta."""
     return omega_phi ** 2 - delta ** 2 - 1j * gamma * delta
 
 
-SidebandAmplitudes = namedtuple("SidebandAmplitudes", "a_plus a_minus d_delta degenerate",
-                                defaults=(None, None))
-SidebandAmplitudes.__doc__ = """First-order sideband amplitudes and the shared denominator.
-
-degenerate marks points where |d| fell below the threshold relative to
-|A A' L1 L2|; values are still returned (possibly inf/nan), never silently
-patched. The linear solve fills a_plus and a_minus only (the rest is
-None); ProbeResponse.deps_T carries the Delta-derivative of a_plus.
-"""
+SidebandAmplitudes = namedtuple("SidebandAmplitudes", "a_plus a_minus")
+SidebandAmplitudes.__doc__ = """First-order sideband amplitudes, from the closed form or
+the linear solve; inf or nan where the closed form has no finite value.
+ProbeResponse.deps_T carries the Delta-derivative of a_plus."""
 
 
 def _a_plus(ep, delta):
-    """(a_plus, d a_plus / d Delta, B, d, degenerate) of the closed form."""
-    A = ep.kappa - 1j * (ep.delta_prime + delta)
-    Ap = ep.kappa + 1j * (ep.delta_prime - delta)
-    L1 = lambda_j(delta, ep.omega_phi1, ep.gamma1)
-    L2 = lambda_j(delta, ep.omega_phi2, ep.gamma2)
-    B = ep.G1 ** 2 * ep.omega_phi1 * L2 + ep.G2 ** 2 * ep.omega_phi2 * L1
-    d = A * Ap * L1 * L2 - 2.0 * ep.delta_prime * B
-    N = A * L1 * L2 + 1j * B
-    dA = dAp = -1j
-    dL1 = -2.0 * delta - 1j * ep.gamma1
-    dL2 = -2.0 * delta - 1j * ep.gamma2
-    dB = ep.G1 ** 2 * ep.omega_phi1 * dL2 + ep.G2 ** 2 * ep.omega_phi2 * dL1
-    dN = dA * L1 * L2 + A * (dL1 * L2 + L1 * dL2) + 1j * dB
-    dd = (dA * Ap + A * dAp) * L1 * L2 + A * Ap * (dL1 * L2 + L1 * dL2) \
-        - 2.0 * ep.delta_prime * dB
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_plus = N / d
-        da_plus = (dN * d - N * dd) / (d * d)
-    return a_plus, da_plus, B, d, np.abs(d) <= _DEGENERATE_RTOL * np.abs(A * Ap * L1 * L2)
+    """(a_plus, d a_plus / d Delta, B, d) of the closed form, inf or nan
+    where d is 0 or its terms overflow."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A = ep.kappa - 1j * (ep.delta_prime + delta)
+        Ap = ep.kappa + 1j * (ep.delta_prime - delta)
+        L1 = lambda_j(delta, ep.omega_phi1, ep.gamma1)
+        L2 = lambda_j(delta, ep.omega_phi2, ep.gamma2)
+        B = ep.G1 ** 2 * ep.omega_phi1 * L2 + ep.G2 ** 2 * ep.omega_phi2 * L1
+        d = A * Ap * L1 * L2 - 2.0 * ep.delta_prime * B
+        N = A * L1 * L2 + 1j * B
+        dA = dAp = -1j
+        dL1 = -2.0 * delta - 1j * ep.gamma1
+        dL2 = -2.0 * delta - 1j * ep.gamma2
+        dB = ep.G1 ** 2 * ep.omega_phi1 * dL2 + ep.G2 ** 2 * ep.omega_phi2 * dL1
+        dN = dA * L1 * L2 + A * (dL1 * L2 + L1 * dL2) + 1j * dB
+        dd = (dA * Ap + A * dAp) * L1 * L2 + A * Ap * (dL1 * L2 + L1 * dL2) \
+            - 2.0 * ep.delta_prime * dB
+        return N / d, (dN * d - N * dd) / (d * d), B, d
 
 
 @scalar_in_scalar_out
@@ -83,32 +77,30 @@ def sideband_amplitudes(ep, delta):
     a_minus's phase factor a0^2/|a0|^2 is (kappa - i Delta')/(kappa + i
     Delta'), from ep alone (see the module docstring).
     """
-    a_plus, _, B, d, degenerate = _a_plus(ep, delta)
+    a_plus, _, B, d = _a_plus(ep, delta)
     c = ep.kappa + 1j * ep.delta_prime
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_minus = np.conj(c) / c * 1j * np.conj(B) / np.conj(d)
-    return SidebandAmplitudes(a_plus, a_minus, d, degenerate)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return SidebandAmplitudes(a_plus, np.conj(c) / c * 1j * np.conj(B) / np.conj(d))
 
 
-ProbeResponse = namedtuple("ProbeResponse", "eps_T nu_p u_p t_p phase degenerate deps_T")
+ProbeResponse = namedtuple("ProbeResponse", "eps_T nu_p u_p t_p phase deps_T")
 ProbeResponse.__doc__ = """The transmitted probe at detuning Delta.
 
 nu_p + i u_p = eps_T = 2 kappa a_plus exactly; t_p = 1 - eps_T; phase
-is the principal-value argument of t_p; degenerate is the kernel's mark
-of a degenerate d; deps_T is the exact derivative of eps_T with respect
-to Delta.
+is the principal-value argument of t_p; deps_T is the exact derivative
+of eps_T with respect to Delta. Each is inf or nan where a_plus is.
 """
 
 
 @scalar_in_scalar_out
 def probe_response(ep, delta):
     """ProbeResponse at detuning delta (scalar or array)."""
-    a_plus, da_plus, _, _, degenerate = _a_plus(ep, delta)
-    eps_T = 2.0 * ep.kappa * a_plus
-    t_p = 1.0 - eps_T
-    return ProbeResponse(
-        eps_T=eps_T, nu_p=eps_T.real, u_p=eps_T.imag, t_p=t_p, phase=np.angle(t_p),
-        degenerate=degenerate, deps_T=2.0 * ep.kappa * da_plus)
+    a_plus, da_plus, _, _ = _a_plus(ep, delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_T = 2.0 * ep.kappa * a_plus
+        t_p = 1.0 - eps_T
+        return ProbeResponse(eps_T=eps_T, nu_p=eps_T.real, u_p=eps_T.imag, t_p=t_p,
+                             phase=np.angle(t_p), deps_T=2.0 * ep.kappa * da_plus)
 
 
 def _drift_matrix(ep, a0):

@@ -72,10 +72,12 @@ def _branches(cfg, dc, delta_prime, flags, n=None):
 
 
 def fixed_branches(cfg, dc, delta_prime):
-    """Branches at a prescribed effective detuning: one per cell."""
+    """Branches at a prescribed effective detuning: one per cell, flagged
+    NumericalError where eps_c overflows (at extreme drive)."""
     shape = np.broadcast(cfg.kappa, dc.eps_c).shape
     return _branches(cfg, dc, np.full((1,) + shape, float(delta_prime)),
-                     np.zeros(shape, np.uint8))
+                     flag_cells(np.zeros(shape, np.uint8), ~np.isfinite(dc.eps_c),
+                                NumericalError))
 
 
 def _cubic(n, kappa, delta0, chi, eps2):

@@ -489,6 +489,23 @@ def test_exit_code_numerical_error(capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_extreme_drive_exits_two_or_flags(tmp_path, capsys, monkeypatch):
+    """At extreme drive a point whose closed form has no finite value, or
+    whose drive amplitude overflows, exits 2; a spectrum flags its rows
+    instead, and no numpy warning reaches stderr."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["delay", "--P", "1e200", "--delta", "1.1"]) == 2
+        assert "closed form has no finite value" in capsys.readouterr().err
+        assert main(["steady", "--P", "1e290"]) == 2
+        assert "numerical" in capsys.readouterr().err
+        assert main(["spectrum", "--P", "1e120", "--out", "s.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _rows(_read(tmp_path / "s.csv"))
+    assert len(rows) == 4161 and {r[-1] for r in rows} == {"DegenerateDenominator"}
+
+
 def test_usage_error_exits_one():
     # --delta is required; then options a subcommand does not read: defaults
     # takes only --out, steady prints every branch, oracle always uses

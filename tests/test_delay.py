@@ -312,7 +312,6 @@ def test_delay_map_sign_change_along_oam():
 def test_delay_map_captures_cell_failures(monkeypatch):
     cfg = default_config()
     import omitlab.delay as dmod
-    import omitlab.response as rmod
 
     # with the floor raised to 0.9 the driven cell (P = 1e-6 W, L = 100,
     # |t_p| = 0.633) fails; the three bare cells (|t_p| ~ 1) do not
@@ -327,24 +326,52 @@ def test_delay_map_captures_cell_failures(monkeypatch):
     for i, j in ((0, 0), (0, 1), (1, 0)):
         assert np.isfinite(m.values[i, j])
 
-    # with the floor back and the degeneracy threshold raised to 2 the bare
-    # cells (|d| = |A A' L1 L2|) count as degenerate and the driven one
-    # (|d| = 4.8 |A A' L1 L2|) does not, for either observable; the
-    # spectrum flags its rows with the same name
+    # with the floor back, the driven cell at P = 1e120 W overflows the
+    # closed form and the bare one (L = 0) keeps its finite value, for
+    # either observable; the spectrum flags every row with the same name,
+    # and the undamped bare mirror on resonance (d = 0) raises it
     monkeypatch.undo()
-    monkeypatch.setattr(rmod, "_DEGENERATE_RTOL", 2.0)
-    want = [["DegenerateDenominator"] * 2, ["DegenerateDenominator", ""]]
+    want = [["", ""], ["", "DegenerateDenominator"]]
     for obs in ("nu_p", "tau_g"):
-        m = sweep_2d(cfg, ("P", [0.0, 1e-6]), ("L", [0, 100]), observable=obs,
+        m = sweep_2d(cfg, ("P", [1e-6, 1e120]), ("L", [0, 100]), observable=obs,
                      delta=delta)
         assert flag_names(m.flags).tolist() == want
-        assert np.isnan(m.values[0]).all() and np.isnan(m.values[1, 0])
-        assert np.isfinite(m.values[1, 1])
+        assert np.isnan(m.values[1, 1])
+        assert np.isfinite(m.values[:, 0]).all() and np.isfinite(m.values[0, 1])
+        assert m.values[1, 0] == m.values[0, 0]
     with pytest.raises(DegenerateDenominator):
-        group_delay(_bare_ep(), 0.0, OMEGA_M)
-    series = spectrum_sweep(replace(cfg, P=0.0), np.linspace(0.9, 1.1, 5) * OMEGA_M)
+        group_delay(_bare_ep(gamma=0.0), 0.0, 1.1 * OMEGA_M)
+    series = spectrum_sweep(replace(cfg, P=1e120), np.linspace(0.9, 1.1, 5) * OMEGA_M)
     assert set(flag_names(series.flags)) == {"DegenerateDenominator"}
     assert np.isnan(series.tau_g).all()
+
+
+def test_extreme_drive_is_finite_or_flagged():
+    """Fixed-mode maps over P = 1e-3 ... 1e300 W, where the closed form
+    overflows (from about 5e102 W by the analytic route and 3e259 W by fd)
+    and so does eps_c (from about 2.3e281 W): with warnings as errors, every
+    cell is finite or flagged and no map aborts. A spectrum at 1e120 W
+    flags every row, and group_delay raises there."""
+    cfg = default_config()
+    P = np.geomspace(1e-3, 1e300, 31)
+    grid = np.linspace(0.5, 1.5, 21) * OMEGA_M
+    strong = replace(cfg, P=1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = [sweep_2d(cfg, ("P", P), ("Delta", grid), observable=obs, method=method)
+                for obs, method in (("nu_p", "analytic"), ("tau_g", "analytic"),
+                                    ("tau_g", "fd"))]
+        series = spectrum_sweep(strong)
+        with pytest.raises(DegenerateDenominator):
+            group_delay(effective_params(strong, solve_steady(strong)), 0.0, 1.1 * OMEGA_M)
+    for m in maps:
+        names = flag_names(m.flags)
+        np.testing.assert_array_equal(np.isfinite(m.values), names == "")
+        assert (names[P < 1e100] == "").all()
+        assert "DegenerateDenominator" in names
+        assert set(names[P > 1e282].ravel()) == {"NumericalError"}
+    assert len(series.flags) == 4161
+    assert set(flag_names(series.flags)) == {"DegenerateDenominator"}
 
 
 def test_delay_map_rejects_empty_grid():

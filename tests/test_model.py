@@ -267,6 +267,27 @@ def test_fingerprint_sensitivity(cfg):
     assert json.dumps(fp)  # plain hex string
 
 
+def test_equal_configurations_have_equal_fingerprints(cfg):
+    """Equal configurations hash alike, so a steady state of one folds
+    into the other: integer-valued floats, -0.0 and the detuning value are
+    stored as the floats they equal, L as an int."""
+    w = cfg.omega_m
+    pairs = [(replace(cfg, Q1=120000, Q2=120000), replace(cfg, Q1=120000.0, Q2=120000.0)),
+             (replace(cfg, P=-0.0), replace(cfg, P=0.0)),
+             (replace(cfg, L=100.0), replace(cfg, L=100)),
+             (replace(cfg, detuning_mode=FixedEffective(int(w))),
+              replace(cfg, detuning_mode=FixedEffective(float(int(w))))),
+             (replace(cfg, detuning_mode=SelfConsistent(-0.0)),
+              replace(cfg, detuning_mode=SelfConsistent(0.0)))]
+    for a, b in pairs:
+        assert a == b
+        assert config_fingerprint(a) == config_fingerprint(b)
+        assert config_to_json(a) == config_to_json(b)
+    a, b = pairs[0]
+    assert effective_params(b, solve_steady(a)) == effective_params(b, solve_steady(b))
+    assert type(a.Q1) is float and type(pairs[2][0].L) is int
+
+
 def test_effective_params_provenance_check(cfg):
     ss = solve_steady(cfg)
     other = replace(cfg, P=1e-3)

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omitlab import (ConfigError, DelayResult, EffectiveParams, ProbeResponse,
-                     SelfConsistent, SidebandAmplitudes, SingularSystem,
+from omitlab import (ConfigError, DegenerateDenominator, DelayResult, EffectiveParams,
+                     ProbeResponse, SelfConsistent, SidebandAmplitudes, SingularSystem,
                      default_config, derive_constants, effective_params,
                      flag_names, group_delay, lambda_j, oracle_check,
                      probe_response, sideband_amplitudes,
                      sideband_linear_solve, solve_steady, tau_g_analytic)
 from omitlab import response
+from omitlab.delay import _delays
 from omitlab.model import config_grid, fold_steady_state
 from omitlab.response import _drift_matrix
 from omitlab.steadystate import self_consistent_branches
@@ -53,7 +54,6 @@ def test_bare_cavity_amplitudes():
         expect = 1.0 / (ep.kappa + 1j * (ep.delta_prime - delta))
         assert sb.a_plus == pytest.approx(expect, rel=1e-14)
         assert sb.a_minus == 0.0
-        assert not sb.degenerate
 
 
 def test_bare_cavity_peak_and_half_width():
@@ -176,8 +176,7 @@ def test_drift_matrix_has_no_spurious_modes():
         assert lam.real.max() / OMEGA_M == pytest.approx(growth, abs=1e-4)
     # on the real axis the denominator above is the kernel's
     grid = np.linspace(0.5, 1.5, 11) * OMEGA_M
-    np.testing.assert_array_equal(_denominator(ep, grid)[0],
-                                  sideband_amplitudes(ep, grid).d_delta)
+    np.testing.assert_array_equal(_denominator(ep, grid)[0], response._a_plus(ep, grid)[3])
 
 
 def test_linear_solve_undriven_limit():
@@ -221,16 +220,52 @@ def test_degenerate_mirrors_reduce_to_single_effective_coupling():
 def test_degenerate_denominator_flag():
     # undamped mirror exactly on resonance: L1 = 0 and G = 0 make d = 0
     ep = _bare_ep(gamma=0.0)
+    assert response._a_plus(ep, np.array([ep.omega_phi1]))[3] == 0.0
+    # values are surfaced as non-finite rather than silently patched, and
+    # the group delay is flagged
     sb = sideband_amplitudes(ep, ep.omega_phi1)
-    assert sb.degenerate
-    assert sb.d_delta == 0.0
-    # values are surfaced as non-finite rather than silently patched
     assert not np.isfinite(sb.a_plus.real)
+    with pytest.raises(DegenerateDenominator):
+        group_delay(ep, 0.0, ep.omega_phi1)
     # and the linear system is exactly singular there
     with pytest.raises(SingularSystem):
         sideband_linear_solve(ep, 0.0, ep.omega_phi1)
-    ok = sideband_amplitudes(ep, 1.3 * OMEGA_M)
-    assert not ok.degenerate
+    assert math.isfinite(tau_g_analytic(ep, 1.3 * OMEGA_M))
+
+
+def test_degenerate_flag_covers_the_old_mask():
+    """DegenerateDenominator is decided by one rule, a tau_g that is not
+    finite. On a seeded sample of 4000 parameter points (gamma_j = 0 and
+    G_j = 0 among them) at 12 detunings, two of them on the mirror
+    frequencies, it flags exactly the cells of the kernel's former
+    degeneracy mask, |d| <= 1e-30 |A A' L1 L2| (1232 of 48000), and none
+    whose tau_g is finite."""
+    rng = np.random.default_rng(33)
+    om, shape = OMEGA_M, (4000, 1)
+
+    def draw(low, high, log=False, zeros=False):
+        x = rng.uniform(low, high, shape)
+        x = (10 ** x if log else x) * om
+        return np.where(rng.random(shape) < 0.3, 0.0, x) if zeros else x
+
+    ep = EffectiveParams(
+        kappa=draw(-3, 0, log=True), delta_prime=draw(-2, 2, zeros=True),
+        G1=draw(-3, -0.5, log=True, zeros=True), G2=draw(-3, -0.5, log=True, zeros=True),
+        omega_phi1=draw(0.5, 1.5), omega_phi2=draw(0.5, 1.5),
+        gamma1=draw(-6, -1, log=True, zeros=True), gamma2=draw(-6, -1, log=True, zeros=True),
+        omega_m=om)
+    delta = np.concatenate([rng.uniform(0.0, 2.0, (4000, 10)) * om, ep.omega_phi1,
+                            ep.omega_phi2], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr, _, _, flags = _delays(ep, delta)
+    with np.errstate(all="ignore"):
+        tau = np.imag(-pr.deps_T / pr.t_p)
+        mask = np.abs(response._a_plus(ep, delta)[3]) <= 1e-30 * _denominator(ep, delta)[1]
+    flagged = flag_names(flags) == "DegenerateDenominator"
+    assert mask.sum() == 1232
+    np.testing.assert_array_equal(flagged, mask)
+    assert not np.any(flagged & np.isfinite(tau))
 
 
 @pytest.mark.parametrize("func", [
@@ -261,7 +296,7 @@ def test_minus_phase_factor_is_exact_to_rounding(monkeypatch):
     kappa = 10.0 ** rng.uniform(-10, 20, 2000)
     delta_prime = 10.0 ** rng.uniform(-10, 20, 2000) * rng.choice([-1.0, 1.0], 2000)
     ep = _bare_ep(kappa=kappa, delta_prime=delta_prime)
-    monkeypatch.setattr(response, "_a_plus", lambda ep, delta: (0j, 0j, 1 + 0j, 1 + 0j, False))
+    monkeypatch.setattr(response, "_a_plus", lambda ep, delta: (0j, 0j, 1 + 0j, 1 + 0j))
     factors = -1j * sideband_amplitudes(ep, np.full(2000, OMEGA_M)).a_minus
     for k, dp, factor in zip(kappa.tolist(), delta_prime.tolist(), factors.tolist()):
         x, y = Fraction(k), Fraction(dp)

@@ -352,8 +352,10 @@ def test_extreme_drive_is_solved_or_flagged():
     step cap (from about 5.6e21 W), NumericalError where the cubic is not
     finite at the root (from about 3e91 W, where it overflows at the upper
     start, to 1e300 W, where eps_c itself does). Its first Newton step
-    there was not finite, so the start came back as the root. No numpy
-    warning reaches the caller, and the scalar solve raises the flag."""
+    there was not finite, so the start came back as the root. In fixed mode
+    the cells where eps_c overflows (from about 2.3e281 W) are flagged
+    NumericalError, where n came back inf without a flag. No numpy warning
+    reaches the caller, and the scalar solves raise the flag."""
     base = replace(default_config(), detuning_mode=SelfConsistent(default_config().omega_m))
     delta0 = base.detuning_mode.value
     c = config_grid(base, P=np.geomspace(1e-3, 1e300, 304))
@@ -361,8 +363,15 @@ def test_extreme_drive_is_solved_or_flagged():
         warnings.simplefilter("error")
         dc = derive_constants(c)
         br = steadystate.self_consistent_branches(c, dc, delta0)
+        fixed = steadystate.fixed_branches(c, dc, delta0)
         with pytest.raises(NumericalError):
             steady_states(replace(base, P=1e100))
+        with pytest.raises(NumericalError) as exc:
+            solve_steady(replace(default_config(), P=1e290))
+    assert exc.type is NumericalError
+    overflow = ~np.isfinite(dc.eps_c)
+    assert 1e281 < c.P[overflow].min() < 2e282
+    np.testing.assert_array_equal(flag_names(fixed.flags), np.where(overflow, "NumericalError", ""))
     names = flag_names(br.flags)
     assert names[0] == "" and names[-1] == "NumericalError"
     assert set(names) == {"", "RootRefinementError", "NumericalError"}

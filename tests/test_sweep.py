@@ -536,7 +536,8 @@ def test_every_flag_code_round_trips_to_its_name(monkeypatch):
     assert len(set(omitlab.__all__)) == len(omitlab.__all__)
     assert "eps_out_zero" not in omitlab.__all__ and not hasattr(omitlab, "eps_out_zero")
     assert {"eps_out_plus", "eps_out_minus"}.isdisjoint(omitlab.ProbeResponse._fields)
-    assert "da_plus" not in omitlab.SidebandAmplitudes._fields
+    assert omitlab.SidebandAmplitudes._fields == ("a_plus", "a_minus")
+    assert "degenerate" not in omitlab.ProbeResponse._fields
     # the frozen dataclasses are the records that check their fields, and
     # the two detuning modes, which must not compare equal at equal value;
     # every other record is a named tuple
